@@ -21,13 +21,14 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import sys
 import time
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .convergence import (
     EstimationError,
     fit_geometric_rate,
@@ -41,6 +42,7 @@ from .core import (
     ForceModel,
     State,
     TrajectoryConfig,
+    row_dot,
     simulate_chain,
 )
 from .gaussian import covariance_consistency
@@ -65,11 +67,6 @@ __all__ = [
     "CSV_SCHEMA",
     "EXPERIMENTS",
 ]
-
-try:
-    _VERSION = metadata.version("langevin-kit")
-except metadata.PackageNotFoundError:  # running from a source tree
-    _VERSION = "0.0.0+unpackaged"
 
 CSV_SCHEMA = ("gamma", "probe_point", "statistic", "value", "std_error")
 
@@ -105,19 +102,32 @@ class ConfigError(Exception):
     """The config file cannot be turned into a runnable experiment."""
 
 
+def _finite(value, name) -> float:
+    """``value`` as a float; ConfigError unless it is a finite real number."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
 # ---------------------------------------------------------------------------
 # Potentials
 
 
 def quadratic_potential(curvature: float = 1.0) -> ForceModel:
     """U(x) = curvature |x|^2 / 2."""
-    a = float(curvature)
+    a = _finite(curvature, "potential.curvature")
     if a < 0:
         raise ConfigError("potential.curvature must be nonnegative")
     return ForceModel(
         b=lambda x: -a * x,
         lipschitz=a,
-        potential=lambda x: 0.5 * a * np.sum(np.square(x), axis=-1),
+        potential=lambda x: 0.5 * a * row_dot(x, x),
         grad_potential=lambda x: a * x,
         label="quadratic",
     )
@@ -132,21 +142,23 @@ def quartic_well_potential(
     supremum over the ball |x| <= box_radius, which is the honest constant
     for probes confined to that region.
     """
-    c4, c2 = float(quartic), float(quadratic)
+    c4 = _finite(quartic, "potential.quartic")
+    c2 = _finite(quadratic, "potential.quadratic")
+    box_radius = _finite(box_radius, "potential.box_radius")
     if c4 <= 0 or c2 < 0:
         raise ConfigError("potential.quartic must be positive and potential.quadratic nonnegative")
 
     def grad(x):
-        sq = np.sum(np.square(x), axis=-1, keepdims=True)
-        return (c4 * sq + c2) * x
+        return (c4 * row_dot(x, x)[..., None] + c2) * x
+
+    def potential(x):
+        sq = row_dot(x, x)
+        return 0.25 * c4 * sq**2 + 0.5 * c2 * sq
 
     return ForceModel(
         b=lambda x: -grad(x),
         lipschitz=3.0 * c4 * box_radius**2 + c2,
-        potential=lambda x: (
-            0.25 * c4 * np.sum(np.square(x), axis=-1) ** 2
-            + 0.5 * c2 * np.sum(np.square(x), axis=-1)
-        ),
+        potential=potential,
         grad_potential=grad,
         label="quartic-well",
     )
@@ -161,7 +173,7 @@ def flat_tail_potential(radius: float = 5.0) -> ForceModel:
     <grad U, x> / (|x| + |grad U|^2) is exactly zero at large radius, which is
     what the drift-structure probes are designed to flag.
     """
-    big_r = float(radius)
+    big_r = _finite(radius, "potential.radius")
     if big_r <= 0:
         raise ConfigError("potential.radius must be positive")
 
@@ -340,6 +352,8 @@ def _validate_mc(experiment, mc, scheme, d):
         for i, p in enumerate(pts):
             if not isinstance(p, list) or len(p) != 2 * d:
                 raise ConfigError(f"{pre}.eval_points[{i}] must have 2*d = {2 * d} numbers")
+            for j, val in enumerate(p):
+                _finite(val, f"{pre}.eval_points[{i}][{j}]")
     elif experiment == "order-check":
         pair = mc["gamma_pair"]
         if not isinstance(pair, list) or len(pair) != 2:
@@ -638,7 +652,7 @@ def _write_outputs(cfg: dict, rows, out_dir: Path, wall_time: float) -> None:
     meta = dict(cfg)
     meta["content_hash"] = _content_hash(cfg)
     meta["wall_time_s"] = wall_time
-    meta["version"] = _VERSION
+    meta["version"] = __version__
     meta["csv_schema"] = list(CSV_SCHEMA)
     with open(out_dir / "meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

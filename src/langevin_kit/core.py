@@ -11,7 +11,9 @@ A discretization with timestep gamma is encoded by
 with z a standard d-dimensional Gaussian and w = (w1, w2) auxiliary noise
 (w1 Gaussian from higher-order time integration, w2 stochastic-gradient
 input). The drift corrections f and g always receive the already-scaled
-velocity and noise arguments.
+velocity and noise arguments. A scheme supplies them jointly, as one
+function returning (f, g), so that a step evaluates the force b once for
+each distinct point it needs (once per step for every built-in scheme).
 
 All step functions are vectorized: positions and velocities may carry leading
 batch axes (ensemble, d), and the force field must broadcast accordingly.
@@ -44,6 +46,7 @@ __all__ = [
     "simulate_chain",
     "aggregate_closed_form",
     "validate_d1",
+    "row_dot",
 ]
 
 DIVERGENCE_LIMIT = 1e12
@@ -65,6 +68,16 @@ class DivergedError(FloatingPointError):
         super().__init__(
             f"|{component}| exceeded {DIVERGENCE_LIMIT:g} or became non-finite{where}"
         )
+
+
+def row_dot(a, b) -> np.ndarray:
+    """Inner product over the last axis, batched over leading axes.
+
+    Equals np.sum(a * b, axis=-1) bit for bit when the last axis has length 1
+    or 2 and to rounding otherwise, without the per-row reduction loop that
+    makes the np.sum form slow on tall, narrow (n, d) arrays.
+    """
+    return np.einsum("...i,...i->...", a, b)
 
 
 def _as_vector(a, name: str) -> np.ndarray:
@@ -191,10 +204,16 @@ class NoiseSpec:
 class GeneralScheme:
     """Coefficients and drift corrections of one discretization at fixed gamma.
 
-    f and g have signature f(x, v_scaled, z_scaled, w1, w2) and receive the
-    already-scaled velocity gamma^delta * v and noise
-    gamma^(delta+1/2) * sigma_gamma * Z; they must broadcast over leading axes.
-    ``d_matrix`` is either a scalar multiple of the identity or a (d, d) array.
+    ``corrections(x, v_scaled, z_scaled, w1, w2)`` returns the pair (f, g) of
+    drift corrections, evaluated jointly so that a force value both of them
+    need is computed once; f is None when it vanishes identically. Its
+    arguments are the already-scaled velocity gamma^delta * v and noise
+    gamma^(delta+1/2) * sigma_gamma * Z, and it must broadcast over leading
+    axes. ``f`` and ``g`` are the two components as separate functions with
+    the same signature (f returning zeros where it vanishes); they are
+    derived from ``corrections`` when not given, and the step functions never
+    call them. ``d_matrix`` is either a scalar multiple of the identity or a
+    (d, d) array.
 
     The remaining fields record the consistency metadata of the family the
     scheme was drawn from: tau must stay within c_kappa * gamma^2 of
@@ -207,8 +226,7 @@ class GeneralScheme:
     sigma_gamma: float
     d_matrix: float | np.ndarray
     delta: float
-    f: Callable[..., np.ndarray]
-    g: Callable[..., np.ndarray]
+    corrections: Callable[..., tuple[np.ndarray | None, np.ndarray]]
     noise_spec: NoiseSpec
     kappa: float
     sigma: float
@@ -219,8 +237,24 @@ class GeneralScheme:
     vartheta: float = 0.0
     label: str = "general"
     force: ForceModel | None = None
+    f: Callable[..., np.ndarray] | None = None
+    g: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self):
+        corrections = self.corrections
+        if self.f is None:
+
+            def f(x, vs, zs, w1, w2):
+                fx = corrections(x, vs, zs, w1, w2)[0]
+                return np.zeros_like(x) if fx is None else fx
+
+            object.__setattr__(self, "f", f)
+        if self.g is None:
+
+            def g(x, vs, zs, w1, w2):
+                return corrections(x, vs, zs, w1, w2)[1]
+
+            object.__setattr__(self, "g", g)
         if not (self.gamma > 0 and self.gamma <= self.gamma_bar * (1 + _A1_SLACK)):
             raise ContractViolation(
                 f"gamma must lie in (0, {self.gamma_bar:g}], got {self.gamma:g}"
@@ -247,6 +281,11 @@ class GeneralScheme:
             return float(self.d_matrix) * z
         return z @ np.asarray(self.d_matrix).T
 
+    @property
+    def d_is_zero(self) -> bool:
+        """D = 0 as a scalar: the position update carries no Gaussian term."""
+        return np.isscalar(self.d_matrix) and float(self.d_matrix) == 0.0
+
 
 def _check_noise_widths(scheme: GeneralScheme, d: int, z, w1, w2) -> None:
     m1, m2 = scheme.noise_spec.dims(d)
@@ -259,24 +298,38 @@ def _check_noise_widths(scheme: GeneralScheme, d: int, z, w1, w2) -> None:
 
 
 def _guard(x: np.ndarray, v: np.ndarray, step: int | None) -> None:
-    mx = float(np.max(np.abs(x))) if x.size else 0.0
-    if not math.isfinite(mx) or mx > DIVERGENCE_LIMIT:
-        raise DivergedError("x", step)
-    mv = float(np.max(np.abs(v))) if v.size else 0.0
-    if not math.isfinite(mv) or mv > DIVERGENCE_LIMIT:
-        raise DivergedError("v", step)
+    # max/min instead of max(abs(.)): no temporary array. A NaN propagates
+    # through both and fails the comparison, as does an infinity.
+    for name, arr in (("x", x), ("v", v)):
+        if arr.size and not (
+            -DIVERGENCE_LIMIT <= float(arr.min()) and float(arr.max()) <= DIVERGENCE_LIMIT
+        ):
+            raise DivergedError(name, step)
+
+
+def _advance(scheme: GeneralScheme, x, v, noise, scale, v_noise, w1, w2, step):
+    """The recursion with position noise ``scale * D noise``, scaled noise
+    slot ``scale * noise`` and velocity noise ``v_noise``.
+
+    Structural zeros cost nothing: a vanishing f or D adds no term.
+    """
+    g_ = scheme.gamma
+    fx, gx = scheme.corrections(x, g_**scheme.delta * v, scale * noise, w1, w2)
+    x_new = x + g_ * v
+    if fx is not None:
+        x_new = x_new + g_ * fx
+    if not scheme.d_is_zero:
+        x_new = x_new + scale * scheme.apply_d(noise)
+    v_new = scheme.tau * v + g_ * gx + v_noise
+    _guard(x_new, v_new, step)
+    return x_new, v_new
 
 
 def _step_arrays(scheme: GeneralScheme, x, v, z, w1, w2, step: int | None = None):
-    g_, d_ = scheme.gamma, scheme.delta
-    v_s = g_**d_ * v
-    z_s = g_ ** (d_ + 0.5) * scheme.sigma_gamma * z
-    fx = scheme.f(x, v_s, z_s, w1, w2)
-    gx = scheme.g(x, v_s, z_s, w1, w2)
-    x_new = x + g_ * v + g_ * fx + g_ ** (d_ + 0.5) * scheme.sigma_gamma * scheme.apply_d(z)
-    v_new = scheme.tau * v + g_ * gx + math.sqrt(g_) * scheme.sigma_gamma * z
-    _guard(x_new, v_new, step)
-    return x_new, v_new
+    g_ = scheme.gamma
+    scale = g_ ** (scheme.delta + 0.5) * scheme.sigma_gamma
+    v_noise = math.sqrt(g_) * scheme.sigma_gamma * z
+    return _advance(scheme, x, v, z, scale, v_noise, w1, w2, step)
 
 
 def general_step(scheme: GeneralScheme, state: State, noise: NoiseDraw) -> State:
@@ -301,15 +354,7 @@ def full_noise_step(scheme: GeneralScheme, x, v, z_full, w1, w2, step: int | Non
     that value reproduces ``general_step``. Used by perturbation probes that
     shift the noise rather than the Gaussian seed.
     """
-    g_, d_ = scheme.gamma, scheme.delta
-    v_s = g_**d_ * v
-    z_s = g_**d_ * z_full
-    fx = scheme.f(x, v_s, z_s, w1, w2)
-    gx = scheme.g(x, v_s, z_s, w1, w2)
-    x_new = x + g_ * v + g_ * fx + g_**d_ * scheme.apply_d(z_full)
-    v_new = scheme.tau * v + g_ * gx + z_full
-    _guard(x_new, v_new, step)
-    return x_new, v_new
+    return _advance(scheme, x, v, z_full, scheme.gamma**scheme.delta, z_full, w1, w2, step)
 
 
 @dataclass(frozen=True)
@@ -414,16 +459,21 @@ def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[N
     for i, draw in enumerate(noises):
         _check_noise_widths(scheme, d, draw.z, draw.w1, draw.w2)
         z_full = math.sqrt(g_) * scheme.sigma_gamma * draw.z
-        v_s = g_**delta * v_i
-        z_s = g_**delta * z_full
-        f_i = scheme.f(x_i, v_s, z_s, draw.w1, draw.w2)
-        gd_i = scheme.g(x_i, v_s, z_s, draw.w1, draw.w2)
+        f_i, gd_i = scheme.corrections(
+            x_i, g_**delta * v_i, g_**delta * z_full, draw.w1, draw.w2
+        )
         if i < k:
             sum_g = sum_g + g1[i] * (g_ * gd_i + z_full)
-        sum_f = sum_f + f_i
-        sum_dz = sum_dz + scheme.apply_d(z_full)
         sum_gv = sum_gv + g2[i] * (g_ * gd_i + z_full)
-        x_i = x_i + g_ * v_i + g_ * f_i + g_**delta * scheme.apply_d(z_full)
+        x_next = x_i + g_ * v_i
+        if f_i is not None:
+            sum_f = sum_f + f_i
+            x_next = x_next + g_ * f_i
+        if not scheme.d_is_zero:
+            dz = scheme.apply_d(z_full)
+            sum_dz = sum_dz + dz
+            x_next = x_next + g_**delta * dz
+        x_i = x_next
         v_i = tau * v_i + g_ * gd_i + z_full
 
     x_out = (

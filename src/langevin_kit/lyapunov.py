@@ -33,6 +33,7 @@ from .core import (
     ForceModel,
     GeneralScheme,
     NoiseDraw,
+    row_dot,
     step_ensemble,
     validate_d1,
 )
@@ -168,9 +169,9 @@ def w_gamma(x, v, scheme: GeneralScheme, params: LyapunovParams, force: ForceMod
     v = np.asarray(v, dtype=np.float64)
     cross = _cross_coefficient(scheme, params)
     val = (
-        0.5 * scheme.kappa**2 * np.sum(x * x, axis=-1)
-        + np.sum(v * v, axis=-1)
-        + cross * np.sum(x * v, axis=-1)
+        0.5 * scheme.kappa**2 * row_dot(x, x)
+        + row_dot(v, v)
+        + cross * row_dot(x, v)
         + 2.0 * params.alpha_u * np.asarray(fm.potential(x), dtype=np.float64)
     )
     return float(val) if val.ndim == 0 else val
@@ -206,8 +207,8 @@ def v_cal(x, v, force: ForceModel):
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     val = (
-        np.sum(x * x, axis=-1)
-        + np.sum(v * v, axis=-1)
+        row_dot(x, x)
+        + row_dot(v, v)
         + np.asarray(force.potential(x), dtype=np.float64)
     )
     return float(val) if val.ndim == 0 else val

@@ -228,17 +228,17 @@ def _native_arrays(kind, p, x, v, z, w1, w2):
     raise ContractViolation(f"unknown scheme kind {kind!r}")
 
 
-def _zero_f(x, vs, zs, w1, w2):
-    return np.zeros_like(x)
-
-
 def as_general_scheme(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
     """Exact embedding of the scheme into the general one-step recursion.
 
-    The drift corrections f and g are the printed scaled-slot functions of
-    each scheme; tau, sigma_gamma and the D factor are the printed
-    coefficients. The returned object also carries the family metadata
-    (c_kappa, sigma_bar, d_bound, gamma_bar, vartheta) used by the
+    The drift corrections are the printed scaled-slot functions of each
+    scheme, written once as a joint (f, g) function that evaluates the force
+    at each point it needs exactly once: b(x) for BAC and ExpEuler,
+    b(x + v_s/2) for ABCBA, the inner point for CABAC, the predicted
+    position for CAB, and b(x) (or the gradient estimator) for the
+    Euler-Maruyama pair, whose f vanishes. tau, sigma_gamma and the D factor
+    are the printed coefficients. The returned object also carries the family
+    metadata (c_kappa, sigma_bar, d_bound, gamma_bar, vartheta) used by the
     assumption-checking and Lyapunov layers.
     """
     k_, s_, g_ = p.kappa, p.sigma, p.gamma
@@ -250,20 +250,21 @@ def as_general_scheme(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
 
     if kind in (SchemeKind.EULER_MARUYAMA, SchemeKind.SG_EULER_MARUYAMA):
         if kind is SchemeKind.EULER_MARUYAMA:
-            def g_fn(x, vs, zs, w1, w2):
-                return b(x)
+
+            def corrections(x, vs, zs, w1, w2):
+                return None, b(x)
+
         else:
             est = _require_sg(p)
 
-            def g_fn(x, vs, zs, w1, w2):
-                return est.h(x, w2)
+            def corrections(x, vs, zs, w1, w2):
+                return None, est.h(x, w2)
 
         return GeneralScheme(
             tau=1.0 - k_ * g_,
             sigma_gamma=s_,
             d_matrix=0.0,
-            f=_zero_f,
-            g=g_fn,
+            corrections=corrections,
             c_kappa=k_**2 / 2.0,
             d_bound=0.0,
             gamma_bar=1.0 / (2.0 * k_),
@@ -277,11 +278,15 @@ def as_general_scheme(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
     exact_tau = dict(tau=e, c_kappa=0.0, gamma_bar=1.0 / k_)
 
     if kind is SchemeKind.VERLET_BAC:
+
+        def corrections(x, vs, zs, w1, w2):
+            bx = b(x)
+            return g_ * bx, e * bx
+
         return GeneralScheme(
             sigma_gamma=st,
             d_matrix=0.0,
-            f=lambda x, vs, zs, w1, w2: g_ * b(x),
-            g=lambda x, vs, zs, w1, w2: e * b(x),
+            corrections=corrections,
             d_bound=0.0,
             vartheta=0.0,
             label=kind.value,
@@ -290,27 +295,37 @@ def as_general_scheme(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
         )
 
     if kind is SchemeKind.SPLIT_CAB:
+        c_v = (e - 1.0) / g_
+
+        def corrections(x, vs, zs, w1, w2):
+            return c_v * vs, b(x + e * vs + zs)
+
         return GeneralScheme(
             sigma_gamma=st,
             d_matrix=1.0,
-            f=lambda x, vs, zs, w1, w2: (e - 1.0) / g_ * vs,
-            g=lambda x, vs, zs, w1, w2: b(x + e * vs + zs),
+            corrections=corrections,
             d_bound=1.0,
-            vartheta=(e - 1.0) / g_,
+            vartheta=c_v,
             label=kind.value,
             **exact_tau,
             **common,
         )
 
     if kind is SchemeKind.SPLIT_ABCBA:
+        c_v = (e - 1.0) / (2.0 * g_)
+        c_fb = 0.25 * g_ * (1.0 + e)
+        c_gb = 0.5 * (1.0 + e)
+
+        def corrections(x, vs, zs, w1, w2):
+            bm = b(x + 0.5 * vs)
+            return c_v * vs + c_fb * bm, c_gb * bm
+
         return GeneralScheme(
             sigma_gamma=st,
             d_matrix=0.5,
-            f=lambda x, vs, zs, w1, w2: (e - 1.0) / (2.0 * g_) * vs
-            + 0.25 * g_ * (1.0 + e) * b(x + 0.5 * vs),
-            g=lambda x, vs, zs, w1, w2: 0.5 * (1.0 + e) * b(x + 0.5 * vs),
+            corrections=corrections,
             d_bound=0.5,
-            vartheta=(e - 1.0) / (2.0 * g_),
+            vartheta=c_v,
             label=kind.value,
             **exact_tau,
             **common,
@@ -321,22 +336,16 @@ def as_general_scheme(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
         sigma_gamma = math.sqrt(sigma_tilde_sq(g_ / 2.0, k_, s_) * (1.0 + e) / 2.0)
         w_free = 2.0 * math.sqrt(g_) * co.c4
         w_inner = g_**1.5 * co.c4
+        c_fb = 0.5 * g_
 
-        def f_fn(x, vs, zs, w1, w2):
-            return (
-                co.c1 * vs
-                + 0.5 * g_ * b(x + co.c2 * vs + co.c3 * zs + w_inner * w1)
-                + w_free * w1
-            )
-
-        def g_fn(x, vs, zs, w1, w2):
-            return co.g1 * b(x + co.g2 * vs + co.g3 * zs + w_inner * w1)
+        def corrections(x, vs, zs, w1, w2):
+            ba = b(x + co.c2 * vs + co.c3 * zs + w_inner * w1)
+            return co.c1 * vs + c_fb * ba + w_free * w1, co.g1 * ba
 
         return GeneralScheme(
             sigma_gamma=sigma_gamma,
             d_matrix=math.exp(-k_ * g_ / 2.0) / (1.0 + e),
-            f=f_fn,
-            g=g_fn,
+            corrections=corrections,
             d_bound=0.5,
             vartheta=co.c1,
             label=kind.value,
@@ -349,19 +358,18 @@ def as_general_scheme(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
         alpha = cov.s2 / math.sqrt(cov.s1 * cov.s3)
         d_scalar = cov.s2 / (st * math.sqrt(g_**3 * cov.s3))
         c_v = (1.0 - k_ * g_ - e) / (k_ * g_**2)
+        c_fb = g_ / k_
+        c_gb = (1.0 - e) / (k_ * g_)
         w_coef = math.sqrt(cov.s1 * (1.0 - alpha**2)) / g_
 
-        def f_fn(x, vs, zs, w1, w2):
-            return c_v * (vs - g_ / k_ * b(x)) + w_coef * w1
-
-        def g_fn(x, vs, zs, w1, w2):
-            return (1.0 - e) / (k_ * g_) * b(x)
+        def corrections(x, vs, zs, w1, w2):
+            bx = b(x)
+            return c_v * (vs - c_fb * bx) + w_coef * w1, c_gb * bx
 
         return GeneralScheme(
             sigma_gamma=st,
             d_matrix=d_scalar,
-            f=f_fn,
-            g=g_fn,
+            corrections=corrections,
             d_bound=0.5,
             vartheta=c_v,
             label=kind.value,

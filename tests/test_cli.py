@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import langevin_kit
 from langevin_kit.cli import (
     CSV_SCHEMA,
     ConfigError,
@@ -167,6 +168,41 @@ def test_validate_subcommand(tmp_path):
         main([])
 
 
+@pytest.mark.parametrize("bad", ["abc", float("nan"), float("inf"), None, [1.0], True])
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("quadratic", "curvature"),
+        ("quartic-well", "quartic"),
+        ("quartic-well", "quadratic"),
+        ("quartic-well", "box_radius"),
+        ("flat-tail-counterexample", "radius"),
+    ],
+)
+def test_bad_potential_coefficient_is_a_config_error(tmp_path, capsys, kind, field, bad):
+    cfg = simulate_config(tmp_path, potential={"kind": kind, field: bad})
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert f"potential.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["abc", float("nan"), None, [0.0]])
+def test_bad_poisson_eval_point_is_a_config_error(tmp_path, capsys, bad):
+    cfg = {
+        "experiment": "poisson",
+        "scheme": {"kind": "EulerMaruyama", "gamma": 0.1},
+        "monte_carlo": {
+            "truncation_k": 5, "samples": 100, "eval_points": [[0.0, 0.0], [bad, 1.0]]
+        },
+        "output": str(tmp_path / "out"),
+    }
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert "monte_carlo.eval_points[1][0]" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # End-to-end runs
 
@@ -183,7 +219,8 @@ def test_run_simulate_outputs(tmp_path):
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
     assert meta["seed"] == 42
     assert meta["csv_schema"] == list(CSV_SCHEMA)
-    assert "content_hash" in meta and "version" in meta and "wall_time_s" in meta
+    assert "content_hash" in meta and "wall_time_s" in meta
+    assert meta["version"] == langevin_kit.__version__
 
 
 def test_run_is_deterministic(tmp_path):

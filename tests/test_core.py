@@ -21,10 +21,12 @@ from langevin_kit.core import (
     aggregate_closed_form,
     full_noise_step,
     general_step,
+    row_dot,
     simulate_chain,
     step_ensemble,
     validate_d1,
 )
+from langevin_kit.core import _guard
 from langevin_kit.schemes import SchemeKind, SchemeParams, as_general_scheme
 
 
@@ -128,6 +130,46 @@ def test_divergence_guard_raises_with_step_index():
         simulate_chain(bad, State(np.array([1.0]), np.array([0.0])),
                        TrajectoryConfig(n_steps=2000, seed=0))
     assert err.value.step is not None and err.value.step > 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0000001e12, -2e12])
+@pytest.mark.parametrize("component", ["x", "v"])
+def test_divergence_guard_limits(bad, component):
+    # |value| > 1e12, inf and NaN fail in either component; the limit itself passes.
+    ok = np.array([[0.0, 1e12], [-1e12, 3.0]])
+    _guard(ok, ok, 4)
+    hit = ok.copy()
+    hit[1, 0] = bad
+    x, v = (hit, ok) if component == "x" else (ok, hit)
+    with pytest.raises(DivergedError) as err:
+        _guard(x, v, 4)
+    assert (err.value.component, err.value.step) == (component, 4)
+    _guard(np.empty((0, 2)), np.empty((0, 2)), None)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_row_dot_is_bit_equal_to_sum_for_short_rows(d):
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((1000, d))
+    b = rng.standard_normal((1000, d))
+    a[:10] = -0.0  # signed zeros must come out as np.sum gives them
+    b[:5] = -1.0
+    for aa, bb in ((a, b), (a, a), (a[7], b[7]), (a[3], b[3])):
+        want = np.sum(aa * bb, axis=-1)
+        got = row_dot(aa, bb)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_row_dot_agrees_with_sum_to_rounding():
+    # Relative to sum |a_i b_i|, the scale that bounds any reordering of the sum.
+    rng = np.random.default_rng(3)
+    for d in range(3, 34):
+        a, b = rng.standard_normal((2, 2000, d))
+        want = np.sum(a * b, axis=-1)
+        scale = np.sum(np.abs(a * b), axis=-1)
+        assert np.max(np.abs(row_dot(a, b) - want) / scale) <= 1e-15, d
+        assert abs(row_dot(a[0], b[0]) - want[0]) <= 1e-15 * scale[0], d
 
 
 def test_simulate_chain_is_seed_deterministic():

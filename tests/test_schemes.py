@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import free_force, quadratic_force
-from langevin_kit.core import ContractViolation, NoiseDraw, State, general_step
+from langevin_kit.cli import quartic_well_potential
+from langevin_kit.core import (
+    ContractViolation,
+    NoiseDraw,
+    State,
+    full_noise_step,
+    general_step,
+    step_ensemble,
+)
 from langevin_kit.schemes import (
     SchemeKind,
     SchemeParams,
@@ -67,6 +75,75 @@ def test_native_equals_general(kind):
         b = general_step(scheme, s, noise)
         npt.assert_allclose(a.x, b.x, rtol=1e-12, atol=1e-12)
         npt.assert_allclose(a.v, b.v, rtol=1e-12, atol=1e-12)
+
+
+def two_call_step(scheme, x, v, z, w1, w2):
+    """The recursion as two separate correction calls with every zero term
+    written out: the reference the fused kernel must reproduce bit for bit."""
+    g_, d_ = scheme.gamma, scheme.delta
+    v_s = g_**d_ * v
+    z_s = g_ ** (d_ + 0.5) * scheme.sigma_gamma * z
+    fx = scheme.f(x, v_s, z_s, w1, w2)
+    gx = scheme.g(x, v_s, z_s, w1, w2)
+    x_new = x + g_ * v + g_ * fx + g_ ** (d_ + 0.5) * scheme.sigma_gamma * scheme.apply_d(z)
+    v_new = scheme.tau * v + g_ * gx + math.sqrt(g_) * scheme.sigma_gamma * z
+    return x_new, v_new
+
+
+def two_call_full_noise_step(scheme, x, v, z_full, w1, w2):
+    g_, d_ = scheme.gamma, scheme.delta
+    v_s = g_**d_ * v
+    z_s = g_**d_ * z_full
+    fx = scheme.f(x, v_s, z_s, w1, w2)
+    gx = scheme.g(x, v_s, z_s, w1, w2)
+    x_new = x + g_ * v + g_ * fx + g_**d_ * scheme.apply_d(z_full)
+    v_new = scheme.tau * v + g_ * gx + z_full
+    return x_new, v_new
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_fused_step_is_bit_equal_to_two_call_formula(kind, d):
+    rng = np.random.default_rng([d, ALL_KINDS.index(kind)])
+    for force in (quadratic_force(1.3), quartic_well_potential()):
+        scheme = as_general_scheme(kind, params_for(kind, gamma=0.07, force=force, d=d))
+        n = 500
+        x, v = rng.standard_normal((2, n, d)) * 3.0
+        noise = random_noise(scheme, d, rng, (n,))
+        got = step_ensemble(scheme, x, v, noise)
+        want = two_call_step(scheme, x, v, noise.z, noise.w1, noise.w2)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        z_full = rng.standard_normal((n, d)) * 0.3
+        got = full_noise_step(scheme, x, v, z_full, noise.w1, noise.w2)
+        want = two_call_full_noise_step(scheme, x, v, z_full, noise.w1, noise.w2)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_force_evaluation_per_step(kind):
+    calls = []
+
+    def counted(fn):
+        def wrapper(x, *rest):
+            calls.append(x.shape)
+            return fn(x, *rest)
+
+        return wrapper
+
+    force = quadratic_force()
+    if kind is SchemeKind.SG_EULER_MARUYAMA:
+        # SG-EM's force evaluation is the gradient estimator h.
+        p = params_for(kind, force=force)
+        p = replace(p, sg_estimator=replace(p.sg_estimator, h=counted(p.sg_estimator.h)))
+    else:
+        p = params_for(kind, force=replace(force, b=counted(force.b)))
+    scheme = as_general_scheme(kind, p)
+    rng = np.random.default_rng(3)
+    x, v = rng.standard_normal((2, 64, 2))
+    step_ensemble(scheme, x, v, random_noise(scheme, 2, rng, (64,)))
+    assert calls == [(64, 2)]
 
 
 @pytest.mark.parametrize("kind", CLOSURE_KINDS)
