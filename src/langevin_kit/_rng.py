@@ -31,8 +31,16 @@ def _bitgen(seed: int, key_index: int) -> np.random.Philox:
 
 
 def _to_normals(raw: np.ndarray) -> np.ndarray:
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
-    return ndtri(u)
+    """Normals from 64-bit words: ndtri((k + 1/2) 2**-53) for the top 53
+    bits k of each word.
+
+    Works in place; ``raw`` must be a fresh array the caller does not reuse.
+    """
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= _INV_2_53
+    return ndtri(u, out=u)
 
 
 def _raw(seed: int, key_index: int, skip: int, shape: tuple[int, ...]) -> np.ndarray:

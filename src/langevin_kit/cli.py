@@ -222,9 +222,10 @@ def make_potential(spec: dict) -> ForceModel:
 
 
 def _require_positive(value, name):
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
-        raise ConfigError(f"{name} must be a positive number, got {value!r}")
-    return float(value)
+    number = _finite(value, name)
+    if not number > 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return number
 
 
 def _require_int(value, name, minimum=1):
@@ -299,7 +300,7 @@ def validate_config(raw: dict) -> dict:
     if not isinstance(output, str) or not output:
         raise ConfigError("output must be a nonempty path string")
 
-    return {
+    cfg = {
         "experiment": experiment,
         "scheme": scheme,
         "potential": dict(potential),
@@ -308,6 +309,26 @@ def validate_config(raw: dict) -> dict:
         "monte_carlo": mc,
         "output": output,
     }
+    _check_schemes(cfg)
+    return cfg
+
+
+def _check_schemes(cfg: dict) -> None:
+    """ConfigError unless the scheme builds at every gamma the experiment
+    steps with, so that parameters whose derived coefficients overflow or
+    leave the family's range are refused before anything runs."""
+    experiment = cfg["experiment"]
+    if experiment == "covariance-check":
+        return  # works from kappa and sigma alone, never builds the scheme
+    if experiment == "order-check":
+        gammas = cfg["monte_carlo"]["gamma_pair"]
+    else:
+        gammas = _gamma_grid(cfg["scheme"])
+    for gamma in gammas:
+        try:
+            as_general_scheme(*_scheme_params(cfg, gamma))
+        except ContractViolation as exc:
+            raise ConfigError(f"scheme at gamma = {gamma:g}: {exc}")
 
 
 def _validate_mc(experiment, mc, scheme, d):
@@ -373,9 +394,8 @@ def _validate_mc(experiment, mc, scheme, d):
 def _check_init(init, pre):
     if not isinstance(init, list) or len(init) != 2:
         raise ConfigError(f"{pre}.init must be [x0, v0]")
-    for val in init:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"{pre}.init entries must be numbers")
+    for i, val in enumerate(init):
+        _finite(val, f"{pre}.init[{i}]")
 
 
 def _gamma_grid(scheme: dict) -> list[float]:
@@ -716,12 +736,13 @@ def run(config_path: str, seed: int | None = None, out: str | None = None) -> in
 
 
 def validate(config_path: str) -> int:
+    """Print the resolved config as JSON; the process exit status."""
     try:
-        validate_config(_load_config(config_path))
+        cfg = validate_config(_load_config(config_path))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    print("configuration valid")
+    print(json.dumps(cfg, indent=2, sort_keys=True))
     return 0
 
 

@@ -261,6 +261,11 @@ class GeneralScheme:
             )
         if not (0.0 < self.tau < 1.0):
             raise ContractViolation(f"tau must lie in (0, 1), got {self.tau:g}")
+        coefficients = (self.sigma_gamma, self.d_norm(), self.c_kappa, self.vartheta)
+        if not all(math.isfinite(c) for c in coefficients):
+            raise ContractViolation(
+                "sigma_gamma, d_matrix, c_kappa and vartheta must be finite"
+            )
         drift = abs(self.tau - math.exp(-self.kappa * self.gamma))
         if drift > self.c_kappa * self.gamma**2 + _A1_SLACK:
             raise ContractViolation(

@@ -66,6 +66,9 @@ __all__ = [
 ]
 
 _OVERFLOW_EXPONENT = 700.0
+# Rows per tile in estimate_drift: a (tile, d) float64 intermediate takes
+# 128 KiB per coordinate, so a tile's working set stays within an L2 cache.
+_TILE_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -568,10 +571,22 @@ def estimate_drift(
         w2 = rng.standard_normal((mc, m2))
         if scheme.noise_spec.w2_transform is not None and m2:
             w2 = scheme.noise_spec.w2_transform(w2)
-        xs = np.broadcast_to(st.x, (mc, d))
-        vs = np.broadcast_to(st.v, (mc, d))
-        x1, v1 = step_ensemble(scheme, xs, vs, NoiseDraw(z, w1, w2))
-        a = ly.varpi * phi_gamma(x1, v1, scheme, ly, force)
+        # Step and energy are row-wise, so evaluating them one tile of rows
+        # at a time gives the same values as one whole-ensemble pass while
+        # the intermediates stay cache-sized.
+        a = np.empty(mc)
+        for lo in range(0, mc, _TILE_ROWS):
+            hi = min(lo + _TILE_ROWS, mc)
+            x1, v1 = step_ensemble(
+                scheme,
+                np.broadcast_to(st.x, (hi - lo, d)),
+                np.broadcast_to(st.v, (hi - lo, d)),
+                NoiseDraw(z[lo:hi], w1[lo:hi], w2[lo:hi]),
+            )
+            a[lo:hi] = ly.varpi * phi_gamma(x1, v1, scheme, ly, force)
+        # Free the noise before logsumexp and the standard error allocate
+        # their own full-length temporaries.
+        del z, w1, w2
         log_mean = float(logsumexp(a) - math.log(mc))
         se_log = float(np.std(np.exp(a - log_mean), ddof=1) / math.sqrt(mc))
         log_start = ly.varpi * phi_gamma(st.x, st.v, scheme, ly, force)

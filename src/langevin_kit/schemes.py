@@ -240,7 +240,23 @@ def as_general_scheme(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
     are the printed coefficients. The returned object also carries the family
     metadata (c_kappa, sigma_bar, d_bound, gamma_bar, vartheta) used by the
     assumption-checking and Lyapunov layers.
+
+    Raises ContractViolation when a coefficient cannot be evaluated in
+    float64 at the given kappa, sigma and gamma (it overflows, divides by an
+    underflowed zero, or loses its sign to rounding).
     """
+    try:
+        return _embed(kind, p)
+    except ContractViolation:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        raise ContractViolation(
+            f"{kind.value} coefficients are not representable at kappa = {p.kappa:g}, "
+            f"sigma = {p.sigma:g}, gamma = {p.gamma:g} ({exc})"
+        ) from exc
+
+
+def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
     k_, s_, g_ = p.kappa, p.sigma, p.gamma
     b = p.force.b
     spec = _noise_spec(kind, p)

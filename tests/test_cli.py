@@ -203,6 +203,57 @@ def test_bad_poisson_eval_point_is_a_config_error(tmp_path, capsys, bad):
     assert "monte_carlo.eval_points[1][0]" in capsys.readouterr().err
 
 
+_OVERFLOW = "1e400"  # JSON number that parses to inf
+
+
+@pytest.mark.parametrize(
+    "scheme, field",
+    [
+        ({"kind": "EulerMaruyama", "kappa": _OVERFLOW, "gamma": 0.1}, "scheme.kappa"),
+        ({"kind": "EulerMaruyama", "sigma": _OVERFLOW, "gamma": 0.1}, "scheme.sigma"),
+        ({"kind": "EulerMaruyama", "gamma": _OVERFLOW}, "scheme.gamma"),
+        ({"kind": "EulerMaruyama", "gamma": "1" + "0" * 400}, "scheme.gamma"),
+        ({"kind": "EulerMaruyama", "gamma_grid": [0.1, _OVERFLOW]}, "scheme.gamma_grid[1]"),
+        (
+            {"kind": "SgEulerMaruyama", "gamma": 0.1, "sg_noise_scale": _OVERFLOW},
+            "scheme.sg_noise_scale",
+        ),
+        # finite parameters whose derived coefficients overflow
+        ({"kind": "EulerMaruyama", "kappa": 1e308, "gamma": 1e-300}, "scheme at gamma"),
+        ({"kind": "SplitCABAC", "kappa": 1e308, "gamma": 1e-300}, "scheme at gamma"),
+        ({"kind": "ExpEuler", "kappa": 1e-10, "sigma": 1e150, "gamma": 1e10}, "scheme at gamma"),
+    ],
+)
+def test_bad_scheme_parameter_is_a_config_error(tmp_path, capsys, scheme, field):
+    cfg = simulate_config(tmp_path, scheme=scheme)
+    # Unquote the placeholders so the file holds bare JSON numbers.
+    text = json.dumps(cfg)
+    for value in (_OVERFLOW, "1" + "0" * 400):
+        text = text.replace(f'"{value}"', value)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["abc", True, _OVERFLOW])
+def test_bad_init_is_a_config_error(tmp_path, capsys, bad):
+    cfg = simulate_config(tmp_path, monte_carlo={"steps": 5, "init": [bad, 0.0]})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg).replace(f'"{_OVERFLOW}"', _OVERFLOW))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path)]) == 2
+    assert "monte_carlo.init[0]" in capsys.readouterr().err
+
+
+def test_validate_prints_the_resolved_config(tmp_path, capsys):
+    raw = simulate_config(tmp_path)
+    path = write_config(tmp_path, "sim.json", raw)
+    assert main(["validate", path]) == 0
+    assert json.loads(capsys.readouterr().out) == validate_config(raw)
+
+
 # ---------------------------------------------------------------------------
 # End-to-end runs
 

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import free_force, quadratic_force
-from langevin_kit._rng import NoiseSource, chain_normals, normal_block
+from scipy.special import ndtri
+
+from langevin_kit._rng import NoiseSource, _to_normals, chain_normals, normal_block
 from langevin_kit.core import (
     ContractViolation,
     DivergedError,
@@ -211,6 +213,18 @@ def test_noise_blocks_are_positionally_stable():
     rows = chain_normals(7, 520, 3)
     npt.assert_array_equal(rows[519], normal_block(7, 519, 1, 3)[0])
     npt.assert_array_equal(rows[0], normal_block(7, 0, 1, 3)[0])
+
+
+def test_to_normals_in_place_is_bit_equal_to_the_expression():
+    # Extreme words (0, 2**64 - 1, the edges of one 2**-53 cell) plus random
+    # ones, in the (n, width) shape the noise blocks use.
+    edges = [0, 1, 2**11 - 1, 2**11, 2**63 - 1, 2**63, 2**64 - 2**11, 2**64 - 2, 2**64 - 1]
+    rand = np.random.default_rng(3).integers(0, 2**64, size=27, dtype=np.uint64, endpoint=False)
+    words = np.concatenate([np.array(edges, dtype=np.uint64), rand]).reshape(12, 3)
+    expected = ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    got = _to_normals(words.copy())
+    assert got.shape == (12, 3) and got.dtype == np.float64
+    npt.assert_array_equal(got, expected)
 
 
 def test_aggregate_closed_form_matches_iteration(quadratic):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import langevin_kit.lyapunov as lyapunov
 from conftest import free_force, quadratic_force
+from langevin_kit.cli import quartic_well_potential
 from langevin_kit.core import ContractViolation, ForceModel, NoiseDraw, State, step_ensemble
 from langevin_kit.lyapunov import (
     LyapunovParams,
@@ -355,6 +357,50 @@ def test_drift_report_deterministic_and_thread_invariant(monkeypatch):
         assert a.log_ratio == b.log_ratio == c.log_ratio
     assert serial.lambda_hat == threaded.lambda_hat
     assert serial.b_hat == threaded.b_hat
+
+
+def drift_columns(report):
+    """Every number a drift report hands on, as arrays for np.array_equal."""
+    return (
+        np.array([row.log_ratio for row in report.rows]),
+        np.array([row.se_log for row in report.rows]),
+        np.array([report.lambda_hat, report.k_hat, report.b_hat]),
+    )
+
+
+def tiled_drift(kind, force, d, seed=11):
+    _, params = scheme_for(kind, gamma=0.01, force=force, d=d)
+    grid = [
+        State(np.full(d, a), np.full(d, b))
+        for a, b in [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0), (-4.0, 4.0)]
+    ]
+    return drift_columns(estimate_drift(kind, params, force, 0.1, grid, mc=1000, seed=seed))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "force", [quadratic_force(), quartic_well_potential()], ids=["quadratic", "quartic-well"]
+)
+@pytest.mark.parametrize("kind", [SchemeKind.SPLIT_CABAC, SchemeKind.SG_EULER_MARUYAMA])
+def test_drift_report_does_not_depend_on_the_tile_size(monkeypatch, kind, force, d):
+    # mc = 1000 rows: tiles of 7 leave an uneven last tile of 6; 4096 is
+    # one tile. CABAC draws w1, SG-EM a transformed w2.
+    monkeypatch.setattr(lyapunov, "_TILE_ROWS", 7)
+    small = tiled_drift(kind, force, d)
+    monkeypatch.setattr(lyapunov, "_TILE_ROWS", 4096)
+    whole = tiled_drift(kind, force, d)
+    for a, b in zip(small, whole):
+        assert np.array_equal(a, b)
+
+
+def test_tiled_drift_report_does_not_depend_on_the_thread_count(monkeypatch):
+    monkeypatch.setattr(lyapunov, "_TILE_ROWS", 7)
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LANGEVIN_KIT_THREADS", threads)
+        reports.append(tiled_drift(SchemeKind.SPLIT_CABAC, quartic_well_potential(), 2))
+    for a, b in zip(*reports):
+        assert np.array_equal(a, b)
 
 
 def test_drift_gamma_ceiling_and_validation():

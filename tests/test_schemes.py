@@ -310,3 +310,25 @@ def test_sigma_gamma_decreases_with_gamma():
         ]
         assert values[0] > values[1] > values[2]
         assert values[0] <= 1.0 + 1e-12  # sigma_bar = sigma
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize(
+    "kappa, sigma, gamma",
+    [
+        (1e308, 1.0, 1e-300),  # kappa**2 overflows, or gamma exceeds 1/kappa
+        (1e-10, 1e150, 1e10),  # ExpEuler's D factor becomes inf/inf
+        (1e-10, 1e150, 1e-150),  # ExpEuler's covariance loses its sign
+    ],
+)
+def test_unrepresentable_coefficients_are_a_contract_violation(kind, kappa, sigma, gamma):
+    force = quadratic_force()
+    est = gaussian_perturbation_estimator(force, 1.0, 1)
+    params = SchemeParams(kappa=kappa, sigma=sigma, gamma=gamma, force=force, sg_estimator=est)
+    try:
+        scheme = as_general_scheme(kind, params)
+    except ContractViolation:
+        return
+    for value in (scheme.tau, scheme.sigma_gamma, scheme.d_norm(), scheme.c_kappa,
+                  scheme.vartheta):
+        assert math.isfinite(value)
