@@ -39,13 +39,11 @@ from .schemes import (
     SchemeKind,
     SchemeParams,
     SgEstimator,
-    a2_constant,
     as_general_scheme,
     check_a1_a2,
     gaussian_perturbation_estimator,
     native_step,
     scalar_step_closure,
-    vartheta_bar,
 )
 
 try:
@@ -73,11 +71,9 @@ __all__ = [
     "SchemeKind",
     "SchemeParams",
     "SgEstimator",
-    "a2_constant",
     "as_general_scheme",
     "check_a1_a2",
     "gaussian_perturbation_estimator",
     "native_step",
     "scalar_step_closure",
-    "vartheta_bar",
 ]

@@ -23,6 +23,7 @@ __all__ = ["normal_block", "NoiseSource", "chain_normals", "worker_threads"]
 
 STEPS_PER_KEY = 256
 _INV_2_53 = 2.0 ** -53
+_U_MAX = 1.0 - 2.0 ** -53  # the largest double below 1
 _CACHE_ELEMENT_LIMIT = 4096  # n_chains*width above this: draw per step, no cache
 
 
@@ -34,12 +35,15 @@ def _to_normals(raw: np.ndarray) -> np.ndarray:
     """Normals from 64-bit words: ndtri((k + 1/2) 2**-53) for the top 53
     bits k of each word.
 
+    The top cell k = 2**53 - 1 rounds (k + 1/2) 2**-53 up to 1.0, whose
+    ndtri is +inf; it is clamped to the largest double below 1 instead.
     Works in place; ``raw`` must be a fresh array the caller does not reuse.
     """
     raw >>= np.uint64(11)
     u = raw.astype(np.float64)
     u += 0.5
     u *= _INV_2_53
+    np.minimum(u, _U_MAX, out=u)
     return ndtri(u, out=u)
 
 

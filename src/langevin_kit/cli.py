@@ -147,6 +147,12 @@ def quartic_well_potential(
     box_radius = _finite(box_radius, "potential.box_radius")
     if c4 <= 0 or c2 < 0:
         raise ConfigError("potential.quartic must be positive and potential.quadratic nonnegative")
+    try:
+        lipschitz = 3.0 * c4 * box_radius**2 + c2
+    except OverflowError:
+        lipschitz = math.inf
+    if not math.isfinite(lipschitz):
+        raise ConfigError(f"potential.box_radius = {box_radius:g} overflows the Lipschitz constant")
 
     def grad(x):
         return (c4 * row_dot(x, x)[..., None] + c2) * x
@@ -157,7 +163,7 @@ def quartic_well_potential(
 
     return ForceModel(
         b=lambda x: -grad(x),
-        lipschitz=3.0 * c4 * box_radius**2 + c2,
+        lipschitz=lipschitz,
         potential=potential,
         grad_potential=grad,
         label="quartic-well",
@@ -357,6 +363,11 @@ def _validate_mc(experiment, mc, scheme, d):
         _check_init(mc["init"], pre)
         if d != 1:
             raise ConfigError("tv-decay supports d = 1 only (scalar reference run)")
+        if scheme["kind"] == SchemeKind.SG_EULER_MARUYAMA.value:
+            raise ConfigError(
+                "tv-decay has no scalar reference run for SgEulerMaruyama "
+                "(its estimator draws a sample per step)"
+            )
     elif experiment == "minorization":
         mc["t0"] = _require_positive(mc["t0"], f"{pre}.t0")
         mc["m_radius"] = _require_positive(mc["m_radius"], f"{pre}.m_radius")

@@ -321,11 +321,12 @@ def fit_exponential_decay(times, values) -> tuple[float, float, float]:
 def _reference_histogram(kind, params, bins, seed):
     """Histogram of a seed-pinned long single-chain run (the stationary law).
 
-    10^7 recorded steps after 10^5 burn-in, driven by the scalar fast path,
-    so only d = 1 chains are supported.
+    10^7 recorded steps after 10^5 burn-in, driven by the general step
+    specialized to floats (``scalar_step_closure``), so only d = 1 chains are
+    supported.
     """
     step = scalar_step_closure(kind, params)
-    width = 2 if kind in (SchemeKind.SPLIT_CABAC, SchemeKind.EXP_EULER) else 1
+    width = as_general_scheme(kind, params).noise_spec.width(1)
     total = _REFERENCE_BURN_IN + _REFERENCE_STEPS
     xs = np.empty(_REFERENCE_STEPS)
     vs = np.empty(_REFERENCE_STEPS)

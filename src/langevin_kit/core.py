@@ -218,7 +218,12 @@ class GeneralScheme:
     The remaining fields record the consistency metadata of the family the
     scheme was drawn from: tau must stay within c_kappa * gamma^2 of
     exp(-kappa gamma), sigma_gamma below sigma_bar, the operator norm of
-    d_matrix below d_bound, and gamma within (0, gamma_bar].
+    d_matrix below d_bound, and gamma within (0, gamma_bar]. ``a2_constant``
+    is a Lipschitz constant L of the corrections at this gamma: both
+    |f(a) - f(a')| and |g(a) - g(a')| are at most
+    L (|(x, v) - (x', v')| + |z - z'|) in the scaled slots. ``vartheta`` is
+    the v-prefactor of f in the scaled slots and ``vartheta_bar`` a bound on
+    |vartheta| uniform over the family's gammas.
     """
 
     gamma: float
@@ -234,6 +239,8 @@ class GeneralScheme:
     sigma_bar: float
     d_bound: float
     gamma_bar: float
+    a2_constant: float
+    vartheta_bar: float
     vartheta: float = 0.0
     label: str = "general"
     force: ForceModel | None = None
@@ -261,10 +268,11 @@ class GeneralScheme:
             )
         if not (0.0 < self.tau < 1.0):
             raise ContractViolation(f"tau must lie in (0, 1), got {self.tau:g}")
-        coefficients = (self.sigma_gamma, self.d_norm(), self.c_kappa, self.vartheta)
+        coefficients = (self.sigma_gamma, self.d_norm(), self.c_kappa, self.vartheta,
+                        self.a2_constant)
         if not all(math.isfinite(c) for c in coefficients):
             raise ContractViolation(
-                "sigma_gamma, d_matrix, c_kappa and vartheta must be finite"
+                "sigma_gamma, d_matrix, c_kappa, vartheta and a2_constant must be finite"
             )
         drift = abs(self.tau - math.exp(-self.kappa * self.gamma))
         if drift > self.c_kappa * self.gamma**2 + _A1_SLACK:

@@ -24,7 +24,6 @@ __all__ = [
     "NoiseWeights",
     "ProjectionData",
     "SingularSystemError",
-    "InternalConsistencyError",
     "sigma_tilde_sq",
     "continuous_covariance",
     "weight_vectors",
@@ -34,7 +33,6 @@ __all__ = [
     "build_projector",
     "decompose_noise",
     "covariance_consistency",
-    "exp_euler_noise_pair",
     "DET_FLOOR",
     "SERIES_SWITCH",
 ]
@@ -48,10 +46,6 @@ SERIES_SWITCH = 0.5
 
 class SingularSystemError(ValueError):
     """The aggregated covariance is degenerate; projection is undefined."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A quantity that is positive analytically failed to be so numerically."""
 
 
 @dataclass(frozen=True)
@@ -357,33 +351,3 @@ def covariance_consistency(
         upper_min_eig=float(np.linalg.eigvalsh(upper)[0]),
         lower_min_eig=float(np.linalg.eigvalsh(lower)[0]),
     )
-
-
-def exp_euler_noise_pair(
-    gamma: float, kappa: float, sigma: float, rng: np.random.Generator, size: int = 1
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[float, float]]:
-    """Draw (z, w1) pairs and the factorization scalars of the exact-OU noise.
-
-    The exact one-window noise (eta, xi) with covariance given by
-    ``continuous_covariance(gamma)`` is reconstructed from independent
-    standard normals as xi = sqrt(s3) z and
-    eta = sqrt(s1) (alpha_corr z + sqrt(1 - alpha_corr^2) w1), with
-    alpha_corr = s2/sqrt(s1 s3). D_scalar = s2/(sigma_tilde sqrt(gamma^3 s3))
-    is the matching identity multiple in the general form.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    cov = continuous_covariance(gamma, kappa, sigma)
-    det = cov.det()
-    if det <= 0:
-        raise InternalConsistencyError(
-            f"exact-OU covariance determinant must be positive, got {det:.3e}"
-        )
-    alpha_corr = cov.s2 / math.sqrt(cov.s1 * cov.s3)
-    if not alpha_corr < 1.0:
-        raise InternalConsistencyError("correlation must be strictly below one")
-    sig_tilde = math.sqrt(sigma_tilde_sq(gamma, kappa, sigma))
-    d_scalar = cov.s2 / (sig_tilde * math.sqrt(gamma**3 * cov.s3))
-    z = rng.standard_normal(size)
-    w1 = rng.standard_normal(size)
-    return (z, w1), (float(alpha_corr), float(d_scalar))

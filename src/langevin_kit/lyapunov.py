@@ -42,7 +42,6 @@ from .schemes import (
     SchemeParams,
     as_general_scheme,
     cabac_coefficients,
-    vartheta_bar,
 )
 
 __all__ = [
@@ -515,12 +514,12 @@ class DriftReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _default_lyapunov(kind: SchemeKind, scheme: GeneralScheme, varpi: float) -> LyapunovParams:
+def _default_lyapunov(scheme: GeneralScheme, varpi: float) -> LyapunovParams:
     return LyapunovParams(
         varpi=varpi,
         alpha_u=1.0,
         vartheta=scheme.vartheta,
-        vartheta_bar=vartheta_bar(kind, scheme.kappa),
+        vartheta_bar=scheme.vartheta_bar,
     )
 
 
@@ -546,7 +545,7 @@ def estimate_drift(
     """
     scheme = as_general_scheme(kind, params)
     force = _require_potential(scheme, potential)
-    ly = lyap if lyap is not None else _default_lyapunov(kind, scheme, varpi)
+    ly = lyap if lyap is not None else _default_lyapunov(scheme, varpi)
     if lyap is not None and lyap.varpi != varpi:
         ly = replace(lyap, varpi=varpi)
     dc = derived_constants(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -37,8 +37,6 @@ __all__ = [
     "gaussian_perturbation_estimator",
     "native_step",
     "as_general_scheme",
-    "a2_constant",
-    "vartheta_bar",
     "scalar_step_closure",
     "check_a1_a2",
     "AssumptionReport",
@@ -238,12 +236,14 @@ def as_general_scheme(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
     position for CAB, and b(x) (or the gradient estimator) for the
     Euler-Maruyama pair, whose f vanishes. tau, sigma_gamma and the D factor
     are the printed coefficients. The returned object also carries the family
-    metadata (c_kappa, sigma_bar, d_bound, gamma_bar, vartheta) used by the
-    assumption-checking and Lyapunov layers.
+    metadata (c_kappa, sigma_bar, d_bound, gamma_bar, vartheta, vartheta_bar)
+    and the Lipschitz constant a2_constant of the corrections, used by the
+    assumption-checking, stability and Lyapunov layers.
 
-    Raises ContractViolation when a coefficient cannot be evaluated in
-    float64 at the given kappa, sigma and gamma (it overflows, divides by an
-    underflowed zero, or loses its sign to rounding).
+    Raises ContractViolation when a coefficient or the Lipschitz constant
+    (which scales with the force's) cannot be evaluated in float64 at the
+    given kappa, sigma and gamma (it overflows, divides by an underflowed
+    zero, or loses its sign to rounding).
     """
     try:
         return _embed(kind, p)
@@ -259,6 +259,7 @@ def as_general_scheme(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
 def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
     k_, s_, g_ = p.kappa, p.sigma, p.gamma
     b = p.force.b
+    lb = p.force.lipschitz
     spec = _noise_spec(kind, p)
     common = dict(
         gamma=g_, delta=1.0, noise_spec=spec, kappa=k_, sigma=s_, sigma_bar=s_, force=p.force
@@ -266,12 +267,14 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
 
     if kind in (SchemeKind.EULER_MARUYAMA, SchemeKind.SG_EULER_MARUYAMA):
         if kind is SchemeKind.EULER_MARUYAMA:
+            a2 = lb
 
             def corrections(x, vs, zs, w1, w2):
                 return None, b(x)
 
         else:
             est = _require_sg(p)
+            a2 = est.lipschitz
 
             def corrections(x, vs, zs, w1, w2):
                 return None, est.h(x, w2)
@@ -284,6 +287,8 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
             c_kappa=k_**2 / 2.0,
             d_bound=0.0,
             gamma_bar=1.0 / (2.0 * k_),
+            a2_constant=a2,
+            vartheta_bar=0.0,
             vartheta=0.0,
             label=kind.value,
             **common,
@@ -304,12 +309,16 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
             d_matrix=0.0,
             corrections=corrections,
             d_bound=0.0,
+            a2_constant=lb * max(g_, e),
+            vartheta_bar=0.0,
             vartheta=0.0,
             label=kind.value,
             **exact_tau,
             **common,
         )
 
+    # Below, vartheta (the v-prefactor of f) is largest in magnitude as
+    # gamma -> 0, so vartheta_bar is that limit: kappa for CAB, kappa/2 else.
     if kind is SchemeKind.SPLIT_CAB:
         c_v = (e - 1.0) / g_
 
@@ -321,6 +330,8 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
             d_matrix=1.0,
             corrections=corrections,
             d_bound=1.0,
+            a2_constant=max(-c_v, lb * math.sqrt(1.0 + e**2), lb),
+            vartheta_bar=k_,
             vartheta=c_v,
             label=kind.value,
             **exact_tau,
@@ -331,6 +342,7 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
         c_v = (e - 1.0) / (2.0 * g_)
         c_fb = 0.25 * g_ * (1.0 + e)
         c_gb = 0.5 * (1.0 + e)
+        half = math.sqrt(1.25)  # |(dx, dv/2)| <= sqrt(5)/2 |(dx, dv)|
 
         def corrections(x, vs, zs, w1, w2):
             bm = b(x + 0.5 * vs)
@@ -341,6 +353,8 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
             d_matrix=0.5,
             corrections=corrections,
             d_bound=0.5,
+            a2_constant=max(-c_v + c_fb * lb * half, c_gb * lb * half),
+            vartheta_bar=k_ / 2.0,
             vartheta=c_v,
             label=kind.value,
             **exact_tau,
@@ -353,6 +367,7 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
         w_free = 2.0 * math.sqrt(g_) * co.c4
         w_inner = g_**1.5 * co.c4
         c_fb = 0.5 * g_
+        inner = max(math.sqrt(1.0 + co.c2**2), co.c3)
 
         def corrections(x, vs, zs, w1, w2):
             ba = b(x + co.c2 * vs + co.c3 * zs + w_inner * w1)
@@ -363,6 +378,8 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
             d_matrix=math.exp(-k_ * g_ / 2.0) / (1.0 + e),
             corrections=corrections,
             d_bound=0.5,
+            a2_constant=max(abs(co.c1) + c_fb * lb * inner, co.g1 * lb * inner),
+            vartheta_bar=k_ / 2.0,
             vartheta=co.c1,
             label=kind.value,
             **exact_tau,
@@ -387,6 +404,8 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
             d_matrix=d_scalar,
             corrections=corrections,
             d_bound=0.5,
+            a2_constant=max(abs(c_v) * math.sqrt(1.0 + (g_ * lb / k_) ** 2), c_gb * lb),
+            vartheta_bar=k_ / 2.0,
             vartheta=c_v,
             label=kind.value,
             **exact_tau,
@@ -396,65 +415,18 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
     raise ContractViolation(f"unknown scheme kind {kind!r}")
 
 
-def vartheta_bar(kind: SchemeKind, kappa: float) -> float:
-    """Uniform bound on |vartheta| over gamma, per scheme family.
-
-    vartheta is the v-prefactor of the drift correction f in scaled
-    variables: 0 when f has no v-term, and an (exp(-c kappa gamma) - 1)/gamma
-    expression otherwise, whose magnitude is largest as gamma -> 0.
-    """
-    if kind in (SchemeKind.EULER_MARUYAMA, SchemeKind.SG_EULER_MARUYAMA, SchemeKind.VERLET_BAC):
-        return 0.0
-    if kind is SchemeKind.SPLIT_CAB:
-        return kappa
-    if kind in (SchemeKind.SPLIT_ABCBA, SchemeKind.SPLIT_CABAC, SchemeKind.EXP_EULER):
-        return kappa / 2.0
-    raise ContractViolation(f"unknown scheme kind {kind!r}")
-
-
-def a2_constant(kind: SchemeKind, p: SchemeParams) -> float:
-    """A valid Lipschitz constant for the scaled-slot drift corrections.
-
-    Bounds both |f(a) - f(a')| and |g(a) - g(a')| by
-    L (|(x,v) - (x',v')| + |z - z'|) at this kind's gamma.
-    """
-    k_, g_ = p.kappa, p.gamma
-    lb = p.force.lipschitz
-    e = math.exp(-k_ * g_)
-
-    if kind is SchemeKind.EULER_MARUYAMA:
-        return lb
-    if kind is SchemeKind.SG_EULER_MARUYAMA:
-        return _require_sg(p).lipschitz
-    if kind is SchemeKind.VERLET_BAC:
-        return lb * max(g_, e)
-    if kind is SchemeKind.SPLIT_CAB:
-        return max((1.0 - e) / g_, lb * math.sqrt(1.0 + e**2), lb)
-    if kind is SchemeKind.SPLIT_ABCBA:
-        half = math.sqrt(1.25)  # |(dx, dv/2)| <= sqrt(5)/2 |(dx, dv)|
-        f_l = (1.0 - e) / (2.0 * g_) + 0.25 * g_ * (1.0 + e) * lb * half
-        g_l = 0.5 * (1.0 + e) * lb * half
-        return max(f_l, g_l)
-    if kind is SchemeKind.SPLIT_CABAC:
-        co = cabac_coefficients(g_, p.kappa, p.sigma)
-        inner = max(math.sqrt(1.0 + co.c2**2), co.c3)
-        return max(abs(co.c1) + 0.5 * g_ * lb * inner, co.g1 * lb * inner)
-    if kind is SchemeKind.EXP_EULER:
-        c_v = abs((1.0 - k_ * g_ - e) / (k_ * g_**2))
-        return max(c_v * math.sqrt(1.0 + (g_ * lb / k_) ** 2), (1.0 - e) / (k_ * g_) * lb)
-    raise ContractViolation(f"unknown scheme kind {kind!r}")
-
-
 def scalar_step_closure(
     kind: SchemeKind, p: SchemeParams, b_scalar: Callable[[float], float] | None = None
 ) -> Callable[[float, float, float, float], tuple[float, float]]:
-    """Specialize the one-dimensional update to plain floats.
+    """The d = 1 step of ``as_general_scheme`` specialized to plain floats.
 
     Returns step(x, v, z, w1) -> (x, v). Long single-chain runs are pure
     recursions, so the array machinery dominates the cost at d = 1; this
-    closure precomputes every coefficient and works on scalars. The
-    stochastic-gradient variant draws its estimator sample per call and is
-    not supported here.
+    closure precomputes the general-form coefficients once and applies the
+    recursion to scalars in the order of the array kernel, so it equals
+    ``general_step`` at d = 1 bit for bit when ``b_scalar`` agrees with the
+    vectorized force. The stochastic-gradient variant draws its estimator
+    sample per call and is not supported here.
     """
     if kind is SchemeKind.SG_EULER_MARUYAMA:
         raise ContractViolation("no scalar fast path for the stochastic-gradient scheme")
@@ -464,90 +436,24 @@ def scalar_step_closure(
         def b_scalar(xx: float) -> float:
             return float(vec_b(np.array([xx]))[0])
 
-    k_, s_, g_ = p.kappa, p.sigma, p.gamma
-    sq_g = math.sqrt(g_)
+    scheme = as_general_scheme(kind, replace(p, force=replace(p.force, b=b_scalar)))
+    corrections = scheme.corrections
+    g_, tau = scheme.gamma, scheme.tau
+    g_delta = g_**scheme.delta
+    scale = g_ ** (scheme.delta + 0.5) * scheme.sigma_gamma
+    v_noise = math.sqrt(g_) * scheme.sigma_gamma
+    d_scalar = float(scheme.d_matrix)
 
-    if kind is SchemeKind.EULER_MARUYAMA:
-        damp = 1.0 - k_ * g_
-        ns = sq_g * s_
+    def step(x, v, z, w1):
+        fx, gx = corrections(x, g_delta * v, scale * z, w1, None)
+        x_new = x + g_ * v
+        if fx is not None:
+            x_new = x_new + g_ * fx
+        if d_scalar != 0.0:
+            x_new = x_new + scale * (d_scalar * z)
+        return x_new, tau * v + g_ * gx + v_noise * z
 
-        def step(x, v, z, w1):
-            return x + g_ * v, damp * v + g_ * b_scalar(x) + ns * z
-
-        return step
-
-    e = math.exp(-k_ * g_)
-
-    if kind is SchemeKind.VERLET_BAC:
-        ns = math.sqrt((1.0 - e**2) / (2.0 * k_)) * s_
-        g2 = g_**2
-
-        def step(x, v, z, w1):
-            bx = b_scalar(x)
-            return x + g_ * v + g2 * bx, e * v + g_ * e * bx + ns * z
-
-        return step
-
-    if kind is SchemeKind.SPLIT_CAB:
-        st = math.sqrt(sigma_tilde_sq(g_, k_, s_))
-        cx, cz, nv = g_ * e, g_**1.5 * st, sq_g * st
-
-        def step(x, v, z, w1):
-            x_new = x + cx * v + cz * z
-            return x_new, e * v + g_ * b_scalar(x_new) + nv * z
-
-        return step
-
-    if kind is SchemeKind.SPLIT_ABCBA:
-        st = math.sqrt(sigma_tilde_sq(g_, k_, s_))
-        cv = 0.5 * g_ * (1.0 + e)
-        cb_x, cz = 0.5 * g_ * cv, 0.5 * g_**1.5 * st
-        nv, hg = sq_g * st, 0.5 * g_
-
-        def step(x, v, z, w1):
-            bm = b_scalar(x + hg * v)
-            return x + cv * v + cb_x * bm + cz * z, e * v + cv * bm + nv * z
-
-        return step
-
-    if kind is SchemeKind.SPLIT_CABAC:
-        eh = math.exp(-k_ * g_ / 2.0)
-        st_half = math.sqrt(sigma_tilde_sq(g_ / 2.0, k_, s_))
-        alpha = eh / math.sqrt(1.0 + e)
-        beta = math.sqrt(1.0 - alpha**2)
-        rt1e = math.sqrt(1.0 + e)
-        ci = 0.5 * g_ * eh
-        czi = g_**1.5 / (2.0 * math.sqrt(2.0)) * st_half
-        cx_v, cx_b, cx_z = g_ * eh, 0.5 * g_**2, g_**1.5 / math.sqrt(2.0) * st_half
-        cv_b, cv_z = g_ * eh, math.sqrt(g_ / 2.0) * st_half
-
-        def step(x, v, z, w1):
-            xi1 = alpha * z + beta * w1
-            xi2 = rt1e * z - eh * xi1
-            ba = b_scalar(x + ci * v + czi * xi1)
-            x_new = x + cx_v * v + cx_b * ba + cx_z * xi1
-            return x_new, e * v + cv_b * ba + cv_z * (eh * xi1 + xi2)
-
-        return step
-
-    if kind is SchemeKind.EXP_EULER:
-        cov = continuous_covariance(g_, k_, s_)
-        alpha = cov.s2 / math.sqrt(cov.s1 * cov.s3)
-        cz_x = math.sqrt(cov.s1) * alpha
-        cw_x = math.sqrt(cov.s1) * math.sqrt(1.0 - alpha**2)
-        cz_v = math.sqrt(cov.s3)
-        cv_x = (1.0 - e) / k_
-        cb_x = (k_ * g_ + e - 1.0) / k_**2
-        cb_v = (1.0 - e) / k_
-
-        def step(x, v, z, w1):
-            bx = b_scalar(x)
-            x_new = x + cv_x * v + cb_x * bx + cz_x * z + cw_x * w1
-            return x_new, e * v + cb_v * bx + cz_v * z
-
-        return step
-
-    raise ContractViolation(f"unknown scheme kind {kind!r}")
+    return step
 
 
 @dataclass(frozen=True)
@@ -575,8 +481,6 @@ def check_a1_a2(
     the declared constant with 1% slack. Violations are returned with witness
     coordinates rather than raised.
     """
-    from dataclasses import replace
-
     violations: list[str] = []
     probe = as_general_scheme(kind, p)
     gammas = np.geomspace(probe.gamma_bar * 1e-3, probe.gamma_bar, 40)
@@ -598,7 +502,7 @@ def check_a1_a2(
         if sch.d_norm() > sch.d_bound * (1 + 1e-12) + 1e-15:
             violations.append(f"A1-D: |D| {sch.d_norm():g} above bound")
 
-    declared = a2_constant(kind, p)
+    declared = probe.a2_constant
     scheme = probe
     m1, m2 = scheme.noise_spec.dims(d)
     rng = np.random.default_rng(seed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ContractViolation, full_noise_step
-from .schemes import SchemeKind, SchemeParams, a2_constant, as_general_scheme
+from .schemes import SchemeKind, SchemeParams, as_general_scheme
 
 __all__ = [
     "StabilityConstants",
@@ -149,7 +149,7 @@ def verify_contraction(
     if trials < 1 or k < 1:
         raise ContractViolation("trials >= 1 and k >= 1 are required")
     scheme = as_general_scheme(kind, params)
-    el = a2_constant(kind, params)
+    el = scheme.a2_constant
     cons = stability_constants(
         k, params.gamma, lam, scheme.delta, el, scheme.d_bound, scheme.tau, m_kg=0.0
     )

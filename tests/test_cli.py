@@ -247,6 +247,51 @@ def test_bad_init_is_a_config_error(tmp_path, capsys, bad):
     assert "monte_carlo.init[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment, scheme, box_radius, message",
+    [
+        ("simulate", {"kind": "EulerMaruyama", "gamma": 0.1}, 1e200, "potential.box_radius"),
+        ("stability-check", {"kind": "ExpEuler", "gamma": 0.1}, 1e200, "potential.box_radius"),
+        # finite Lipschitz constants whose A2 constant overflows: with an
+        # OverflowError (ExpEuler) or silently to inf (ABCBA)
+        ("stability-check", {"kind": "ExpEuler", "gamma": 0.1}, 1e100, "scheme at gamma"),
+        (
+            "stability-check",
+            {"kind": "SplitABCBA", "kappa": 1e-10, "gamma": 1e10},
+            1e150,
+            "a2_constant must be finite",
+        ),
+    ],
+)
+def test_overflowing_box_radius_is_a_config_error(
+    tmp_path, capsys, experiment, scheme, box_radius, message
+):
+    cfg = simulate_config(
+        tmp_path,
+        experiment=experiment,
+        scheme=scheme,
+        potential={"kind": "quartic-well", "box_radius": box_radius},
+        monte_carlo={"steps": 5, "k": 2, "trials": 10},
+    )
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_tv_decay_refuses_the_stochastic_gradient_scheme(tmp_path, capsys):
+    cfg = {
+        "experiment": "tv-decay",
+        "scheme": {"kind": "SgEulerMaruyama", "gamma": 0.1},
+        "monte_carlo": {"samples": 100},
+        "output": str(tmp_path / "out"),
+    }
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert "tv-decay" in capsys.readouterr().err
+
+
 def test_validate_prints_the_resolved_config(tmp_path, capsys):
     raw = simulate_config(tmp_path)
     path = write_config(tmp_path, "sim.json", raw)

@@ -222,8 +222,14 @@ def test_to_normals_in_place_is_bit_equal_to_the_expression():
     rand = np.random.default_rng(3).integers(0, 2**64, size=27, dtype=np.uint64, endpoint=False)
     words = np.concatenate([np.array(edges, dtype=np.uint64), rand]).reshape(12, 3)
     expected = ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    # The top cell (words >= 2**64 - 2**11) rounds to u = 1.0, whose ndtri is
+    # +inf; it is clamped to the largest double below 1.
+    top = words >= np.uint64(2**64 - 2**11)
+    assert int(np.sum(top)) == 3
+    expected[top] = ndtri(1.0 - 2.0**-53)
     got = _to_normals(words.copy())
     assert got.shape == (12, 3) and got.dtype == np.float64
+    assert np.all(np.isfinite(got))
     npt.assert_array_equal(got, expected)
 
 

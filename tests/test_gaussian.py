@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import quadratic_force
 from langevin_kit.gaussian import (
     DET_FLOOR,
     SERIES_SWITCH,
@@ -18,12 +19,12 @@ from langevin_kit.gaussian import (
     covariance_consistency,
     decompose_noise,
     discrete_covariance,
-    exp_euler_noise_pair,
     sigma_tilde_sq,
     solve_projection_coeffs,
     transition_matrix_power,
     weight_vectors,
 )
+from langevin_kit.schemes import SchemeKind, SchemeParams, as_general_scheme
 
 # 30-digit evaluations of the closed forms, kappa = sigma = 1.
 S1_AT_HALF = 0.0291215988395456864098371849016
@@ -203,17 +204,15 @@ def test_covariance_consistency_errors_halve_down_the_grid():
 
 
 def test_exp_euler_factorization_scalars():
-    rng = np.random.default_rng(1)
-    (z, w1), (alpha, d_scalar) = exp_euler_noise_pair(0.5, 1.0, 1.0, rng, size=4)
-    assert z.shape == w1.shape == (4,)
-    npt.assert_allclose(alpha, EXP_EULER_ALPHA_AT_HALF, rtol=1e-13)
-    npt.assert_allclose(d_scalar, EXP_EULER_D_AT_HALF, rtol=1e-13)
-    # The correlated pair reassembles the continuous covariance exactly.
+    # The exact one-window noise (eta, xi) factors through independent (z, w1)
+    # with correlation alpha = s2 / sqrt(s1 s3); the embedding's D factor is
+    # s2 / (sigma_tilde sqrt(gamma^3 s3)).
     cov = continuous_covariance(0.5, 1.0, 1.0)
-    eta_var = cov.s1
-    xi_var = cov.s3
-    cross = alpha * math.sqrt(eta_var * xi_var)
-    npt.assert_allclose(cross, cov.s2, rtol=1e-13)
+    alpha = cov.s2 / math.sqrt(cov.s1 * cov.s3)
+    npt.assert_allclose(alpha, EXP_EULER_ALPHA_AT_HALF, rtol=1e-13)
+    kind = SchemeKind.EXP_EULER
+    scheme = as_general_scheme(kind, SchemeParams(1.0, 1.0, 0.5, quadratic_force()))
+    npt.assert_allclose(scheme.d_matrix, EXP_EULER_D_AT_HALF, rtol=1e-13)
 
 
 def test_covariance_triple_rejects_indefinite_entries():

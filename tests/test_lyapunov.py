@@ -28,10 +28,8 @@ from langevin_kit.lyapunov import (
 from langevin_kit.schemes import (
     SchemeKind,
     SchemeParams,
-    a2_constant,
     as_general_scheme,
     gaussian_perturbation_estimator,
-    vartheta_bar,
 )
 
 ALL_KINDS = list(SchemeKind)
@@ -46,18 +44,18 @@ def scheme_for(kind, gamma, kappa=1.0, sigma=1.0, force=None, d=2):
     return as_general_scheme(kind, params), params
 
 
-def lyapunov_for(kind, scheme, varpi=0.1):
+def lyapunov_for(scheme, varpi=0.1):
     return LyapunovParams(
         varpi=varpi,
         vartheta=scheme.vartheta,
-        vartheta_bar=vartheta_bar(kind, scheme.kappa),
+        vartheta_bar=scheme.vartheta_bar,
     )
 
 
 def constants_for(kind, kappa=1.0, lipschitz=1.0):
     scheme, _ = scheme_for(kind, gamma=0.01, kappa=kappa)
     return derived_constants(
-        kappa, scheme.c_kappa, 1.0, vartheta_bar(kind, kappa), lipschitz, scheme.delta
+        kappa, scheme.c_kappa, 1.0, scheme.vartheta_bar, lipschitz, scheme.delta
     )
 
 
@@ -76,7 +74,7 @@ def test_w_gamma_hand_value_and_origin():
     # EM at kappa=1, gamma=0.1 has cross coefficient 1, so at (1, 1) the
     # energy is 0.5 + 1 + 1 + 2*(1/2) = 3.5.
     scheme, _ = scheme_for(SchemeKind.EULER_MARUYAMA, gamma=0.1, d=1)
-    ly = lyapunov_for(SchemeKind.EULER_MARUYAMA, scheme)
+    ly = lyapunov_for(scheme)
     assert w_gamma([1.0], [1.0], scheme, ly) == pytest.approx(3.5, abs=1e-12)
     assert w_gamma([0.0], [0.0], scheme, ly) == 0.0
     # batched call agrees with the scalar one
@@ -129,7 +127,7 @@ def test_pointwise_energy_bounds(kind):
     force = quadratic_force()
     dc = constants_for(kind)
     scheme, _ = scheme_for(kind, gamma=0.9 * dc.gamma_bar_w)
-    ly = lyapunov_for(kind, scheme)
+    ly = lyapunov_for(scheme)
     rng = np.random.default_rng(0)
     n = 10**5
     xs = rng.standard_normal((n, 2)) * rng.uniform(0.1, 30.0, (n, 1))
@@ -152,7 +150,7 @@ def test_pointwise_energy_bounds(kind):
 
 def test_w_bar_origin_and_overflow_guard():
     scheme, _ = scheme_for(SchemeKind.EULER_MARUYAMA, gamma=0.02, d=1)
-    ly = lyapunov_for(SchemeKind.EULER_MARUYAMA, scheme, varpi=0.25)
+    ly = lyapunov_for(scheme, varpi=0.25)
     assert w_bar([0.0], [0.0], scheme, ly) == pytest.approx(math.exp(0.25), rel=1e-14)
     # far out the log exceeds 700 and the log-domain value is returned as-is
     far = w_bar([2.0e4], [0.0], scheme, ly)
@@ -173,7 +171,7 @@ def test_v_bar_sandwich_fitted_exponents():
     dc = constants_for(SchemeKind.EULER_MARUYAMA)
     scheme, _ = scheme_for(SchemeKind.EULER_MARUYAMA, gamma=0.02)
     varpi = 0.4
-    ly = lyapunov_for(SchemeKind.EULER_MARUYAMA, scheme, varpi=varpi)
+    ly = lyapunov_for(scheme, varpi=varpi)
     varpi1 = varpi * math.sqrt(min(1.0, dc.c_w, 2.0 * ly.alpha_u))
     varpi2 = varpi * max(math.sqrt(2.0), 2.0 * dc.frak_c_phi)
     rng = np.random.default_rng(4)
@@ -225,7 +223,7 @@ def test_noise_lipschitz_bound(kind):
     """One-step output moves at most noise_lipschitz_bound per unit (z, w1)."""
     force = quadratic_force()
     gam, d, n = 0.1, 2, 10**5
-    scheme, params = scheme_for(kind, gamma=gam)
+    scheme, _ = scheme_for(kind, gamma=gam)
     m1, m2 = scheme.noise_spec.dims(d)
     rng = np.random.default_rng(1)
     xs = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, (n, 1))
@@ -239,7 +237,7 @@ def test_noise_lipschitz_bound(kind):
     x1p, v1p = step_ensemble(scheme, xs, vs, NoiseDraw(zp, w1p, w2))
     moved = np.sqrt(np.sum((x1 - x1p) ** 2, axis=1) + np.sum((v1 - v1p) ** 2, axis=1))
     shaken = np.sqrt(np.sum((z - zp) ** 2, axis=1) + np.sum((w1 - w1p) ** 2, axis=1))
-    cap = noise_lipschitz_bound(gam, a2_constant(kind, params), scheme.sigma_bar, scheme.d_bound)
+    cap = noise_lipschitz_bound(gam, scheme.a2_constant, scheme.sigma_bar, scheme.d_bound)
     assert np.max(moved / shaken) <= cap
 
 

@@ -22,14 +22,12 @@ from langevin_kit.core import (
 from langevin_kit.schemes import (
     SchemeKind,
     SchemeParams,
-    a2_constant,
     as_general_scheme,
     cabac_coefficients,
     check_a1_a2,
     gaussian_perturbation_estimator,
     native_step,
     scalar_step_closure,
-    vartheta_bar,
 )
 
 ALL_KINDS = list(SchemeKind)
@@ -163,6 +161,30 @@ def test_scalar_closure_matches_native(kind):
         npt.assert_allclose([got_v], want.v, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", CLOSURE_KINDS)
+@pytest.mark.parametrize("force", [quadratic_force(1.3), quartic_well_potential(0.25, 1.0, 10.0)],
+                         ids=["quadratic", "quartic-well"])
+def test_scalar_closure_equals_general_step(kind, force):
+    """The float step is the d = 1 general step, bit for bit."""
+    p = params_for(kind, gamma=0.07, kappa=1.3, sigma=0.8, force=force, d=1)
+    scheme = as_general_scheme(kind, p)
+    m1 = scheme.noise_spec.dims(1)[0]
+    step = scalar_step_closure(kind, p)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        x, v, z, w1 = 2.0 * rng.standard_normal(4)
+        want = general_step(
+            scheme, State(np.array([x]), np.array([v])), NoiseDraw([z], [w1][:m1])
+        )
+        assert step(x, v, z, w1) == (want.x[0], want.v[0])
+
+
+def test_scalar_closure_refuses_the_stochastic_gradient_scheme():
+    kind = SchemeKind.SG_EULER_MARUYAMA
+    with pytest.raises(ContractViolation, match="stochastic-gradient"):
+        scalar_step_closure(kind, params_for(kind, d=1))
+
+
 def test_coefficient_values_at_tenth():
     p = params_for(SchemeKind.VERLET_BAC)
     bac = as_general_scheme(SchemeKind.VERLET_BAC, p)
@@ -187,13 +209,16 @@ def test_coefficient_values_at_tenth():
 
 
 def test_vartheta_bar_table():
-    assert vartheta_bar(SchemeKind.EULER_MARUYAMA, 2.0) == 0.0
-    assert vartheta_bar(SchemeKind.VERLET_BAC, 2.0) == 0.0
-    assert vartheta_bar(SchemeKind.SG_EULER_MARUYAMA, 2.0) == 0.0
-    assert vartheta_bar(SchemeKind.SPLIT_CAB, 2.0) == 2.0
-    assert vartheta_bar(SchemeKind.SPLIT_ABCBA, 2.0) == 1.0
-    assert vartheta_bar(SchemeKind.SPLIT_CABAC, 2.0) == 1.0
-    assert vartheta_bar(SchemeKind.EXP_EULER, 2.0) == 1.0
+    def bar(kind):
+        return as_general_scheme(kind, params_for(kind, kappa=2.0)).vartheta_bar
+
+    assert bar(SchemeKind.EULER_MARUYAMA) == 0.0
+    assert bar(SchemeKind.VERLET_BAC) == 0.0
+    assert bar(SchemeKind.SG_EULER_MARUYAMA) == 0.0
+    assert bar(SchemeKind.SPLIT_CAB) == 2.0
+    assert bar(SchemeKind.SPLIT_ABCBA) == 1.0
+    assert bar(SchemeKind.SPLIT_CABAC) == 1.0
+    assert bar(SchemeKind.EXP_EULER) == 1.0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -215,7 +240,7 @@ def test_vartheta_matches_f_velocity_slope(kind):
     dv = np.array([1e-6, 0.0])
     slope = (scheme.f(x, dv, z, w1, w2) - scheme.f(x, -dv, z, w1, w2))[0] / 2e-6
     npt.assert_allclose(slope, scheme.vartheta, rtol=1e-5, atol=1e-9)
-    assert abs(scheme.vartheta) <= vartheta_bar(kind, p.kappa) + 1e-12
+    assert abs(scheme.vartheta) <= scheme.vartheta_bar + 1e-12
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -234,7 +259,7 @@ def test_assumption_report_passes(kind):
 def test_a2_constant_bounds_random_increments(gamma, seed):
     p = params_for(SchemeKind.SPLIT_CABAC, gamma=gamma, d=1)
     scheme = as_general_scheme(SchemeKind.SPLIT_CABAC, p)
-    declared = a2_constant(SchemeKind.SPLIT_CABAC, p)
+    declared = scheme.a2_constant
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((64, 6)) * 5.0
     w1 = rng.standard_normal((64, 1))
@@ -330,5 +355,5 @@ def test_unrepresentable_coefficients_are_a_contract_violation(kind, kappa, sigm
     except ContractViolation:
         return
     for value in (scheme.tau, scheme.sigma_gamma, scheme.d_norm(), scheme.c_kappa,
-                  scheme.vartheta):
+                  scheme.vartheta, scheme.a2_constant):
         assert math.isfinite(value)
