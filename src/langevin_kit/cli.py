@@ -46,7 +46,7 @@ from .core import (
     simulate_chain,
 )
 from .gaussian import covariance_consistency
-from .lyapunov import estimate_drift
+from .lyapunov import check_energy_ceiling, estimate_drift
 from .schemes import (
     SchemeKind,
     SchemeParams,
@@ -322,7 +322,8 @@ def validate_config(raw: dict) -> dict:
 def _check_schemes(cfg: dict) -> None:
     """ConfigError unless the scheme builds at every gamma the experiment
     steps with, so that parameters whose derived coefficients overflow or
-    leave the family's range are refused before anything runs."""
+    leave the family's range are refused before anything runs. For
+    drift-check the gamma must also lie below the energy ceiling."""
     experiment = cfg["experiment"]
     if experiment == "covariance-check":
         return  # works from kappa and sigma alone, never builds the scheme
@@ -332,7 +333,10 @@ def _check_schemes(cfg: dict) -> None:
         gammas = _gamma_grid(cfg["scheme"])
     for gamma in gammas:
         try:
-            as_general_scheme(*_scheme_params(cfg, gamma))
+            kind, params = _scheme_params(cfg, gamma)
+            scheme = as_general_scheme(kind, params)
+            if experiment == "drift-check":
+                check_energy_ceiling(scheme, params.force)
         except ContractViolation as exc:
             raise ConfigError(f"scheme at gamma = {gamma:g}: {exc}")
 

@@ -174,7 +174,9 @@ class NoiseSpec:
     gradient-noise block w2; the string "d" means "the state dimension",
     resolved when a state is seen. ``w2_transform`` maps standard-normal base
     draws of width m2 to the distribution the scheme expects (for example a
-    scale for Gaussian gradient noise); identity when omitted.
+    scale for Gaussian gradient noise); identity when omitted. It acts row by
+    row, so callers may apply it to any block of rows (the drift estimator
+    applies it one tile at a time).
     """
 
     m1: int | str = 0

@@ -56,6 +56,7 @@ __all__ = [
     "script_f",
     "script_f_tilde",
     "derived_constants",
+    "check_energy_ceiling",
     "noise_lipschitz_bound",
     "verify_d2",
     "D2Report",
@@ -136,6 +137,28 @@ def derived_constants(
         (1.0 + vartheta_bar) * (kappa**2 + kappa + c_kappa),
     )
     return DerivedConstants(c_w=c_w, gamma_bar_w=gamma_bar_w, frak_c_phi=frak_c_phi, l_phi=l_phi)
+
+
+def check_energy_ceiling(
+    scheme: GeneralScheme,
+    force: ForceModel,
+    alpha_u: float = 1.0,
+    vartheta_bar: float | None = None,
+) -> None:
+    """ContractViolation unless the scheme's gamma lies below gamma_bar_w.
+
+    The energy W is bounded below by c_w (|x|^2 + |v|^2) only under the
+    ceiling, so the drift estimator refuses a larger timestep.
+    ``vartheta_bar`` defaults to the scheme's own bound.
+    """
+    theta_bar = scheme.vartheta_bar if vartheta_bar is None else vartheta_bar
+    dc = derived_constants(
+        scheme.kappa, scheme.c_kappa, alpha_u, theta_bar, force.lipschitz, scheme.delta
+    )
+    if scheme.gamma > dc.gamma_bar_w * (1.0 + 1e-12):
+        raise ContractViolation(
+            f"gamma = {scheme.gamma:g} exceeds the energy ceiling {dc.gamma_bar_w:g}"
+        )
 
 
 def noise_lipschitz_bound(
@@ -523,6 +546,32 @@ def _default_lyapunov(scheme: GeneralScheme, varpi: float) -> LyapunovParams:
     )
 
 
+def _log_sum_exp(a: np.ndarray) -> float:
+    """scipy.special.logsumexp of a 1-d float64 array, bit for bit, on one
+    scratch array instead of scipy's five full-length temporaries.
+
+    Performs scipy 1.17's operations in its order (the max-shifted sum of
+    Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021): the maximum and
+    its m ties are split off, the other entries are shifted, exponentiated
+    and summed pairwise, and the result is log1p(s / m) + log(m) + max on
+    1-element arrays. A non-finite result (an infinite or NaN entry, or
+    overflow) is left to scipy, whose direct path handles those cases.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a_max = np.max(a, keepdims=True)
+        ties = a == a_max
+        m = np.array([np.count_nonzero(ties)], dtype=np.float64)
+        shifted = np.subtract(a, a_max)
+        np.exp(shifted, out=shifted)
+        shifted[ties] = 0.0
+        s = np.sum(shifted, keepdims=True)
+        del shifted, ties
+        if s[0] != 0.0:
+            s /= m
+        out = float((np.log1p(s) + np.log(m) + a_max)[0])
+    return out if math.isfinite(out) else float(logsumexp(a))
+
+
 def estimate_drift(
     kind: SchemeKind,
     params: SchemeParams,
@@ -542,56 +591,72 @@ def estimate_drift(
     those states, and the additive constant b_hat inside. States use
     independent RNG substreams, so the report is reproducible and does not
     depend on the evaluation order or thread count.
+
+    Each state draws its noise blocks z, w1, w2 in that order from its own
+    stream. Blocks before the last nonempty one are drawn whole; the last
+    (z for EM, w1 for CABAC and ExpEuler, w2 for SG-EM) is drawn tile by
+    tile, which continues the same stream, so the values do not depend on
+    the tile size. The step and the energy run over tiles of ``_TILE_ROWS``
+    rows from a contiguous copy of the state, and the weights are reduced in
+    place. A state's working set is the earlier noise blocks, one float64 per
+    sample and one tile. A ratio too large for a float is reported as inf.
     """
     scheme = as_general_scheme(kind, params)
     force = _require_potential(scheme, potential)
     ly = lyap if lyap is not None else _default_lyapunov(scheme, varpi)
     if lyap is not None and lyap.varpi != varpi:
         ly = replace(lyap, varpi=varpi)
-    dc = derived_constants(
-        scheme.kappa, scheme.c_kappa, ly.alpha_u, ly.vartheta_bar, force.lipschitz, scheme.delta
-    )
-    if params.gamma > dc.gamma_bar_w * (1.0 + 1e-12):
-        raise ContractViolation(
-            f"gamma = {params.gamma:g} exceeds the energy ceiling {dc.gamma_bar_w:g}"
-        )
+    check_energy_ceiling(scheme, force, ly.alpha_u, ly.vartheta_bar)
     states = list(grid)
     if not states or mc < 2:
         raise ContractViolation("a nonempty state grid and mc >= 2 are required")
     d = states[0].d
-    m1, m2 = scheme.noise_spec.dims(d)
+    widths = (d, *scheme.noise_spec.dims(d))
+    last = max(i for i, w in enumerate(widths) if w)
+    w2_transform = scheme.noise_spec.w2_transform if widths[2] else None
     children = np.random.SeedSequence(seed).spawn(len(states))
 
     def one_state(idx: int) -> DriftRow:
         st = states[idx]
         rng = np.random.default_rng(children[idx])
-        z = rng.standard_normal((mc, d))
-        w1 = rng.standard_normal((mc, m1))
-        w2 = rng.standard_normal((mc, m2))
-        if scheme.noise_spec.w2_transform is not None and m2:
-            w2 = scheme.noise_spec.w2_transform(w2)
+        # Blocks after the last nonempty one are empty and draw nothing, so
+        # drawing them here keeps the stream order z, w1, w2.
+        whole = [rng.standard_normal((mc, w)) if i != last else None for i, w in enumerate(widths)]
+        n_tile = min(mc, _TILE_ROWS)
+        x_tile = np.tile(st.x, (n_tile, 1))
+        v_tile = np.tile(st.v, (n_tile, 1))
+        # Every tile reuses them, so the step must not write into them.
+        x_tile.flags.writeable = v_tile.flags.writeable = False
         # Step and energy are row-wise, so evaluating them one tile of rows
         # at a time gives the same values as one whole-ensemble pass while
         # the intermediates stay cache-sized.
         a = np.empty(mc)
         for lo in range(0, mc, _TILE_ROWS):
             hi = min(lo + _TILE_ROWS, mc)
+            z, w1, w2 = (
+                rng.standard_normal((hi - lo, w)) if i == last else whole[i][lo:hi]
+                for i, w in enumerate(widths)
+            )
+            if w2_transform is not None:
+                w2 = w2_transform(w2)
             x1, v1 = step_ensemble(
-                scheme,
-                np.broadcast_to(st.x, (hi - lo, d)),
-                np.broadcast_to(st.v, (hi - lo, d)),
-                NoiseDraw(z[lo:hi], w1[lo:hi], w2[lo:hi]),
+                scheme, x_tile[: hi - lo], v_tile[: hi - lo], NoiseDraw(z, w1, w2)
             )
             a[lo:hi] = ly.varpi * phi_gamma(x1, v1, scheme, ly, force)
-        # Free the noise before logsumexp and the standard error allocate
-        # their own full-length temporaries.
-        del z, w1, w2
-        log_mean = float(logsumexp(a) - math.log(mc))
-        se_log = float(np.std(np.exp(a - log_mean), ddof=1) / math.sqrt(mc))
+        # The tile slices are views that keep the whole blocks alive.
+        del whole, z, w1, w2
+        log_mean = _log_sum_exp(a) - math.log(mc)
+        a -= log_mean
+        np.exp(a, out=a)
+        se_log = float(np.std(a, ddof=1) / math.sqrt(mc))
         log_start = ly.varpi * phi_gamma(st.x, st.v, scheme, ly, force)
         log_ratio = log_mean - log_start
+        try:
+            ratio = math.exp(log_ratio)
+        except OverflowError:
+            ratio = math.inf
         radius = float(np.linalg.norm(st.x) + np.linalg.norm(st.v))
-        return DriftRow(st.x, st.v, radius, log_ratio, math.exp(log_ratio), se_log)
+        return DriftRow(st.x, st.v, radius, log_ratio, ratio, se_log)
 
     n_threads = _rng.worker_threads()
     if n_threads > 1:

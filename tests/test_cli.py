@@ -292,6 +292,32 @@ def test_tv_decay_refuses_the_stochastic_gradient_scheme(tmp_path, capsys):
     assert "tv-decay" in capsys.readouterr().err
 
 
+def drift_config(tmp_path, gamma=0.01, **mc):
+    return {
+        "experiment": "drift-check",
+        "scheme": {"kind": "EulerMaruyama", "kappa": 1.0, "sigma": 1.0, "gamma": gamma},
+        "potential": {"kind": "quadratic", "curvature": 1.0},
+        "monte_carlo": {"radii": [1.0], "samples": 100, **mc},
+        "output": str(tmp_path / "out"),
+    }
+
+
+def test_drift_check_above_the_energy_ceiling_is_a_config_error(tmp_path, capsys):
+    # EM at kappa = 1 has the energy ceiling 1/24, below the family's own.
+    path = write_config(tmp_path, "bad.json", drift_config(tmp_path, gamma=0.45))
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("exceeds the energy ceiling 0.0416667") == 2
+
+
+@pytest.mark.parametrize("varpi", [1e300, 1e308])
+def test_huge_varpi_ends_with_an_exit_status(tmp_path, varpi):
+    # The one-step ratio exp(log_ratio) leaves the float range.
+    cfg = drift_config(tmp_path, varpi=varpi, radii=[1.0, 20.0])
+    assert main(["run", write_config(tmp_path, "huge.json", cfg)]) in (0, 1, 2)
+
+
 def test_validate_prints_the_resolved_config(tmp_path, capsys):
     raw = simulate_config(tmp_path)
     path = write_config(tmp_path, "sim.json", raw)

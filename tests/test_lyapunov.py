@@ -1,10 +1,12 @@
 """Energy functions, their bounding constants, and the drift machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 import langevin_kit.lyapunov as lyapunov
 from conftest import free_force, quadratic_force
@@ -382,7 +384,8 @@ def tiled_drift(kind, force, d, seed=11):
 @pytest.mark.parametrize("kind", [SchemeKind.SPLIT_CABAC, SchemeKind.SG_EULER_MARUYAMA])
 def test_drift_report_does_not_depend_on_the_tile_size(monkeypatch, kind, force, d):
     # mc = 1000 rows: tiles of 7 leave an uneven last tile of 6; 4096 is
-    # one tile. CABAC draws w1, SG-EM a transformed w2.
+    # one tile. The last noise block is drawn tile by tile: w1 for CABAC, a
+    # transformed w2 for SG-EM.
     monkeypatch.setattr(lyapunov, "_TILE_ROWS", 7)
     small = tiled_drift(kind, force, d)
     monkeypatch.setattr(lyapunov, "_TILE_ROWS", 4096)
@@ -399,6 +402,97 @@ def test_tiled_drift_report_does_not_depend_on_the_thread_count(monkeypatch):
         reports.append(tiled_drift(SchemeKind.SPLIT_CABAC, quartic_well_potential(), 2))
     for a, b in zip(*reports):
         assert np.array_equal(a, b)
+
+
+def one_pass_drift_rows(kind, params, force, grid, mc, seed, varpi=0.1):
+    """(log_ratio, se_log) per state from whole noise blocks and one
+    whole-ensemble step, reduced with scipy.special.logsumexp."""
+    scheme = as_general_scheme(kind, params)
+    ly = lyapunov_for(scheme, varpi)
+    children = np.random.SeedSequence(seed).spawn(len(grid))
+    rows = []
+    for st, child in zip(grid, children):
+        d = st.d
+        m1, m2 = scheme.noise_spec.dims(d)
+        rng = np.random.default_rng(child)
+        z = rng.standard_normal((mc, d))
+        w1 = rng.standard_normal((mc, m1))
+        w2 = rng.standard_normal((mc, m2))
+        if scheme.noise_spec.w2_transform is not None and m2:
+            w2 = scheme.noise_spec.w2_transform(w2)
+        x1, v1 = step_ensemble(
+            scheme,
+            np.broadcast_to(st.x, (mc, d)),
+            np.broadcast_to(st.v, (mc, d)),
+            NoiseDraw(z, w1, w2),
+        )
+        a = varpi * phi_gamma(x1, v1, scheme, ly, force)
+        log_mean = float(logsumexp(a) - math.log(mc))
+        se_log = float(np.std(np.exp(a - log_mean), ddof=1) / math.sqrt(mc))
+        rows.append((log_mean - varpi * phi_gamma(st.x, st.v, scheme, ly, force), se_log))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_tiled_drift_rows_equal_the_one_pass_reference(monkeypatch, kind):
+    # Tiles of 7 rows stream the last noise block (z for EM, w1 for CABAC
+    # and ExpEuler, w2 for SG-EM) and reduce in place.
+    monkeypatch.setattr(lyapunov, "_TILE_ROWS", 7)
+    force = quartic_well_potential()
+    _, params = scheme_for(kind, gamma=0.01, force=force, d=2)
+    grid = [State(np.full(2, a), np.full(2, b)) for a, b in [(0.0, 0.0), (6.0, 0.0), (-4.0, 4.0)]]
+    report = estimate_drift(kind, params, force, 0.1, grid, mc=1000, seed=11)
+    expected = one_pass_drift_rows(kind, params, force, grid, mc=1000, seed=11)
+    assert [(row.log_ratio, row.se_log) for row in report.rows] == expected
+
+
+def test_drift_state_peak_memory(monkeypatch):
+    # One state at 1e6 samples: z drawn whole (16 MB), the log-weights
+    # (8 MB) and one tile. Drawing w1 whole and reducing with
+    # scipy.special.logsumexp peaked at 46.8 MiB.
+    monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
+    force = quartic_well_potential()
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.01, force=force)
+    grid = [State(np.array([5.0, 5.0]), np.zeros(2))]
+    estimate_drift(SchemeKind.SPLIT_CABAC, params, force, 0.1, grid, mc=1000)
+    tracemalloc.start()
+    try:
+        estimate_drift(SchemeKind.SPLIT_CABAC, params, force, 0.1, grid, mc=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
+def lse_cases():
+    rng = np.random.default_rng(17)
+    ties = rng.standard_normal(1000)
+    ties[[3, 400, 999]] = ties.max() + 0.5
+    return {
+        "n=1": np.array([0.3]),
+        "n=2": np.array([-1.25, 2.5]),
+        "n=1e6": rng.standard_normal(10**6) * 3.0,
+        # log1p(s) ~ s: the result carries every bit of the pairwise sum
+        "one-dominant": np.concatenate([[0.0], rng.standard_normal(10**6) - 20.0]),
+        "ties": ties,
+        "all-tied": np.full(5, -2.0),
+        "rounded": np.round(rng.standard_normal(10**4), 1),
+        "offset+700": 700.0 + rng.standard_normal(10**5),
+        "offset-700": -700.0 + rng.standard_normal(10**5) * 0.01,
+        "minus-inf": np.array([-np.inf, 1.0, 1.0]),
+        "plus-inf": np.array([np.inf, 1.0]),
+        "nan": np.array([np.nan, 1.0]),
+        "all-minus-inf": np.full(2, -np.inf),
+    }
+
+
+@pytest.mark.parametrize("name", list(lse_cases()))
+def test_log_sum_exp_is_bit_equal_to_scipy(name):
+    a = lse_cases()[name]
+    before = a.copy()
+    got = lyapunov._log_sum_exp(a)
+    assert float(logsumexp(a)).hex() == got.hex()
+    assert np.array_equal(a, before, equal_nan=True)
 
 
 def test_drift_gamma_ceiling_and_validation():
