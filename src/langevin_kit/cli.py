@@ -46,7 +46,7 @@ from .core import (
     simulate_chain,
 )
 from .gaussian import covariance_consistency
-from .lyapunov import check_energy_ceiling, estimate_drift
+from .lyapunov import LyapunovParams, check_energy_ceiling, estimate_drift, log_w_bar
 from .schemes import (
     SchemeKind,
     SchemeParams,
@@ -337,8 +337,23 @@ def _check_schemes(cfg: dict) -> None:
             scheme = as_general_scheme(kind, params)
             if experiment == "drift-check":
                 check_energy_ceiling(scheme, params.force)
+                _check_log_weights(cfg, scheme, params.force)
         except ContractViolation as exc:
             raise ConfigError(f"scheme at gamma = {gamma:g}: {exc}")
+
+
+def _check_log_weights(cfg: dict, scheme, force: ForceModel) -> None:
+    """ConfigError unless varpi * phi, the exponent of the drift weight, is a
+    finite float at every state drift-check probes."""
+    mc = cfg["monte_carlo"]
+    lyap = LyapunovParams(varpi=mc["varpi"], vartheta_bar=scheme.vartheta_bar)
+    with np.errstate(over="ignore"):
+        for st in _drift_grid(cfg["d"], mc["radii"]):
+            if not math.isfinite(log_w_bar(st.x, st.v, scheme, lyap, force)):
+                raise ConfigError(
+                    f"monte_carlo.varpi = {mc['varpi']:g}: the log-weight varpi * phi "
+                    f"overflows at x = {st.x.tolist()}, v = {st.v.tolist()}"
+                )
 
 
 def _validate_mc(experiment, mc, scheme, d):
@@ -451,6 +466,15 @@ def _axis_state(d: int, a: float, b: float) -> State:
     return State(x, v)
 
 
+def _drift_grid(d: int, radii) -> list[State]:
+    """The states drift-check probes: four per radius."""
+    return [
+        _axis_state(d, a, b)
+        for r in radii
+        for a, b in ((r, 0.0), (0.0, r), (-r, 0.0), (r / 2.0, r / 2.0))
+    ]
+
+
 def _run_simulate(cfg):
     mc = cfg["monte_carlo"]
     gamma = _single_gamma(cfg["scheme"])
@@ -509,13 +533,7 @@ def _run_drift_check(cfg):
     mc = cfg["monte_carlo"]
     gamma = _single_gamma(cfg["scheme"])
     kind, params = _scheme_params(cfg, gamma)
-    d = cfg["d"]
-    grid = []
-    for r in mc["radii"]:
-        grid.extend(
-            _axis_state(d, a, b)
-            for a, b in ((r, 0.0), (0.0, r), (-r, 0.0), (r / 2.0, r / 2.0))
-        )
+    grid = _drift_grid(cfg["d"], mc["radii"])
     report = estimate_drift(
         kind, params, params.force, mc["varpi"], grid, mc["samples"], seed=cfg["seed"]
     )

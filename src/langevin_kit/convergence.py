@@ -52,6 +52,8 @@ _TV_CEILING = 1.8
 
 _REFERENCE_STEPS = 10_000_000
 _REFERENCE_BURN_IN = 100_000
+# Steps of the reference run held and histogrammed at a time.
+_REFERENCE_CHUNK = 1 << 20
 
 
 class EstimationError(RuntimeError):
@@ -199,22 +201,21 @@ def _seed_ints(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _evolve_ensemble(scheme, x, v, n_steps, seed, snapshots=frozenset()):
-    """Advance a batch of states n_steps with the shared noise convention.
+def _ensemble_path(scheme, x, v, n_steps, seed):
+    """Advance a batch of states n_steps with the shared noise convention,
+    yielding (k, x, v) after each step k = 1..n_steps.
 
-    Returns the final (x, v) and a dict mapping each requested step count in
-    ``snapshots`` to the state arrays after that many steps.
+    This is the module's only ensemble step loop. A consumer reads each
+    yielded state and must not write into it; one that consumes the states
+    as they are made holds a single state at a time.
     """
     d = x.shape[-1]
     spec = scheme.noise_spec
     src = _rng.NoiseSource(seed, x.shape[0], spec.width(d))
-    taken = {}
     for step in range(n_steps):
         z, w1, w2 = spec.split(src.block_at(step), d)
         x, v = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
-        if step + 1 in snapshots:
-            taken[step + 1] = (x, v)
-    return x, v, taken
+        yield step + 1, x, v
 
 
 def _ball_points(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
@@ -274,7 +275,8 @@ def minorization_probe(
             x = np.tile(p[:d], (mc, 1))
             v = np.tile(p[d:], (mc, 1))
             try:
-                x, v, _ = _evolve_ensemble(scheme, x, v, n_steps, seeds[j])
+                for _, x, v in _ensemble_path(scheme, x, v, n_steps, seeds[j]):
+                    pass
             except DivergedError as exc:
                 raise EstimationError(
                     f"chain diverged at gamma={gamma} from pair {j // 2} "
@@ -323,33 +325,31 @@ def _reference_histogram(kind, params, bins, seed):
 
     10^7 recorded steps after 10^5 burn-in, driven by the general step
     specialized to floats (``scalar_step_closure``), so only d = 1 chains are
-    supported.
+    supported. Each chunk of ``_REFERENCE_CHUNK`` steps is histogrammed as it
+    is made and the counts are summed; they are integers in float64, so the
+    sum does not depend on the chunk size.
     """
     step = scalar_step_closure(kind, params)
     width = as_general_scheme(kind, params).noise_spec.width(1)
     total = _REFERENCE_BURN_IN + _REFERENCE_STEPS
-    xs = np.empty(_REFERENCE_STEPS)
-    vs = np.empty(_REFERENCE_STEPS)
+    counts = np.zeros(bins.bins_per_axis**2)
     x = v = 0.0
-    done = 0
-    chunk = 1 << 20
     normals = _rng.chain_normals(seed, total, width)
-    z_col = normals[:, 0]
-    w_col = normals[:, 1] if width == 2 else None
-    while done < total:
-        hi = min(done + chunk, total)
-        zs = z_col[done:hi].tolist()
-        ws = w_col[done:hi].tolist() if w_col is not None else None
-        for i, z in enumerate(zs):
-            x, v = step(x, v, z, ws[i] if ws is not None else 0.0)
-            k = done + i - _REFERENCE_BURN_IN
-            if k >= 0:
-                xs[k] = x
-                vs[k] = v
+    for lo in range(0, total, _REFERENCE_CHUNK):
+        hi = min(lo + _REFERENCE_CHUNK, total)
+        zs = normals[lo:hi, 0].tolist()
+        ws = normals[lo:hi, 1].tolist() if width == 2 else [0.0] * (hi - lo)
+        xs = np.empty(hi - lo)
+        vs = np.empty(hi - lo)
+        for i, (z, w) in enumerate(zip(zs, ws)):
+            x, v = step(x, v, z, w)
+            xs[i] = x
+            vs[i] = v
         if not (math.isfinite(x) and abs(x) + abs(v) < 1e12):
-            raise DivergedError("x", done)
-        done = hi
-    counts = _histogram_counts(np.column_stack([xs, vs]), bins)
+            raise DivergedError("x", lo)
+        first = max(0, _REFERENCE_BURN_IN - lo)  # the first recorded step in the chunk
+        if first < hi - lo:
+            counts += _histogram_counts(np.column_stack([xs[first:], vs[first:]]), bins)
     return counts, _REFERENCE_STEPS
 
 
@@ -395,18 +395,16 @@ def fit_geometric_rate(
 
     times = epoch_dt * np.arange(1, n_epochs + 1)
     steps = np.maximum(1, np.rint(times / gamma).astype(int))
-    snapshot_steps = sorted(set(steps.tolist()))
+    wanted = set(steps.tolist())
     x = np.tile(init.x, (mc, 1))
     v = np.tile(init.v, (mc, 1))
-    _, _, taken = _evolve_ensemble(
-        scheme, x, v, snapshot_steps[-1], ens_seed, frozenset(snapshot_steps)
-    )
-    tv_by_step = {
-        s: _tv_from_counts(
-            _histogram_counts(np.hstack(taken[s]), bins), mc, ref_counts, n_ref, bins
-        ).value
-        for s in snapshot_steps
-    }
+    # Each wanted epoch is histogrammed when the ensemble reaches it, so only
+    # the current state is held.
+    tv_by_step = {}
+    for k, x, v in _ensemble_path(scheme, x, v, max(wanted), ens_seed):
+        if k in wanted:
+            counts = _histogram_counts(np.hstack([x, v]), bins)
+            tv_by_step[k] = _tv_from_counts(counts, mc, ref_counts, n_ref, bins).value
     values = np.array([tv_by_step[s] for s in steps])
 
     usable = (values > 3.0 * floor) & (values < _TV_CEILING)
@@ -435,30 +433,27 @@ def _quadratic_curvature(params: SchemeParams) -> float:
     return -b1
 
 
-def _stationary_second_moments(kind, params, mc, seed, n_chains=256, burn_time=20.0):
-    scheme = as_general_scheme(kind, params)
-    gamma = params.gamma
-    burn = math.ceil(burn_time / gamma)
-    keep = max(1, math.ceil(mc / n_chains))
-    x = np.zeros((n_chains, 1))
-    v = np.zeros((n_chains, 1))
-    src = _rng.NoiseSource(seed, n_chains, scheme.noise_spec.width(1))
-    sum_x2 = np.zeros(n_chains)
-    sum_v2 = np.zeros(n_chains)
-    for step in range(burn + keep):
-        z, w1, w2 = scheme.noise_spec.split(src.block_at(step), 1)
-        x, v = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
-        if step >= burn:
-            sum_x2 += x[:, 0] ** 2
-            sum_v2 += v[:, 0] ** 2
-    out = {}
-    for name, sums in (("x", sum_x2), ("v", sum_v2)):
-        chain_means = sums / keep
-        out[name] = (
-            float(np.mean(chain_means)),
-            float(np.std(chain_means, ddof=1) / math.sqrt(n_chains)),
-        )
-    return out
+def _time_averages(scheme, observables, d, n_chains, burn_time, keep, seed):
+    """Stationary means of observables from per-chain time averages.
+
+    ``n_chains`` chains start at the origin of R^(2d), run ceil(burn_time /
+    gamma) burn-in steps and then ``keep`` more; each observable maps the
+    (x, v) batch to shape (n_chains,) and is averaged over the kept states of
+    every chain. Returns one (mean, standard error) per observable, the error
+    treating the chain averages as independent.
+    """
+    burn = math.ceil(burn_time / scheme.gamma)
+    x = np.zeros((n_chains, d))
+    v = np.zeros((n_chains, d))
+    sums = [np.zeros(n_chains) for _ in observables]
+    for k, x, v in _ensemble_path(scheme, x, v, burn + keep, seed):
+        if k > burn:
+            for acc, obs in zip(sums, observables):
+                acc += obs(x, v)
+    return [
+        (float(np.mean(acc / keep)), float(np.std(acc / keep, ddof=1) / math.sqrt(n_chains)))
+        for acc in sums
+    ]
 
 
 def stationary_moment_bias(
@@ -482,9 +477,15 @@ def stationary_moment_bias(
     if not 0 < g_fine < g_coarse:
         raise ContractViolation("gamma_pair must be (coarse, fine) with 0 < fine < coarse")
     curvature = _quadratic_curvature(params)
-    seeds = _seed_ints(seed, 2)
-    coarse = _stationary_second_moments(kind, replace(params, gamma=g_coarse), mc, seeds[0])
-    fine = _stationary_second_moments(kind, replace(params, gamma=g_fine), mc, seeds[1])
+    n_chains = 256
+    keep = max(1, math.ceil(mc / n_chains))
+    second_moments = (lambda x, v: x[:, 0] ** 2, lambda x, v: v[:, 0] ** 2)
+    moments = []
+    for gamma, chain_seed in zip(gamma_pair, _seed_ints(seed, 2)):
+        scheme = as_general_scheme(kind, replace(params, gamma=gamma))
+        averages = _time_averages(scheme, second_moments, 1, n_chains, 20.0, keep, chain_seed)
+        moments.append(dict(zip(("x", "v"), averages)))
+    coarse, fine = moments
 
     targets = {"v": params.sigma**2 / (2.0 * params.kappa)}
     if curvature > 0:
@@ -541,53 +542,31 @@ def solve_poisson(
 
     # Stationary mean of phi for centering, from an independent ensemble.
     n_ref = 512
-    burn = math.ceil(30.0 / gamma)
     keep = max(64, math.ceil(max(mc, 65536) / n_ref))
-    x = np.zeros((n_ref, d))
-    v = np.zeros((n_ref, d))
-    src = _rng.NoiseSource(seeds[0], n_ref, scheme.noise_spec.width(d))
-    ref_sums = np.zeros(n_ref)
-    for step in range(burn + keep):
-        z, w1, w2 = scheme.noise_spec.split(src.block_at(step), d)
-        x, v = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
-        if step >= burn:
-            ref_sums += phi(x, v)
-    chain_means = ref_sums / keep
-    mu_hat = float(np.mean(chain_means))
-    se_ref = float(np.std(chain_means, ddof=1) / math.sqrt(n_ref))
+    ((mu_hat, se_ref),) = _time_averages(scheme, (phi,), d, n_ref, 30.0, keep, seeds[0])
 
     def one_point(j):
         p = pts[j]
         x = np.tile(p[:d], (mc, 1))
         v = np.tile(p[d:], (mc, 1))
-        src = _rng.NoiseSource(seeds[1 + j], mc, scheme.noise_spec.width(d))
-        partial = phi(x, v) - mu_hat
-        series_sums = partial.copy()
-        term_mean = [float(np.mean(partial))]
-        term_se = [float(np.std(partial, ddof=1) / math.sqrt(mc))]
-        for step in range(truncation_k + 1):
-            z, w1, w2 = scheme.noise_spec.split(src.block_at(step), d)
-            x, v = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
-            vals = phi(x, v) - mu_hat
-            term_mean.append(float(np.mean(vals)))
-            term_se.append(float(np.std(vals, ddof=1) / math.sqrt(mc)))
-            if step < truncation_k:
-                series_sums += vals
+        series_sums = phi(x, v) - mu_hat
+        for k, x, v in _ensemble_path(scheme, x, v, truncation_k + 1, seeds[1 + j]):
+            term = phi(x, v) - mu_hat
+            if k <= truncation_k:
+                series_sums += term
+                last_kept = term
+        # The loop ends on the first omitted term, k = truncation_k + 1.
         psi = gamma * float(np.mean(series_sums))
         ens_se = gamma * float(np.std(series_sums, ddof=1) / math.sqrt(mc))
         psi_se = math.sqrt(ens_se**2 + (gamma * (truncation_k + 1) * se_ref) ** 2)
-        residual = abs(term_mean[-1])
-        residual_se = math.sqrt(term_se[-1] ** 2 + se_ref**2)
-        last_kept = gamma * term_mean[truncation_k]
-        return psi, psi_se, residual, residual_se, last_kept
+        residual = abs(float(np.mean(term)))
+        residual_se = math.sqrt(float(np.std(term, ddof=1) / math.sqrt(mc)) ** 2 + se_ref**2)
+        return psi, psi_se, residual, residual_se, gamma * float(np.mean(last_kept))
 
-    rows = _parallel_map(one_point, range(pts.shape[0]))
-    psi = np.array([r[0] for r in rows])
-    psi_se = np.array([r[1] for r in rows])
-    residual = np.array([r[2] for r in rows])
-    residual_se = np.array([r[3] for r in rows])
+    rows = np.array(_parallel_map(one_point, range(pts.shape[0])))
+    psi, psi_se, residual, residual_se, last_terms = rows.T
     scale = float(np.max(np.abs(psi)))
-    tail = max(abs(r[4]) for r in rows) / scale if scale > 0 else 0.0
+    tail = float(np.max(np.abs(last_terms))) / scale if scale > 0 else 0.0
     warnings = []
     if tail > 0.05:
         warnings.append(

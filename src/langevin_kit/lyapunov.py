@@ -451,8 +451,9 @@ def verify_d2(
             )
             v_s = gam**scheme.delta * v
             z_s = gam ** (scheme.delta + 0.5) * scheme.sigma_gamma * z
-            f_val = scheme.f(x, v_s, z_s, w1, w2)
-            g_val = scheme.g(x, v_s, z_s, w1, w2)
+            f_val, g_val = scheme.corrections(x, v_s, z_s, w1, w2)
+            if f_val is None:
+                f_val = np.zeros_like(x)
             grad = np.asarray(grad_fn(x))
             w_all = np.concatenate([w1, w2], axis=1)
             f_cal = script_f(x, v, math.sqrt(gam) * scheme.sigma_gamma * z, w_all, potential)

@@ -517,10 +517,10 @@ def check_a1_a2(
     w2_base = rng.standard_normal((trials, m2))
     w2 = scheme.noise_spec.w2_transform(w2_base) if scheme.noise_spec.w2_transform else w2_base
 
-    fa = scheme.f(pts["x"], pts["v"], pts["z"], w1, w2)
-    fb = scheme.f(pts["x2"], pts["v2"], pts["z2"], w1, w2)
-    ga = scheme.g(pts["x"], pts["v"], pts["z"], w1, w2)
-    gb = scheme.g(pts["x2"], pts["v2"], pts["z2"], w1, w2)
+    fa, ga = scheme.corrections(pts["x"], pts["v"], pts["z"], w1, w2)
+    fb, gb = scheme.corrections(pts["x2"], pts["v2"], pts["z2"], w1, w2)
+    if fa is None:  # f vanishes identically
+        fa = fb = np.zeros_like(pts["x"])
     denom = (
         np.sqrt(
             np.sum((pts["x"] - pts["x2"]) ** 2, axis=1)

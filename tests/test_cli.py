@@ -312,10 +312,22 @@ def test_drift_check_above_the_energy_ceiling_is_a_config_error(tmp_path, capsys
 
 
 @pytest.mark.parametrize("varpi", [1e300, 1e308])
-def test_huge_varpi_ends_with_an_exit_status(tmp_path, varpi):
-    # The one-step ratio exp(log_ratio) leaves the float range.
+def test_huge_varpi_ends_with_an_exit_status(tmp_path, capsys, varpi):
+    # At radius 20 the log-weight varpi * phi is finite at 1e300, where no
+    # radius contracts, and leaves the float range at 1e308, which both
+    # commands refuse before anything runs.
     cfg = drift_config(tmp_path, varpi=varpi, radii=[1.0, 20.0])
-    assert main(["run", write_config(tmp_path, "huge.json", cfg)]) in (0, 1, 2)
+    path = write_config(tmp_path, "huge.json", cfg)
+    if varpi == 1e308:
+        assert main(["validate", path]) == 2
+        assert main(["run", path]) == 2
+        assert capsys.readouterr().err.count("varpi * phi overflows") == 2
+        assert not (tmp_path / "out" / "results.csv").exists()
+    else:
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 1
+        _, rows = read_rows(tmp_path / "out")
+        assert all(np.isfinite(float(row[3])) for row in rows if row[2] == "log_ratio")
 
 
 def test_validate_prints_the_resolved_config(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Total-variation estimation and the four empirical convergence probes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from langevin_kit.convergence import (
     stationary_moment_bias,
 )
 import langevin_kit.convergence as convergence
-from langevin_kit.core import ContractViolation, ForceModel, State
-from langevin_kit.schemes import SchemeKind, SchemeParams
+from langevin_kit._rng import NoiseSource
+from langevin_kit.core import ContractViolation, ForceModel, NoiseDraw, State, step_ensemble
+from langevin_kit.schemes import SchemeKind, SchemeParams, as_general_scheme
 
 
 def test_histogram_spec_defaults_and_validation():
@@ -189,6 +191,59 @@ def test_rate_fit_short_reference(quadratic, monkeypatch):
     assert rate.prefactor > 0.0
     assert rate.horizon == 8.0
     assert rate.times.shape == rate.values.shape
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.EULER_MARUYAMA, SchemeKind.SPLIT_CABAC])
+def test_reference_counts_do_not_depend_on_the_chunk(quadratic, monkeypatch, kind):
+    # The burn-in ends inside the second 4096-step chunk.
+    monkeypatch.setattr(convergence, "_REFERENCE_STEPS", 50_000)
+    monkeypatch.setattr(convergence, "_REFERENCE_BURN_IN", 5_000)
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=quadratic)
+    bins = HistogramSpec(bins_per_axis=32, box=6.0)
+    whole, n_whole = convergence._reference_histogram(kind, params, bins, 11)
+    monkeypatch.setattr(convergence, "_REFERENCE_CHUNK", 4096)
+    chunked, n_chunked = convergence._reference_histogram(kind, params, bins, 11)
+    assert n_whole == n_chunked == 50_000
+    assert whole.sum() == 50_000
+    assert np.array_equal(chunked, whole)
+
+
+def test_ensemble_path_yields_every_step_of_the_noise_stream(quadratic):
+    scheme = as_general_scheme(
+        SchemeKind.SPLIT_CABAC, SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic)
+    )
+    x = np.full((5, 2), 1.5)
+    v = np.zeros((5, 2))
+    path = list(convergence._ensemble_path(scheme, x, v, 3, 9))
+    assert [k for k, _, _ in path] == [1, 2, 3]
+    src = NoiseSource(9, 5, scheme.noise_spec.width(2))
+    for k, xk, vk in path:
+        z, w1, w2 = scheme.noise_spec.split(src.block_at(k - 1), 2)
+        x, v = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
+        assert np.array_equal(xk, x) and np.array_equal(vk, v)
+
+
+def test_rate_fit_holds_one_ensemble_state(quadratic, monkeypatch):
+    """The ensemble side of the fit keeps only the current state: 48 epochs
+    of 2e5 chains would take about 150 MB if every epoch were kept."""
+    bins = HistogramSpec(bins_per_axis=32, box=6.0)
+    stationary = np.random.default_rng(0).normal(0.0, math.sqrt(0.5), (10**6, 2))
+    ref_counts = convergence._histogram_counts(stationary, bins)
+    monkeypatch.setattr(
+        convergence, "_reference_histogram", lambda *args: (ref_counts, 10**6)
+    )
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=quadratic)
+    far = State(np.array([5.0]), np.array([0.0]))
+    tracemalloc.start()
+    try:
+        rate = fit_geometric_rate(
+            SchemeKind.EULER_MARUYAMA, params, far, 0.1, 12.0, mc=200_000, seed=4, bins=bins
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < rate.rho < 1.0
+    assert peak <= 32 * 2**20
 
 
 def test_moment_bias_exact_velocity_law():

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 import langevin_kit.lyapunov as lyapunov
-from conftest import free_force, quadratic_force
+from conftest import counting_force, free_force, quadratic_force, split_corrections
 from langevin_kit.cli import quartic_well_potential
 from langevin_kit.core import ContractViolation, ForceModel, NoiseDraw, State, step_ensemble
 from langevin_kit.lyapunov import (
@@ -258,6 +258,18 @@ def test_verify_d2_euler_quadratic():
     assert 0.0 < report.zeta_u <= report.confinement_tail
     assert len(report.per_gamma) == 3
     assert not report.witnesses
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.EULER_MARUYAMA, SchemeKind.SPLIT_CABAC])
+def test_verify_d2_reads_f_and_g_from_one_call(monkeypatch, kind):
+    force, calls = counting_force(400)
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.04, force=force)
+    report = verify_d2(kind, params, force, [0.04, 0.02, 0.01], 400, seed=3)
+    one_call = calls[0]
+    split_corrections(monkeypatch, lyapunov)
+    calls[0] = 0
+    assert verify_d2(kind, params, force, [0.04, 0.02, 0.01], 400, seed=3) == report
+    assert one_call > 0 and calls[0] == 2 * one_call
 
 
 def test_verify_d2_cabac_quadratic():

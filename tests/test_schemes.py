@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import free_force, quadratic_force
+import langevin_kit.schemes as schemes
+from conftest import counting_force, free_force, quadratic_force, split_corrections
 from langevin_kit.cli import quartic_well_potential
 from langevin_kit.core import (
     ContractViolation,
@@ -252,6 +253,18 @@ def test_assumption_report_passes(kind):
     assert rep.fitted_c_kappa <= scheme.c_kappa + 1e-9
     assert rep.fitted_sigma_bar <= scheme.sigma_bar + 1e-12
     assert rep.fitted_d_bound <= scheme.d_bound + 1e-12
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_assumption_report_reads_f_and_g_from_one_call(monkeypatch, kind):
+    force, calls = counting_force(500)
+    p = params_for(kind, force=force, d=1)
+    rep = check_a1_a2(kind, p, trials=500, seed=2, d=1)
+    one_call = calls[0]
+    split_corrections(monkeypatch, schemes)
+    calls[0] = 0
+    assert check_a1_a2(kind, p, trials=500, seed=2, d=1) == rep
+    assert one_call > 0 and calls[0] == 2 * one_call
 
 
 @settings(max_examples=25, deadline=None)
