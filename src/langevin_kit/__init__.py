@@ -8,6 +8,7 @@ Lipschitz and whose noise enters through explicit Gaussian aggregates. The
 modules follow that structure:
 
 - ``core``: the general recursion, force models, chain simulation.
+- ``potentials``: the built-in force fields (quadratic, quartic well, flat tail).
 - ``schemes``: the named integrators, their embeddings, assumption checks.
 - ``gaussian``: closed-form noise aggregates, covariances, projectors.
 - ``lyapunov``: energy functions, drift-structure checks, contraction probes.

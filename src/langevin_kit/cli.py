@@ -42,11 +42,11 @@ from .core import (
     ForceModel,
     State,
     TrajectoryConfig,
-    row_dot,
     simulate_chain,
 )
 from .gaussian import covariance_consistency
 from .lyapunov import LyapunovParams, check_energy_ceiling, estimate_drift, log_w_bar
+from .potentials import flat_tail_potential, quadratic_potential, quartic_well_potential
 from .schemes import (
     SchemeKind,
     SchemeParams,
@@ -57,9 +57,6 @@ from .stability import verify_contraction
 
 __all__ = [
     "ConfigError",
-    "quadratic_potential",
-    "quartic_well_potential",
-    "flat_tail_potential",
     "make_potential",
     "validate_config",
     "run",
@@ -118,109 +115,30 @@ def _finite(value, name) -> float:
 # ---------------------------------------------------------------------------
 # Potentials
 
-
-def quadratic_potential(curvature: float = 1.0) -> ForceModel:
-    """U(x) = curvature |x|^2 / 2."""
-    a = _finite(curvature, "potential.curvature")
-    if a < 0:
-        raise ConfigError("potential.curvature must be nonnegative")
-    return ForceModel(
-        b=lambda x: -a * x,
-        lipschitz=a,
-        potential=lambda x: 0.5 * a * row_dot(x, x),
-        grad_potential=lambda x: a * x,
-        label="quadratic",
-    )
-
-
-def quartic_well_potential(
-    quartic: float = 0.25, quadratic: float = 1.0, box_radius: float = 10.0
-) -> ForceModel:
-    """U(x) = quartic |x|^4 / 4 + quadratic |x|^2 / 2.
-
-    The gradient is not globally Lipschitz; the declared constant is its
-    supremum over the ball |x| <= box_radius, which is the honest constant
-    for probes confined to that region.
-    """
-    c4 = _finite(quartic, "potential.quartic")
-    c2 = _finite(quadratic, "potential.quadratic")
-    box_radius = _finite(box_radius, "potential.box_radius")
-    if c4 <= 0 or c2 < 0:
-        raise ConfigError("potential.quartic must be positive and potential.quadratic nonnegative")
-    try:
-        lipschitz = 3.0 * c4 * box_radius**2 + c2
-    except OverflowError:
-        lipschitz = math.inf
-    if not math.isfinite(lipschitz):
-        raise ConfigError(f"potential.box_radius = {box_radius:g} overflows the Lipschitz constant")
-
-    def grad(x):
-        return (c4 * row_dot(x, x)[..., None] + c2) * x
-
-    def potential(x):
-        sq = row_dot(x, x)
-        return 0.25 * c4 * sq**2 + 0.5 * c2 * sq
-
-    return ForceModel(
-        b=lambda x: -grad(x),
-        lipschitz=lipschitz,
-        potential=potential,
-        grad_potential=grad,
-        label="quartic-well",
-    )
-
-
-def flat_tail_potential(radius: float = 5.0) -> ForceModel:
-    """A confining core whose force shuts off beyond 2 * radius.
-
-    U is the quadratic well inside |x| <= radius, then the radial slope ramps
-    down as g(r) = r (2R - r)/R (C^1 matching) and vanishes at r = 2R, so the
-    potential is constant on the tail. The radial confinement ratio
-    <grad U, x> / (|x| + |grad U|^2) is exactly zero at large radius, which is
-    what the drift-structure probes are designed to flag.
-    """
-    big_r = _finite(radius, "potential.radius")
-    if big_r <= 0:
-        raise ConfigError("potential.radius must be positive")
-
-    def slope_over_r(r):
-        # U'(r)/r, piecewise: 1 in the core, 2 - r/R on the ramp, 0 outside.
-        return np.where(r <= big_r, 1.0, np.where(r <= 2 * big_r, 2.0 - r / big_r, 0.0))
-
-    def grad(x):
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return slope_over_r(r) * x
-
-    def potential(x):
-        r = np.linalg.norm(x, axis=-1)
-        core = 0.5 * r**2
-        ramp = 0.5 * big_r**2 + r**2 - r**3 / (3 * big_r) - 2 * big_r**2 / 3
-        flat = np.full_like(r, 7.0 * big_r**2 / 6.0)
-        return np.where(r <= big_r, core, np.where(r <= 2 * big_r, ramp, flat))
-
-    return ForceModel(
-        b=lambda x: -grad(x),
-        lipschitz=2.0,
-        potential=potential,
-        grad_potential=grad,
-        label="flat-tail-counterexample",
-    )
+_POTENTIALS = {
+    "quadratic": (quadratic_potential, ("curvature",)),
+    "quartic-well": (quartic_well_potential, ("quartic", "quadratic", "box_radius")),
+    "flat-tail-counterexample": (flat_tail_potential, ("radius",)),
+}
 
 
 def make_potential(spec: dict) -> ForceModel:
+    """The force field a config's ``potential`` object names.
+
+    Only the coefficients the spec gives are passed on, so each default lives
+    in its builder's signature.
+    """
     kind = spec.get("kind")
-    if kind == "quadratic":
-        return quadratic_potential(spec.get("curvature", 1.0))
-    if kind == "quartic-well":
-        return quartic_well_potential(
-            spec.get("quartic", 0.25), spec.get("quadratic", 1.0), spec.get("box_radius", 10.0)
-        )
-    if kind == "flat-tail-counterexample":
-        return flat_tail_potential(spec.get("radius", 5.0))
-    raise ConfigError(
-        f"potential.kind must be one of quadratic, quartic-well, "
-        f"flat-tail-counterexample; got {kind!r}"
-    )
+    if not isinstance(kind, str) or kind not in _POTENTIALS:
+        raise ConfigError(f"potential.kind must be one of {', '.join(_POTENTIALS)}; got {kind!r}")
+    build, names = _POTENTIALS[kind]
+    coefficients = {
+        name: _finite(spec[name], f"potential.{name}") for name in names if name in spec
+    }
+    try:
+        return build(**coefficients)
+    except ContractViolation as exc:
+        raise ConfigError(f"potential.{exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,9 @@ __all__ = [
 # alongside the noise plateau.
 _TV_CEILING = 1.8
 
+# Physical time between the epochs at which fit_geometric_rate measures TV.
+_EPOCH_DT = 0.25
+
 _REFERENCE_STEPS = 10_000_000
 _REFERENCE_BURN_IN = 100_000
 # Steps of the reference run held and histogrammed at a time.
@@ -214,7 +217,10 @@ def _ensemble_path(scheme, x, v, n_steps, seed):
     src = _rng.NoiseSource(seed, x.shape[0], spec.width(d))
     for step in range(n_steps):
         z, w1, w2 = spec.split(src.block_at(step), d)
-        x, v = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
+        try:
+            x, v = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
+        except DivergedError as exc:
+            raise DivergedError(exc.component, step + 1) from None
         yield step + 1, x, v
 
 
@@ -362,15 +368,15 @@ def fit_geometric_rate(
     mc: int,
     seed: int = 0,
     bins: HistogramSpec | None = None,
-    epoch_dt: float = 0.25,
 ) -> RateEstimate:
     """Fit the geometric decay rate of TV(law at time t, stationary law).
 
-    An ensemble of mc chains starts from ``init``; its law at each epoch is
-    compared against a stationary reference (one long seed-pinned run) on the
-    declared partition. log TV is fitted against physical time over the
-    epochs that sit between the saturation regime (TV close to 2) and 3x the
-    Monte-Carlo noise floor of the estimator. ``varpi`` is the weight of the
+    An ensemble of mc chains starts from ``init``; its law at each epoch
+    (every 0.25 time units up to ``horizon``) is compared against a
+    stationary reference (one long seed-pinned run) on the declared
+    partition. log TV is fitted against physical time over the epochs that
+    sit between the saturation regime (TV close to 2) and 3x the Monte-Carlo
+    noise floor of the estimator. ``varpi`` is the weight of the
     norm the decay theorem is stated in; the fitted distance is plain TV,
     its lower bound, so varpi only gates the preconditions here.
     """
@@ -378,7 +384,7 @@ def fit_geometric_rate(
         raise ContractViolation("varpi > 0, horizon > 0 and mc >= 2 are required")
     if init.d != 1:
         raise ContractViolation("the stationary reference run supports d = 1 only")
-    n_epochs = int(horizon / epoch_dt + 1e-9)
+    n_epochs = int(horizon / _EPOCH_DT + 1e-9)
     if n_epochs < 10:
         raise ContractViolation("horizon must span at least 10 recorded epochs")
     if bins is None:
@@ -393,7 +399,7 @@ def fit_geometric_rate(
         np.sum(np.sqrt(p_ref * (1.0 - p_ref) * (1.0 / mc + 1.0 / n_ref)))
     )
 
-    times = epoch_dt * np.arange(1, n_epochs + 1)
+    times = _EPOCH_DT * np.arange(1, n_epochs + 1)
     steps = np.maximum(1, np.rint(times / gamma).astype(int))
     wanted = set(steps.tolist())
     x = np.tile(init.x, (mc, 1))

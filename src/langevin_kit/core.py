@@ -452,8 +452,9 @@ def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[N
     Combines the transition-matrix action on the initial state, the
     noise-weight sums applied to the drift corrections along the path, and
     the Gaussian aggregates of the raw draws. The intermediate states feeding
-    the drift terms are obtained by forward iteration; the returned state
-    equals iterating ``general_step`` up to floating-point reordering.
+    the drift terms are obtained by forward iteration with
+    ``full_noise_step``; the returned state equals iterating ``general_step``
+    up to floating-point reordering.
     """
     if not noises:
         raise ContractViolation("at least one noise draw is required")
@@ -465,8 +466,7 @@ def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[N
     w = weight_vectors(k, g_, tau)
     g1, g2 = w.g1, w.g2
 
-    x_i = init.x.copy()
-    v_i = init.v.copy()
+    x_i, v_i = init.x, init.v
     sum_g = np.zeros(d)
     sum_f = np.zeros(d)
     sum_dz = np.zeros(d)
@@ -480,16 +480,11 @@ def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[N
         if i < k:
             sum_g = sum_g + g1[i] * (g_ * gd_i + z_full)
         sum_gv = sum_gv + g2[i] * (g_ * gd_i + z_full)
-        x_next = x_i + g_ * v_i
         if f_i is not None:
             sum_f = sum_f + f_i
-            x_next = x_next + g_ * f_i
         if not scheme.d_is_zero:
-            dz = scheme.apply_d(z_full)
-            sum_dz = sum_dz + dz
-            x_next = x_next + g_**delta * dz
-        x_i = x_next
-        v_i = tau * v_i + g_ * gd_i + z_full
+            sum_dz = sum_dz + scheme.apply_d(z_full)
+        x_i, v_i = full_noise_step(scheme, x_i, v_i, z_full, draw.w1, draw.w2, step=i + 1)
 
     x_out = (
         init.x

@@ -185,17 +185,23 @@ def weight_vectors(k: int, gamma: float, tau: float) -> NoiseWeights:
 def discrete_covariance(k: int, gamma: float, tau: float) -> tuple[CovarianceTriple, bool]:
     """Covariance entries of the aggregated Gaussian pair after k+1 steps.
 
-    Returns (c1, c2, c3) = (gamma |g1|^2, gamma <g1, g2>, gamma |g2|^2) in
-    closed form, plus membership of the nondegeneracy set (determinant above
-    an absolute floor of 1e-14; k = 0 is degenerate with c = (0, 0, gamma)).
+    Returns (c1, c2, c3) = (gamma |g1|^2, gamma <g1, g2>, gamma |g2|^2), plus
+    membership of the nondegeneracy set (determinant above an absolute floor
+    of 1e-14; k = 0 is degenerate with c = (0, 0, gamma)).
+
+    The geometric closed forms divide a cancelling difference by (1 - tau)^2
+    and lose digits as tau -> 1, so the entries are summed over the partial
+    sums S_j = (1 - tau^j)/(1 - tau), taken through expm1: every term is
+    nonnegative and keeps full precision.
     """
     _check_kgt(k, gamma, tau)
-    s_lin = (1.0 - tau ** (k + 1)) / (1.0 - tau)
-    s_quad = (1.0 - tau ** (2 * (k + 1))) / (1.0 - tau**2)
-    c1 = gamma**3 / (1.0 - tau) ** 2 * ((k + 1) - 2.0 * s_lin + s_quad)
-    c2 = gamma**2 / (1.0 - tau) * (s_lin - s_quad)
-    c3 = gamma * s_quad
-    triple = CovarianceTriple(max(c1, 0.0), c2, c3)
+    j = np.arange(k + 1, dtype=np.float64)
+    tau_pow = tau**j
+    partial = -np.expm1(j * math.log(tau)) / (1.0 - tau)
+    c1 = gamma**3 * float(np.dot(partial, partial))
+    c2 = gamma**2 * float(np.dot(partial, tau_pow))
+    c3 = gamma * float(np.dot(tau_pow, tau_pow))
+    triple = CovarianceTriple(c1, c2, c3)
     in_ec = triple.det() > DET_FLOOR
     return triple, in_ec
 

@@ -139,21 +139,16 @@ def derived_constants(
     return DerivedConstants(c_w=c_w, gamma_bar_w=gamma_bar_w, frak_c_phi=frak_c_phi, l_phi=l_phi)
 
 
-def check_energy_ceiling(
-    scheme: GeneralScheme,
-    force: ForceModel,
-    alpha_u: float = 1.0,
-    vartheta_bar: float | None = None,
-) -> None:
+def check_energy_ceiling(scheme: GeneralScheme, force: ForceModel) -> None:
     """ContractViolation unless the scheme's gamma lies below gamma_bar_w.
 
     The energy W is bounded below by c_w (|x|^2 + |v|^2) only under the
-    ceiling, so the drift estimator refuses a larger timestep.
-    ``vartheta_bar`` defaults to the scheme's own bound.
+    ceiling, so the drift estimator refuses a larger timestep. The constants
+    are those of the weight the estimator uses: alpha_U = 1 and the scheme's
+    own vartheta_bar.
     """
-    theta_bar = scheme.vartheta_bar if vartheta_bar is None else vartheta_bar
     dc = derived_constants(
-        scheme.kappa, scheme.c_kappa, alpha_u, theta_bar, force.lipschitz, scheme.delta
+        scheme.kappa, scheme.c_kappa, 1.0, scheme.vartheta_bar, force.lipschitz, scheme.delta
     )
     if scheme.gamma > dc.gamma_bar_w * (1.0 + 1e-12):
         raise ContractViolation(
@@ -538,15 +533,6 @@ class DriftReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _default_lyapunov(scheme: GeneralScheme, varpi: float) -> LyapunovParams:
-    return LyapunovParams(
-        varpi=varpi,
-        alpha_u=1.0,
-        vartheta=scheme.vartheta,
-        vartheta_bar=scheme.vartheta_bar,
-    )
-
-
 def _log_sum_exp(a: np.ndarray) -> float:
     """scipy.special.logsumexp of a 1-d float64 array, bit for bit, on one
     scratch array instead of scipy's five full-length temporaries.
@@ -581,7 +567,6 @@ def estimate_drift(
     grid,
     mc: int,
     seed: int = 0,
-    lyap: LyapunovParams | None = None,
 ) -> DriftReport:
     """Monte-Carlo one-step drift ratios of the exponential weight.
 
@@ -600,14 +585,14 @@ def estimate_drift(
     the tile size. The step and the energy run over tiles of ``_TILE_ROWS``
     rows from a contiguous copy of the state, and the weights are reduced in
     place. A state's working set is the earlier noise blocks, one float64 per
-    sample and one tile. A ratio too large for a float is reported as inf.
+    sample and one tile. A ratio too large for a float is reported as inf, and
+    so is a state whose log-weight varpi * phi overflows, with an infinite
+    standard error.
     """
     scheme = as_general_scheme(kind, params)
     force = _require_potential(scheme, potential)
-    ly = lyap if lyap is not None else _default_lyapunov(scheme, varpi)
-    if lyap is not None and lyap.varpi != varpi:
-        ly = replace(lyap, varpi=varpi)
-    check_energy_ceiling(scheme, force, ly.alpha_u, ly.vartheta_bar)
+    ly = LyapunovParams(varpi=varpi, vartheta=scheme.vartheta, vartheta_bar=scheme.vartheta_bar)
+    check_energy_ceiling(scheme, force)
     states = list(grid)
     if not states or mc < 2:
         raise ContractViolation("a nonempty state grid and mc >= 2 are required")
@@ -619,6 +604,7 @@ def estimate_drift(
 
     def one_state(idx: int) -> DriftRow:
         st = states[idx]
+        radius = float(np.linalg.norm(st.x) + np.linalg.norm(st.v))
         rng = np.random.default_rng(children[idx])
         # Blocks after the last nonempty one are empty and draw nothing, so
         # drawing them here keeps the stream order z, w1, w2.
@@ -643,7 +629,12 @@ def estimate_drift(
             x1, v1 = step_ensemble(
                 scheme, x_tile[: hi - lo], v_tile[: hi - lo], NoiseDraw(z, w1, w2)
             )
-            a[lo:hi] = ly.varpi * phi_gamma(x1, v1, scheme, ly, force)
+            with np.errstate(over="ignore"):
+                a[lo:hi] = ly.varpi * phi_gamma(x1, v1, scheme, ly, force)
+            if not np.isfinite(a[lo:hi]).all():
+                # varpi * phi left the float range, so the mean weight has
+                # no finite logarithm and the state is not contracting.
+                return DriftRow(st.x, st.v, radius, math.inf, math.inf, math.inf)
         # The tile slices are views that keep the whole blocks alive.
         del whole, z, w1, w2
         log_mean = _log_sum_exp(a) - math.log(mc)
@@ -656,7 +647,6 @@ def estimate_drift(
             ratio = math.exp(log_ratio)
         except OverflowError:
             ratio = math.inf
-        radius = float(np.linalg.norm(st.x) + np.linalg.norm(st.v))
         return DriftRow(st.x, st.v, radius, log_ratio, ratio, se_log)
 
     n_threads = _rng.worker_threads()

@@ -4,34 +4,13 @@ import numpy as np
 import pytest
 
 from langevin_kit.core import ForceModel
-
-
-def quadratic_force(curvature: float = 1.0) -> ForceModel:
-    """Harmonic well U(x) = curvature * |x|^2 / 2 with exact metadata."""
-    a = float(curvature)
-    return ForceModel(
-        b=lambda x: -a * x,
-        lipschitz=a,
-        potential=lambda x: 0.5 * a * np.sum(np.square(x), axis=-1),
-        grad_potential=lambda x: a * x,
-        label="quadratic",
-    )
-
-
-def free_force() -> ForceModel:
-    return ForceModel(
-        b=lambda x: np.zeros_like(x),
-        lipschitz=0.0,
-        potential=lambda x: np.zeros(np.shape(x)[:-1]),
-        grad_potential=lambda x: np.zeros_like(x),
-        label="free",
-    )
+from langevin_kit.potentials import quadratic_potential
 
 
 def counting_force(rows):
     """The unit quadratic well; ``calls[0]`` counts its evaluations on
     batches of ``rows`` points."""
-    force = quadratic_force()
+    force = quadratic_potential()
     calls = [0]
 
     def b(x):
@@ -56,4 +35,4 @@ def split_corrections(monkeypatch, module):
 
 @pytest.fixture
 def quadratic() -> ForceModel:
-    return quadratic_force()
+    return quadratic_potential()

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from conftest import free_force, quadratic_force
 from langevin_kit.cli import CSV_SCHEMA, main
 from langevin_kit.convergence import (
     fit_geometric_rate,
@@ -36,6 +35,7 @@ from langevin_kit.gaussian import (
     weight_vectors,
 )
 from langevin_kit.lyapunov import estimate_drift
+from langevin_kit.potentials import quadratic_potential
 from langevin_kit.schemes import (
     SchemeKind,
     SchemeParams,
@@ -47,7 +47,7 @@ from langevin_kit.stability import verify_contraction
 
 
 def params_for(kind, gamma, kappa=1.0, sigma=1.0, force=None, d=2):
-    force = force if force is not None else quadratic_force()
+    force = force if force is not None else quadratic_potential()
     est = None
     if kind is SchemeKind.SG_EULER_MARUYAMA:
         est = gaussian_perturbation_estimator(force, 0.5, d)
@@ -82,7 +82,7 @@ def test_criterion_01_native_steps_match_general_form():
 
 
 def test_criterion_02_closed_form_aggregation_matches_iteration():
-    force = quadratic_force(0.5)
+    force = quadratic_potential(0.5)
     rng = np.random.default_rng(2)
     kinds = list(SchemeKind)
     for _ in range(100):
@@ -221,8 +221,9 @@ def test_criterion_06_scalar_and_covariance_bounds_on_dense_grids():
 def test_criterion_07_exact_integrator_matches_the_free_flow():
     kappa = sigma = 1.0
     gamma = 0.5
+    free = quadratic_potential(0.0)
     scheme = as_general_scheme(
-        SchemeKind.EXP_EULER, params_for(SchemeKind.EXP_EULER, gamma, force=free_force())
+        SchemeKind.EXP_EULER, params_for(SchemeKind.EXP_EULER, gamma, force=free)
     )
     n = 10**6
     rng = np.random.default_rng(70)
@@ -257,7 +258,7 @@ def test_criterion_07_exact_integrator_matches_the_free_flow():
 
 
 def test_criterion_08_energy_drift_contracts_far_out():
-    force = quadratic_force()
+    force = quadratic_potential()
     grid = [
         State(np.array([a]), np.array([b]))
         for r in (10.0, 15.0, 20.0)
@@ -308,7 +309,7 @@ def test_criterion_10_fitted_tv_rate_is_step_independent():
 
 
 def test_criterion_11_bias_ratios_separate_first_and_second_order():
-    force = quadratic_force()
+    force = quadratic_potential()
     em = stationary_moment_bias(
         SchemeKind.EULER_MARUYAMA,
         params_for(SchemeKind.EULER_MARUYAMA, 0.2, force=force),
@@ -351,7 +352,7 @@ def test_criterion_12_pathwise_stability_inequalities():
 def test_criterion_13_poisson_solution_and_residual():
     # velocity observable on the free chain, where the answer is linear
     gamma = 0.1
-    params = params_for(SchemeKind.EULER_MARUYAMA, gamma, force=free_force(), d=1)
+    params = params_for(SchemeKind.EULER_MARUYAMA, gamma, force=quadratic_potential(0.0), d=1)
     tau = 1.0 - gamma
     points = np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 0.0], [0.0, -1.0], [0.0, -2.0]])
     report = solve_poisson(

@@ -7,16 +7,9 @@ import numpy as np
 import pytest
 
 import langevin_kit
-from langevin_kit.cli import (
-    CSV_SCHEMA,
-    ConfigError,
-    flat_tail_potential,
-    main,
-    make_potential,
-    quartic_well_potential,
-    validate_config,
-)
-from langevin_kit.core import validate_d1
+from langevin_kit.cli import CSV_SCHEMA, ConfigError, main, make_potential, validate_config
+from langevin_kit.core import ContractViolation, validate_d1
+from langevin_kit.potentials import flat_tail_potential, quartic_well_potential
 
 
 def write_config(tmp_path, name, cfg):
@@ -68,7 +61,7 @@ def test_quartic_well_metadata():
     # U(2) = 0.25 * 0.25 * 16 + 0.5 * 4 = 3 in one dimension
     assert force.potential(np.array([2.0])) == pytest.approx(3.0)
     np.testing.assert_allclose(force.b(np.array([2.0])), [-4.0])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ContractViolation):
         quartic_well_potential(0.0, 1.0)
 
 
@@ -311,12 +304,21 @@ def test_drift_check_above_the_energy_ceiling_is_a_config_error(tmp_path, capsys
     assert err.count("exceeds the energy ceiling 0.0416667") == 2
 
 
-@pytest.mark.parametrize("varpi", [1e300, 1e308])
-def test_huge_varpi_ends_with_an_exit_status(tmp_path, capsys, varpi):
+@pytest.mark.parametrize(
+    "varpi, samples",
+    [
+        pytest.param(1e300, 100, id="1e300"),
+        pytest.param(7.33e306, 1000, id="7.33e306"),
+        pytest.param(1e308, 100, id="1e308"),
+    ],
+)
+def test_huge_varpi_ends_with_an_exit_status(tmp_path, capsys, varpi, samples):
     # At radius 20 the log-weight varpi * phi is finite at 1e300, where no
-    # radius contracts, and leaves the float range at 1e308, which both
-    # commands refuse before anything runs.
-    cfg = drift_config(tmp_path, varpi=varpi, radii=[1.0, 20.0])
+    # radius contracts. At 7.33e306 it is finite at every probed state but
+    # overflows one step away from x = +-20, which are reported as infinite
+    # ratios, not nan. At 1e308 it leaves the float range at a probed state,
+    # which both commands refuse before anything runs.
+    cfg = drift_config(tmp_path, varpi=varpi, radii=[1.0, 20.0], samples=samples)
     path = write_config(tmp_path, "huge.json", cfg)
     if varpi == 1e308:
         assert main(["validate", path]) == 2
@@ -326,8 +328,12 @@ def test_huge_varpi_ends_with_an_exit_status(tmp_path, capsys, varpi):
     else:
         assert main(["validate", path]) == 0
         assert main(["run", path]) == 1
+        assert "nan" not in (tmp_path / "out" / "results.csv").read_text()
         _, rows = read_rows(tmp_path / "out")
-        assert all(np.isfinite(float(row[3])) for row in rows if row[2] == "log_ratio")
+        overflowed = {
+            row[1] for row in rows if row[2] == "log_ratio" and not np.isfinite(float(row[3]))
+        }
+        assert overflowed == ({"x=20;v=0", "x=-20;v=0"} if varpi == 7.33e306 else set())
 
 
 def test_validate_prints_the_resolved_config(tmp_path, capsys):

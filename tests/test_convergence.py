@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from conftest import free_force, quadratic_force
 from langevin_kit.convergence import (
     EstimationError,
     HistogramSpec,
@@ -22,7 +21,15 @@ from langevin_kit.convergence import (
 )
 import langevin_kit.convergence as convergence
 from langevin_kit._rng import NoiseSource
-from langevin_kit.core import ContractViolation, ForceModel, NoiseDraw, State, step_ensemble
+from langevin_kit.core import (
+    ContractViolation,
+    DivergedError,
+    ForceModel,
+    NoiseDraw,
+    State,
+    step_ensemble,
+)
+from langevin_kit.potentials import quadratic_potential
 from langevin_kit.schemes import SchemeKind, SchemeParams, as_general_scheme
 
 
@@ -85,7 +92,7 @@ def test_tv_input_validation():
 def test_minorization_same_point_overlap():
     # with no force and a vanishing ball the two kernels coincide, so the
     # probe sees full overlap up to histogram noise
-    free = free_force()
+    free = quadratic_potential(0.0)
     res = minorization_probe(
         SchemeKind.EULER_MARUYAMA,
         SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=free),
@@ -223,6 +230,32 @@ def test_ensemble_path_yields_every_step_of_the_noise_stream(quadratic):
         assert np.array_equal(xk, x) and np.array_equal(vk, v)
 
 
+def test_ensemble_path_divergence_names_the_step():
+    # Euler-Maruyama is unstable on a stiff well at this step.
+    scheme = as_general_scheme(
+        SchemeKind.EULER_MARUYAMA,
+        SchemeParams(kappa=1.0, sigma=1.0, gamma=0.4, force=quadratic_potential(100.0)),
+    )
+    x = np.full((4, 1), 1.0)
+    v = np.zeros((4, 1))
+    src = NoiseSource(3, 4, scheme.noise_spec.width(1))
+    diverged_at = None
+    for k in range(1, 100):
+        z, w1, w2 = scheme.noise_spec.split(src.block_at(k - 1), 1)
+        try:
+            x, v = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
+        except DivergedError:
+            diverged_at = k
+            break
+    assert diverged_at is not None and diverged_at > 1
+    path = convergence._ensemble_path(scheme, np.full((4, 1), 1.0), np.zeros((4, 1)), 100, 3)
+    with pytest.raises(DivergedError) as err:
+        for _ in path:
+            pass
+    assert err.value.step == diverged_at
+    assert f"at step {diverged_at}" in str(err.value)
+
+
 def test_rate_fit_holds_one_ensemble_state(quadratic, monkeypatch):
     """The ensemble side of the fit keeps only the current state: 48 epochs
     of 2e5 chains would take about 150 MB if every epoch were kept."""
@@ -249,7 +282,7 @@ def test_rate_fit_holds_one_ensemble_state(quadratic, monkeypatch):
 def test_moment_bias_exact_velocity_law():
     # the exponential integrator samples the OU velocity law exactly, so
     # with no force its bias is statistical noise and flagged as such
-    free = free_force()
+    free = quadratic_potential(0.0)
     out = stationary_moment_bias(
         SchemeKind.EXP_EULER,
         SchemeParams(kappa=1.0, sigma=1.0, gamma=0.4, force=free),
@@ -305,7 +338,7 @@ def test_poisson_zero_phi(quadratic):
 
 def test_poisson_ou_velocity_chain():
     """phi = v on the force-free chain has psi(v) = gamma v / (1 - tau)."""
-    free = free_force()
+    free = quadratic_potential(0.0)
     gam, tau = 0.1, 0.9
     rep = solve_poisson(
         SchemeKind.EULER_MARUYAMA,

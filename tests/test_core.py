@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import free_force, quadratic_force
 from scipy.special import ndtri
 
 from langevin_kit._rng import NoiseSource, _to_normals, chain_normals, normal_block
@@ -29,11 +28,12 @@ from langevin_kit.core import (
     validate_d1,
 )
 from langevin_kit.core import _guard
+from langevin_kit.potentials import quadratic_potential
 from langevin_kit.schemes import SchemeKind, SchemeParams, as_general_scheme
 
 
 def em_scheme(gamma=0.1, kappa=1.0, sigma=1.0, force=None):
-    force = force if force is not None else quadratic_force()
+    force = force if force is not None else quadratic_potential()
     return as_general_scheme(SchemeKind.EULER_MARUYAMA, SchemeParams(kappa, sigma, gamma, force))
 
 
@@ -259,10 +259,10 @@ def test_aggregate_closed_form_needs_noise(quadratic):
 
 
 def test_validate_d1_accepts_quadratic_and_rejects_mismatch():
-    force = quadratic_force(2.0)
+    force = quadratic_potential(2.0)
     pts = np.random.default_rng(4).normal(size=(32, 3))
     validate_d1(force, pts)
-    shifted = quadratic_force(2.0)
+    shifted = quadratic_potential(2.0)
     bad = type(shifted)(
         b=shifted.b,
         lipschitz=shifted.lipschitz,
@@ -276,7 +276,7 @@ def test_validate_d1_accepts_quadratic_and_rejects_mismatch():
 
 
 def free_force_without_potential():
-    f = free_force()
+    f = quadratic_potential(0.0)
     return type(f)(b=f.b, lipschitz=0.0)
 
 

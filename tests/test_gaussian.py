@@ -5,10 +5,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import quadratic_force
 from langevin_kit.gaussian import (
     DET_FLOOR,
     SERIES_SWITCH,
@@ -24,6 +23,7 @@ from langevin_kit.gaussian import (
     transition_matrix_power,
     weight_vectors,
 )
+from langevin_kit.potentials import quadratic_potential
 from langevin_kit.schemes import SchemeKind, SchemeParams, as_general_scheme
 
 # 30-digit evaluations of the closed forms, kappa = sigma = 1.
@@ -105,6 +105,8 @@ def test_weight_vector_invariants(k, gamma, tau):
 
 @settings(max_examples=60, deadline=None)
 @given(**kgt)
+@example(k=1, gamma=1.0, tau=0.999)
+@example(k=200, gamma=1.0, tau=0.999)
 def test_discrete_covariance_equals_brute_force(k, gamma, tau):
     w = weight_vectors(k, gamma, tau)
     cov, _ = discrete_covariance(k, gamma, tau)
@@ -211,7 +213,7 @@ def test_exp_euler_factorization_scalars():
     alpha = cov.s2 / math.sqrt(cov.s1 * cov.s3)
     npt.assert_allclose(alpha, EXP_EULER_ALPHA_AT_HALF, rtol=1e-13)
     kind = SchemeKind.EXP_EULER
-    scheme = as_general_scheme(kind, SchemeParams(1.0, 1.0, 0.5, quadratic_force()))
+    scheme = as_general_scheme(kind, SchemeParams(1.0, 1.0, 0.5, quadratic_potential()))
     npt.assert_allclose(scheme.d_matrix, EXP_EULER_D_AT_HALF, rtol=1e-13)
 
 

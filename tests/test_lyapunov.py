@@ -9,8 +9,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 import langevin_kit.lyapunov as lyapunov
-from conftest import counting_force, free_force, quadratic_force, split_corrections
-from langevin_kit.cli import quartic_well_potential
+from conftest import counting_force, split_corrections
 from langevin_kit.core import ContractViolation, ForceModel, NoiseDraw, State, step_ensemble
 from langevin_kit.lyapunov import (
     LyapunovParams,
@@ -27,6 +26,7 @@ from langevin_kit.lyapunov import (
     w_bar,
     w_gamma,
 )
+from langevin_kit.potentials import quadratic_potential, quartic_well_potential
 from langevin_kit.schemes import (
     SchemeKind,
     SchemeParams,
@@ -38,7 +38,7 @@ ALL_KINDS = list(SchemeKind)
 
 
 def scheme_for(kind, gamma, kappa=1.0, sigma=1.0, force=None, d=2):
-    force = quadratic_force() if force is None else force
+    force = quadratic_potential() if force is None else force
     est = None
     if kind is SchemeKind.SG_EULER_MARUYAMA:
         est = gaussian_perturbation_estimator(force, 0.5, d)
@@ -126,7 +126,7 @@ def test_pointwise_energy_bounds(kind):
     All three hold pointwise on 1e5 random states for every scheme's
     (tau, vartheta) once gamma sits below the energy ceiling.
     """
-    force = quadratic_force()
+    force = quadratic_potential()
     dc = constants_for(kind)
     scheme, _ = scheme_for(kind, gamma=0.9 * dc.gamma_bar_w)
     ly = lyapunov_for(scheme)
@@ -169,7 +169,7 @@ def test_v_bar_sandwich_fitted_exponents():
     The exponents come from the bracketing constants: the lower one from
     the quadratic floor of W, the upper one from the linear cap on phi.
     """
-    force = quadratic_force()
+    force = quadratic_potential()
     dc = constants_for(SchemeKind.EULER_MARUYAMA)
     scheme, _ = scheme_for(SchemeKind.EULER_MARUYAMA, gamma=0.02)
     varpi = 0.4
@@ -189,7 +189,7 @@ def test_v_bar_sandwich_fitted_exponents():
 
 
 def test_script_f_hand_values():
-    force = quadratic_force()
+    force = quadratic_potential()
     zero = np.zeros(1)
     assert script_f(zero, zero, zero, zero, force) == 0.0
     # |grad U|^2 + |v|^2 + |z|^2 + |w|^2 + |x| = 4 + 1 + 0 + 0 + 2
@@ -197,12 +197,12 @@ def test_script_f_hand_values():
     assert script_f_tilde([2.0], [1.0], [0.0], force) == pytest.approx(7.0, abs=1e-12)
     assert script_f([2.0], [1.0], [3.0], [0.0], force) == pytest.approx(16.0, abs=1e-12)
     with pytest.raises(ContractViolation):
-        script_f([1.0], [0.0], [0.0], [0.0], free_force())
+        script_f([1.0], [0.0], [0.0], [0.0], quadratic_potential(0.0))
 
 
 def test_script_f_noise_average():
     """Averaging out the scaled Gaussian slot adds exactly gamma sigma^2 d."""
-    force = quadratic_force()
+    force = quadratic_potential()
     gam, sig, d, n = 0.02, 1.0, 2, 10**6
     x = np.array([1.0, -2.0])
     v = np.array([0.5, 0.3])
@@ -223,7 +223,7 @@ def test_script_f_noise_average():
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
 def test_noise_lipschitz_bound(kind):
     """One-step output moves at most noise_lipschitz_bound per unit (z, w1)."""
-    force = quadratic_force()
+    force = quadratic_potential()
     gam, d, n = 0.1, 2, 10**5
     scheme, _ = scheme_for(kind, gamma=gam)
     m1, m2 = scheme.noise_spec.dims(d)
@@ -244,7 +244,7 @@ def test_noise_lipschitz_bound(kind):
 
 
 def test_verify_d2_euler_quadratic():
-    force = quadratic_force()
+    force = quadratic_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.04, force=force)
     report = verify_d2(
         SchemeKind.EULER_MARUYAMA, params, force, [0.04, 0.02, 0.01], 2000, seed=1
@@ -273,7 +273,7 @@ def test_verify_d2_reads_f_and_g_from_one_call(monkeypatch, kind):
 
 
 def test_verify_d2_cabac_quadratic():
-    force = quadratic_force()
+    force = quadratic_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.04, force=force)
     report = verify_d2(SchemeKind.SPLIT_CABAC, params, force, [0.04, 0.02, 0.01], 2000, seed=1)
     assert report.passed
@@ -312,7 +312,7 @@ def test_verify_d2_flat_tail_witness():
 
 
 def test_verify_d2_input_validation():
-    force = quadratic_force()
+    force = quadratic_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.04, force=force)
     with pytest.raises(ContractViolation):
         verify_d2(SchemeKind.EULER_MARUYAMA, params, force, [], 100)
@@ -337,7 +337,7 @@ def drift_grid():
 
 
 def test_drift_contracts_beyond_radius_ten():
-    force = quadratic_force()
+    force = quadratic_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.01, force=force)
     report = estimate_drift(
         SchemeKind.EULER_MARUYAMA, params, force, 0.1, drift_grid(), mc=10**5, seed=3
@@ -352,7 +352,7 @@ def test_drift_contracts_beyond_radius_ten():
 
 
 def test_drift_report_deterministic_and_thread_invariant(monkeypatch):
-    force = quadratic_force()
+    force = quadratic_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.01, force=force)
 
     def run():
@@ -391,7 +391,7 @@ def tiled_drift(kind, force, d, seed=11):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize(
-    "force", [quadratic_force(), quartic_well_potential()], ids=["quadratic", "quartic-well"]
+    "force", [quadratic_potential(), quartic_well_potential()], ids=["quadratic", "quartic-well"]
 )
 @pytest.mark.parametrize("kind", [SchemeKind.SPLIT_CABAC, SchemeKind.SG_EULER_MARUYAMA])
 def test_drift_report_does_not_depend_on_the_tile_size(monkeypatch, kind, force, d):
@@ -508,7 +508,7 @@ def test_log_sum_exp_is_bit_equal_to_scipy(name):
 
 
 def test_drift_gamma_ceiling_and_validation():
-    force = quadratic_force()
+    force = quadratic_potential()
     # EM at kappa=1 tolerates at most gamma = 1/24
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=force)
     with pytest.raises(ContractViolation):
@@ -521,7 +521,7 @@ def test_drift_gamma_ceiling_and_validation():
 
 
 def test_drift_precision_warning_on_tiny_budget():
-    force = quadratic_force()
+    force = quadratic_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.04, force=force)
     report = estimate_drift(
         SchemeKind.EULER_MARUYAMA,
@@ -541,7 +541,7 @@ def test_drift_ou_v_marginal_matches_quadrature():
     The position update is deterministic, so the exact ratio follows from
     integrating exp(varpi sqrt(1 + W)) against the Gaussian law of V1.
     """
-    free = free_force()
+    free = quadratic_potential(0.0)
     gam, varpi, tau = 0.02, 0.3, 0.98
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=gam, force=free)
     grid = [State(np.array([0.0]), np.array([2.0])), State(np.array([0.0]), np.array([-1.0]))]

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import langevin_kit.schemes as schemes
-from conftest import counting_force, free_force, quadratic_force, split_corrections
-from langevin_kit.cli import quartic_well_potential
+from conftest import counting_force, split_corrections
 from langevin_kit.core import (
     ContractViolation,
     NoiseDraw,
@@ -20,6 +19,7 @@ from langevin_kit.core import (
     general_step,
     step_ensemble,
 )
+from langevin_kit.potentials import quadratic_potential, quartic_well_potential
 from langevin_kit.schemes import (
     SchemeKind,
     SchemeParams,
@@ -44,7 +44,7 @@ BAC_TAU_01 = 0.904837418035959573164249059446
 
 
 def params_for(kind, gamma=0.1, kappa=1.0, sigma=1.0, force=None, noise_scale=0.5, d=2):
-    force = force if force is not None else quadratic_force()
+    force = force if force is not None else quadratic_potential()
     est = (
         gaussian_perturbation_estimator(force, noise_scale, d)
         if kind is SchemeKind.SG_EULER_MARUYAMA
@@ -104,7 +104,7 @@ def two_call_full_noise_step(scheme, x, v, z_full, w1, w2):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_fused_step_is_bit_equal_to_two_call_formula(kind, d):
     rng = np.random.default_rng([d, ALL_KINDS.index(kind)])
-    for force in (quadratic_force(1.3), quartic_well_potential()):
+    for force in (quadratic_potential(1.3), quartic_well_potential()):
         scheme = as_general_scheme(kind, params_for(kind, gamma=0.07, force=force, d=d))
         n = 500
         x, v = rng.standard_normal((2, n, d)) * 3.0
@@ -131,7 +131,7 @@ def test_one_force_evaluation_per_step(kind):
 
         return wrapper
 
-    force = quadratic_force()
+    force = quadratic_potential()
     if kind is SchemeKind.SG_EULER_MARUYAMA:
         # SG-EM's force evaluation is the gradient estimator h.
         p = params_for(kind, force=force)
@@ -163,8 +163,11 @@ def test_scalar_closure_matches_native(kind):
 
 
 @pytest.mark.parametrize("kind", CLOSURE_KINDS)
-@pytest.mark.parametrize("force", [quadratic_force(1.3), quartic_well_potential(0.25, 1.0, 10.0)],
-                         ids=["quadratic", "quartic-well"])
+@pytest.mark.parametrize(
+    "force",
+    [quadratic_potential(1.3), quartic_well_potential(0.25, 1.0, 10.0)],
+    ids=["quadratic", "quartic-well"],
+)
 def test_scalar_closure_equals_general_step(kind, force):
     """The float step is the d = 1 general step, bit for bit."""
     p = params_for(kind, gamma=0.07, kappa=1.3, sigma=0.8, force=force, d=1)
@@ -229,7 +232,7 @@ def test_vartheta_matches_f_velocity_slope(kind):
     Measured with a flat force so the slope is not contaminated by the
     velocity entering f through the force argument.
     """
-    flat = free_force()
+    flat = quadratic_potential(0.0)
     p = params_for(kind, gamma=0.12, kappa=0.9, force=flat)
     scheme = as_general_scheme(kind, p)
     d = 2
@@ -296,7 +299,7 @@ def test_gamma_ceiling_enforced():
 
 def test_sg_estimator_is_unbiased_and_degenerates_to_em():
     d = 2
-    force = quadratic_force()
+    force = quadratic_potential()
     est = gaussian_perturbation_estimator(force, 0.7, d)
     rng = np.random.default_rng(12)
     x = rng.standard_normal(d)
@@ -315,7 +318,7 @@ def test_sg_estimator_is_unbiased_and_degenerates_to_em():
 
 
 def test_sg_requires_estimator():
-    p = SchemeParams(1.0, 1.0, 0.1, quadratic_force())
+    p = SchemeParams(1.0, 1.0, 0.1, quadratic_potential())
     with pytest.raises(ContractViolation):
         as_general_scheme(SchemeKind.SG_EULER_MARUYAMA, p)
 
@@ -331,11 +334,11 @@ def test_native_noise_width_checks():
 
 def test_scheme_params_validation():
     with pytest.raises(ContractViolation):
-        SchemeParams(0.0, 1.0, 0.1, quadratic_force())
+        SchemeParams(0.0, 1.0, 0.1, quadratic_potential())
     with pytest.raises(ContractViolation):
-        SchemeParams(1.0, -1.0, 0.1, quadratic_force())
+        SchemeParams(1.0, -1.0, 0.1, quadratic_potential())
     with pytest.raises(ContractViolation):
-        SchemeParams(1.0, 1.0, 0.0, quadratic_force())
+        SchemeParams(1.0, 1.0, 0.0, quadratic_potential())
 
 
 def test_sigma_gamma_decreases_with_gamma():
@@ -360,7 +363,7 @@ def test_sigma_gamma_decreases_with_gamma():
     ],
 )
 def test_unrepresentable_coefficients_are_a_contract_violation(kind, kappa, sigma, gamma):
-    force = quadratic_force()
+    force = quadratic_potential()
     est = gaussian_perturbation_estimator(force, 1.0, 1)
     params = SchemeParams(kappa=kappa, sigma=sigma, gamma=gamma, force=force, sg_estimator=est)
     try:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import quadratic_force
 from langevin_kit.core import ContractViolation
 from langevin_kit.schemes import SchemeKind, SchemeParams, gaussian_perturbation_estimator
 from langevin_kit.stability import _ratio, stability_constants, verify_contraction
