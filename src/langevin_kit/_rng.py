@@ -111,14 +111,17 @@ def chain_normals(seed: int, n_steps: int, width: int) -> np.ndarray:
     """Bulk normals for chain 0 over steps 0..n_steps-1, shape (n_steps, width).
 
     Equals stacking ``normal_block(seed, k, 1, width)`` for k in range, built in
-    256-step chunks so long single-chain runs stay cheap.
+    256-step chunks so long single-chain runs stay cheap. Each chunk's normals
+    are written into the output, which is the only full-length array.
     """
     if width == 0:
         return np.empty((n_steps, 0))
-    n_keys = -(-n_steps // STEPS_PER_KEY)
-    parts = [_raw(seed, ki, 0, (STEPS_PER_KEY * width,)) for ki in range(n_keys)]
-    flat = np.concatenate(parts)[: n_steps * width]
-    return _to_normals(flat).reshape(n_steps, width)
+    out = np.empty(n_steps * width)
+    chunk = STEPS_PER_KEY * width
+    for ki, lo in enumerate(range(0, out.size, chunk)):
+        hi = min(lo + chunk, out.size)
+        out[lo:hi] = _to_normals(_raw(seed, ki, 0, (hi - lo,)))
+    return out.reshape(n_steps, width)
 
 
 def worker_threads() -> int:

@@ -32,6 +32,7 @@ from . import __version__
 from .convergence import (
     EstimationError,
     fit_geometric_rate,
+    minorization_partition,
     minorization_probe,
     solve_poisson,
     stationary_moment_bias,
@@ -45,7 +46,7 @@ from .core import (
     simulate_chain,
 )
 from .gaussian import covariance_consistency
-from .lyapunov import LyapunovParams, check_energy_ceiling, estimate_drift, log_w_bar
+from .lyapunov import check_energy_ceiling, estimate_drift, log_w_bar
 from .potentials import flat_tail_potential, quadratic_potential, quartic_well_potential
 from .schemes import (
     SchemeKind,
@@ -254,20 +255,19 @@ def _check_schemes(cfg: dict) -> None:
             kind, params = _scheme_params(cfg, gamma)
             scheme = as_general_scheme(kind, params)
             if experiment == "drift-check":
-                check_energy_ceiling(scheme, params.force)
-                _check_log_weights(cfg, scheme, params.force)
+                check_energy_ceiling(scheme)
+                _check_log_weights(cfg, scheme)
         except ContractViolation as exc:
             raise ConfigError(f"scheme at gamma = {gamma:g}: {exc}")
 
 
-def _check_log_weights(cfg: dict, scheme, force: ForceModel) -> None:
+def _check_log_weights(cfg: dict, scheme) -> None:
     """ConfigError unless varpi * phi, the exponent of the drift weight, is a
     finite float at every state drift-check probes."""
     mc = cfg["monte_carlo"]
-    lyap = LyapunovParams(varpi=mc["varpi"], vartheta_bar=scheme.vartheta_bar)
     with np.errstate(over="ignore"):
         for st in _drift_grid(cfg["d"], mc["radii"]):
-            if not math.isfinite(log_w_bar(st.x, st.v, scheme, lyap, force)):
+            if not math.isfinite(log_w_bar(st.x, st.v, scheme, mc["varpi"])):
                 raise ConfigError(
                     f"monte_carlo.varpi = {mc['varpi']:g}: the log-weight varpi * phi "
                     f"overflows at x = {st.x.tolist()}, v = {st.v.tolist()}"
@@ -308,6 +308,10 @@ def _validate_mc(experiment, mc, scheme, d):
     elif experiment == "minorization":
         mc["t0"] = _require_positive(mc["t0"], f"{pre}.t0")
         mc["m_radius"] = _require_positive(mc["m_radius"], f"{pre}.m_radius")
+        try:
+            minorization_partition(mc["m_radius"], d)
+        except ContractViolation as exc:
+            raise ConfigError(str(exc))
         mc["pairs"] = _require_int(mc["pairs"], f"{pre}.pairs")
         mc["samples"] = _require_int(mc["samples"], f"{pre}.samples", minimum=2)
     elif experiment == "poisson":
@@ -452,9 +456,7 @@ def _run_drift_check(cfg):
     gamma = _single_gamma(cfg["scheme"])
     kind, params = _scheme_params(cfg, gamma)
     grid = _drift_grid(cfg["d"], mc["radii"])
-    report = estimate_drift(
-        kind, params, params.force, mc["varpi"], grid, mc["samples"], seed=cfg["seed"]
-    )
+    report = estimate_drift(kind, params, mc["varpi"], grid, mc["samples"], seed=cfg["seed"])
     rows = [
         (
             gamma,

@@ -38,6 +38,7 @@ __all__ = [
     "EstimationError",
     "InsufficientSignalError",
     "estimate_tv",
+    "minorization_partition",
     "minorization_probe",
     "fit_exponential_decay",
     "fit_geometric_rate",
@@ -49,6 +50,10 @@ __all__ = [
 # where log TV is flat; they carry no rate information and are excluded
 # alongside the noise plateau.
 _TV_CEILING = 1.8
+
+# np.histogramdd counts points in R^m into (bins_per_axis + 2)^m float64
+# cells: one outlier cell at each end of every axis. 2^24 cells take 128 MiB.
+_MAX_HISTOGRAM_CELLS = 2**24
 
 # Physical time between the epochs at which fit_geometric_rate measures TV.
 _EPOCH_DT = 0.25
@@ -232,6 +237,24 @@ def _ball_points(rng: np.random.Generator, n: int, dim: int, radius: float) -> n
     return raw * r
 
 
+def minorization_partition(m_radius: float, d: int) -> HistogramSpec:
+    """The partition minorization_probe bins its kernels on, in R^(2d).
+
+    It uses 5 cells per axis (an odd count, so no cell boundary splits
+    antipodal pairs) spanning the ball of radius m_radius plus the noise
+    scale. ContractViolation when histogramdd's count array for R^(2d), of
+    7^(2d) cells, exceeds 2^24 cells: d <= 4 runs, d >= 5 is refused.
+    """
+    bins = HistogramSpec(bins_per_axis=5, box=m_radius + 4.0)
+    cells = (bins.bins_per_axis + 2) ** (2 * d)
+    if cells > _MAX_HISTOGRAM_CELLS:
+        raise ContractViolation(
+            f"d = {d}: the minorization histogram in R^{2 * d} needs {cells:.3g} "
+            f"cells, above the cap of 2^24 (d <= 4)"
+        )
+    return bins
+
+
 def minorization_probe(
     kind: SchemeKind,
     params: SchemeParams,
@@ -241,7 +264,6 @@ def minorization_probe(
     pairs: int,
     mc: int,
     seed: int = 0,
-    bins: HistogramSpec | None = None,
     d: int = 1,
 ) -> list[MinorizationEstimate]:
     """Pairwise kernel-overlap probe at a fixed physical horizon.
@@ -252,19 +274,16 @@ def minorization_probe(
     epsilon_hat = 1 - max_pair TV/2 on a deliberately coarse partition.
 
     A uniform-in-gamma lower bound on kernel overlap is a necessary
-    consequence of minorization at horizon t0; the partition must be coarse
-    for the probe to see it, since the finely-binned TV of two kernels
-    started at opposite ends of the ball is indistinguishable from 2 at any
-    realistic sample size. The default uses 5 cells per axis (an odd count,
-    so no cell boundary splits antipodal pairs) spanning the ball plus the
-    noise scale.
+    consequence of minorization at horizon t0; the partition
+    (``minorization_partition``) must be coarse for the probe to see it,
+    since the finely-binned TV of two kernels started at opposite ends of
+    the ball is indistinguishable from 2 at any realistic sample size.
     """
     if t0 <= 0 or m_radius <= 0:
         raise ContractViolation("t0 and m_radius must be positive")
     if pairs < 1 or mc < 1:
         raise ContractViolation("pairs and mc must be >= 1")
-    if bins is None:
-        bins = HistogramSpec(bins_per_axis=5, box=m_radius + 4.0)
+    bins = minorization_partition(m_radius, d)
     rng = np.random.default_rng(seed)
     starts = _ball_points(rng, 2 * pairs, 2 * d, m_radius)
     gamma_grid = [float(g) for g in gamma_grid]

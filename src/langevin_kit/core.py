@@ -188,6 +188,13 @@ class NoiseSpec:
         m2 = d if self.m2 == "d" else int(self.m2)
         return m1, m2
 
+    def check(self, noise: NoiseDraw, d: int) -> None:
+        """ContractViolation unless z, w1 and w2 have widths d, m1 and m2."""
+        m1, m2 = self.dims(d)
+        for name, arr, width in (("z", noise.z, d), ("w1", noise.w1, m1), ("w2", noise.w2, m2)):
+            if arr.shape[-1] != width:
+                raise ContractViolation(f"{name} must have width {width}, got {arr.shape[-1]}")
+
     def width(self, d: int) -> int:
         m1, m2 = self.dims(d)
         return d + m1 + m2
@@ -285,6 +292,10 @@ class GeneralScheme:
             raise ContractViolation("sigma_gamma exceeds sigma_bar")
         if self.d_norm() > self.d_bound * (1 + _A1_SLACK) + _A1_SLACK:
             raise ContractViolation("operator norm of d_matrix exceeds d_bound")
+        if abs(self.vartheta) > self.vartheta_bar * (1.0 + 1e-9) + 1e-12:
+            raise ContractViolation(
+                f"|vartheta| = {abs(self.vartheta):g} exceeds vartheta_bar = {self.vartheta_bar:g}"
+            )
 
     def d_norm(self) -> float:
         if np.isscalar(self.d_matrix):
@@ -300,16 +311,6 @@ class GeneralScheme:
     def d_is_zero(self) -> bool:
         """D = 0 as a scalar: the position update carries no Gaussian term."""
         return np.isscalar(self.d_matrix) and float(self.d_matrix) == 0.0
-
-
-def _check_noise_widths(scheme: GeneralScheme, d: int, z, w1, w2) -> None:
-    m1, m2 = scheme.noise_spec.dims(d)
-    if z.shape[-1] != d:
-        raise ContractViolation(f"z must have width d={d}, got {z.shape[-1]}")
-    if w1.shape[-1] != m1:
-        raise ContractViolation(f"w1 must have width m1={m1}, got {w1.shape[-1]}")
-    if w2.shape[-1] != m2:
-        raise ContractViolation(f"w2 must have width m2={m2}, got {w2.shape[-1]}")
 
 
 def _guard(x: np.ndarray, v: np.ndarray, step: int | None) -> None:
@@ -349,7 +350,7 @@ def _step_arrays(scheme: GeneralScheme, x, v, z, w1, w2, step: int | None = None
 
 def general_step(scheme: GeneralScheme, state: State, noise: NoiseDraw) -> State:
     """Apply one step of the general recursion to a single state."""
-    _check_noise_widths(scheme, state.d, noise.z, noise.w1, noise.w2)
+    scheme.noise_spec.check(noise, state.d)
     x, v = _step_arrays(scheme, state.x, state.v, noise.z, noise.w1, noise.w2)
     return State(x, v)
 
@@ -358,7 +359,7 @@ def step_ensemble(
     scheme: GeneralScheme, x: np.ndarray, v: np.ndarray, noise: NoiseDraw
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply one step to a batch of states of shape (n, d)."""
-    _check_noise_widths(scheme, x.shape[-1], noise.z, noise.w1, noise.w2)
+    scheme.noise_spec.check(noise, x.shape[-1])
     return _step_arrays(scheme, x, v, noise.z, noise.w1, noise.w2)
 
 
@@ -472,7 +473,7 @@ def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[N
     sum_dz = np.zeros(d)
     sum_gv = np.zeros(d)
     for i, draw in enumerate(noises):
-        _check_noise_widths(scheme, d, draw.z, draw.w1, draw.w2)
+        scheme.noise_spec.check(draw, d)
         z_full = math.sqrt(g_) * scheme.sigma_gamma * draw.z
         f_i, gd_i = scheme.corrections(
             x_i, g_**delta * v_i, g_**delta * z_full, draw.w1, draw.w2

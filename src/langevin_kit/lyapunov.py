@@ -7,11 +7,14 @@ The central object is the step-dependent quadratic-plus-potential energy
               + 2 alpha_U U(x),
 
 together with phi = sqrt(1 + W) and the exponential weight
-exp(varpi phi). The module evaluates these, derives the constants that
-bracket them (lower quadratic constant, admissible timestep ceiling, upper
-and Lipschitz constants of phi), verifies the drift-structure conditions on
-the scheme's corrections f and g by sampling, and estimates the one-step
-geometric drift of the exponential weight by Monte Carlo.
+exp(varpi phi). Every quantity in W is read from the scheme: kappa, gamma,
+tau, delta, vartheta, and the potential U of the force it steps with; the
+weight alpha_U of the potential is fixed at 1 (``ALPHA_U``). The module
+evaluates these, derives the constants that bracket them (lower quadratic
+constant, admissible timestep ceiling, upper and Lipschitz constants of
+phi), verifies the drift-structure conditions on the scheme's corrections f
+and g by sampling, and estimates the one-step geometric drift of the
+exponential weight by Monte Carlo.
 
 Everything involving the exponential weight is computed in the log domain;
 ratios of weights at far-out states stay finite even when the weights
@@ -45,7 +48,7 @@ from .schemes import (
 )
 
 __all__ = [
-    "LyapunovParams",
+    "ALPHA_U",
     "DerivedConstants",
     "w_gamma",
     "phi_gamma",
@@ -65,36 +68,12 @@ __all__ = [
     "DriftRow",
 ]
 
+# The weight of the potential in W: the drift condition is stated for 1.
+ALPHA_U = 1.0
 _OVERFLOW_EXPONENT = 700.0
 # Rows per tile in estimate_drift: a (tile, d) float64 intermediate takes
 # 128 KiB per coordinate, so a tile's working set stays within an L2 cache.
 _TILE_ROWS = 16384
-
-
-@dataclass(frozen=True)
-class LyapunovParams:
-    """Drift-structure constants attached to a scheme family and potential.
-
-    ``vartheta`` is the v-prefactor of the correction f at the working
-    timestep; when None it is taken from the scheme. ``vartheta_bar`` bounds
-    its magnitude over all admissible timesteps.
-    """
-
-    varpi: float
-    alpha_u: float = 1.0
-    vartheta: float | None = None
-    vartheta_bar: float = 0.0
-    zeta_u: float = 1.0
-    delta_u: float = 1.0
-    c_u: float = 0.0
-
-    def __post_init__(self):
-        if self.varpi <= 0 or self.alpha_u <= 0 or self.zeta_u <= 0:
-            raise ContractViolation("varpi, alpha_u and zeta_u must be positive")
-        if not 0.0 < self.delta_u <= 1.0:
-            raise ContractViolation("delta_u must lie in (0, 1]")
-        if self.c_u < 0 or self.vartheta_bar < 0:
-            raise ContractViolation("c_u and vartheta_bar must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -108,7 +87,6 @@ class DerivedConstants:
 def derived_constants(
     kappa: float,
     c_kappa: float,
-    alpha_u: float,
     vartheta_bar: float,
     lipschitz: float,
     delta: float,
@@ -121,34 +99,37 @@ def derived_constants(
     with phi <= 1 + frak_c_phi (|x| + |v|), and l_phi the uniform Lipschitz
     bound of phi.
     """
-    if kappa <= 0 or alpha_u <= 0 or c_kappa < 0 or vartheta_bar < 0 or lipschitz < 0:
+    if kappa <= 0 or c_kappa < 0 or vartheta_bar < 0 or lipschitz < 0:
         raise ContractViolation("constants must be positive (c_kappa, vartheta_bar, L >= 0)")
     c_w = 0.5 * min(kappa**2 / 6.0, 0.25)
     gamma_bar = 1.0 / (kappa + 2.0 * c_kappa / kappa)
     ceiling = c_w / (kappa * vartheta_bar + (1.0 + vartheta_bar) * (2.0 * c_kappa + kappa**2))
     gamma_bar_w = min(1.0, gamma_bar, ceiling ** (1.0 / min(delta, 1.0)))
     frak_c_phi = math.sqrt(
-        max(1.0, kappa**2 / 2.0 + alpha_u * lipschitz)
+        max(1.0, kappa**2 / 2.0 + ALPHA_U * lipschitz)
         + 0.5 * (1.0 + vartheta_bar) * (kappa**2 + kappa + 2.0 * c_kappa)
     )
     l_phi = (1.0 / math.sqrt(c_w)) * max(
         2.0,
-        2.0 * alpha_u * lipschitz + kappa**2,
+        2.0 * ALPHA_U * lipschitz + kappa**2,
         (1.0 + vartheta_bar) * (kappa**2 + kappa + c_kappa),
     )
     return DerivedConstants(c_w=c_w, gamma_bar_w=gamma_bar_w, frak_c_phi=frak_c_phi, l_phi=l_phi)
 
 
-def check_energy_ceiling(scheme: GeneralScheme, force: ForceModel) -> None:
+def check_energy_ceiling(scheme: GeneralScheme) -> None:
     """ContractViolation unless the scheme's gamma lies below gamma_bar_w.
 
     The energy W is bounded below by c_w (|x|^2 + |v|^2) only under the
     ceiling, so the drift estimator refuses a larger timestep. The constants
-    are those of the weight the estimator uses: alpha_U = 1 and the scheme's
-    own vartheta_bar.
+    are those of the scheme's own weight.
     """
     dc = derived_constants(
-        scheme.kappa, scheme.c_kappa, 1.0, scheme.vartheta_bar, force.lipschitz, scheme.delta
+        scheme.kappa,
+        scheme.c_kappa,
+        scheme.vartheta_bar,
+        _require_potential(scheme).lipschitz,
+        scheme.delta,
     )
     if scheme.gamma > dc.gamma_bar_w * (1.0 + 1e-12):
         raise ContractViolation(
@@ -165,59 +146,55 @@ def noise_lipschitz_bound(
     )
 
 
-def _require_potential(scheme: GeneralScheme, force: ForceModel | None) -> ForceModel:
-    fm = force if force is not None else scheme.force
-    if fm is None or fm.potential is None:
-        raise ContractViolation("a force model carrying the potential U is required")
-    return fm
+def _require_potential(scheme: GeneralScheme) -> ForceModel:
+    if scheme.force is None or scheme.force.potential is None:
+        raise ContractViolation("the scheme's force model must carry the potential U")
+    return scheme.force
 
 
-def _cross_coefficient(scheme: GeneralScheme, params: LyapunovParams) -> float:
-    theta = scheme.vartheta if params.vartheta is None else params.vartheta
-    if abs(theta) > params.vartheta_bar * (1.0 + 1e-9) + 1e-12:
-        raise ContractViolation(
-            f"|vartheta| = {abs(theta):g} exceeds vartheta_bar = {params.vartheta_bar:g}"
-        )
-    g_ = scheme.gamma
-    return scheme.kappa**2 * g_ * (1.0 + g_**scheme.delta * theta) / (1.0 - scheme.tau)
+def _exp_unless_overflow(lg):
+    """exp(lg), except that exponents above 700 are returned as-is."""
+    if np.ndim(lg) == 0:
+        return math.exp(lg) if lg <= _OVERFLOW_EXPONENT else float(lg)
+    lg = np.asarray(lg)
+    return np.where(lg <= _OVERFLOW_EXPONENT, np.exp(np.minimum(lg, _OVERFLOW_EXPONENT)), lg)
 
 
-def w_gamma(x, v, scheme: GeneralScheme, params: LyapunovParams, force: ForceModel | None = None):
+def w_gamma(x, v, scheme: GeneralScheme):
     """The quadratic-plus-potential energy at (x, v); batched over leading axes."""
-    fm = _require_potential(scheme, force)
+    potential = _require_potential(scheme).potential
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    cross = _cross_coefficient(scheme, params)
+    g_ = scheme.gamma
+    cross = scheme.kappa**2 * g_ * (1.0 + g_**scheme.delta * scheme.vartheta) / (1.0 - scheme.tau)
     val = (
         0.5 * scheme.kappa**2 * row_dot(x, x)
         + row_dot(v, v)
         + cross * row_dot(x, v)
-        + 2.0 * params.alpha_u * np.asarray(fm.potential(x), dtype=np.float64)
+        + 2.0 * ALPHA_U * np.asarray(potential(x), dtype=np.float64)
     )
     return float(val) if val.ndim == 0 else val
 
 
-def phi_gamma(x, v, scheme: GeneralScheme, params: LyapunovParams, force: ForceModel | None = None):
+def phi_gamma(x, v, scheme: GeneralScheme):
     """sqrt(1 + W); the quantity whose exponential is the drift weight."""
-    return np.sqrt(1.0 + w_gamma(x, v, scheme, params, force))
+    return np.sqrt(1.0 + w_gamma(x, v, scheme))
 
 
-def log_w_bar(x, v, scheme: GeneralScheme, params: LyapunovParams, force: ForceModel | None = None):
-    """Logarithm of the exponential weight: varpi * phi."""
-    return params.varpi * phi_gamma(x, v, scheme, params, force)
+def log_w_bar(x, v, scheme: GeneralScheme, varpi: float):
+    """Logarithm of the exponential weight: varpi * phi, for varpi > 0."""
+    if not varpi > 0:
+        raise ContractViolation(f"varpi must be positive, got {varpi!r}")
+    return varpi * phi_gamma(x, v, scheme)
 
 
-def w_bar(x, v, scheme: GeneralScheme, params: LyapunovParams, force: ForceModel | None = None):
+def w_bar(x, v, scheme: GeneralScheme, varpi: float):
     """exp(varpi phi), except that exponents above 700 are returned as-is.
 
     The switch avoids inf at far-out states; use log_w_bar when a uniform
     log-domain value is wanted.
     """
-    lg = log_w_bar(x, v, scheme, params, force)
-    if np.ndim(lg) == 0:
-        return math.exp(lg) if lg <= _OVERFLOW_EXPONENT else float(lg)
-    lg = np.asarray(lg)
-    return np.where(lg <= _OVERFLOW_EXPONENT, np.exp(np.minimum(lg, _OVERFLOW_EXPONENT)), lg)
+    return _exp_unless_overflow(log_w_bar(x, v, scheme, varpi))
 
 
 def v_cal(x, v, force: ForceModel):
@@ -236,10 +213,7 @@ def v_cal(x, v, force: ForceModel):
 
 def v_bar(x, v, varpi: float, force: ForceModel):
     """exp(varpi sqrt(1 + V)) with the same overflow convention as w_bar."""
-    lg = varpi * np.sqrt(1.0 + v_cal(x, v, force))
-    if np.ndim(lg) == 0:
-        return math.exp(lg) if lg <= _OVERFLOW_EXPONENT else float(lg)
-    return np.where(lg <= _OVERFLOW_EXPONENT, np.exp(np.minimum(lg, _OVERFLOW_EXPONENT)), lg)
+    return _exp_unless_overflow(varpi * np.sqrt(1.0 + v_cal(x, v, force)))
 
 
 def _grad_sq_over_l2(x: np.ndarray, force: ForceModel) -> np.ndarray:
@@ -380,11 +354,8 @@ def _cabac_cross_check(params: SchemeParams, gamma_grid) -> CabacBounds:
 def verify_d2(
     kind: SchemeKind,
     params: SchemeParams,
-    potential: ForceModel,
     gamma_grid,
     sample_count: int,
-    alpha_u: float = 1.0,
-    zeta_u: float | None = None,
     seed: int = 0,
     d: int = 2,
 ) -> D2Report:
@@ -398,15 +369,17 @@ def verify_d2(
       <x, f> - gamma^delta theta <x,v> <= C [gamma^d_U |x||w1| + 1 + gamma^d_U F],
       <x, g> + zeta_U [|grad U|^2/L^2 + |x|] <= C [1 + gamma^d_U F],
 
-    with F evaluated at (x, v, sqrt(gamma) sigma_gamma z, w). The exponent
-    d_U is fitted: the largest candidate for which the per-gamma constants do
-    not grow as gamma decreases is kept. A radial probe of the confinement
-    ratio supplies zeta_u when it is not declared, and reports a witness when
-    the ratio degenerates (potentials flattening at infinity).
+    with F evaluated at (x, v, sqrt(gamma) sigma_gamma z, w), alpha_U = 1
+    and U the potential of ``params.force``. The exponent d_U is fitted: the
+    largest candidate for which the per-gamma constants do not grow as gamma
+    decreases is kept. A radial probe of the confinement ratio supplies
+    zeta_U, and reports a witness when the ratio degenerates (potentials
+    flattening at infinity).
     """
     gamma_grid = [float(g) for g in gamma_grid]
     if not gamma_grid or sample_count < 1:
         raise ContractViolation("a nonempty gamma grid and sample_count >= 1 are required")
+    potential = params.force
     if potential.potential is None or potential.grad_potential is None:
         raise ContractViolation("verify_d2 needs a force model with U and grad U")
     rng = np.random.default_rng(seed)
@@ -416,19 +389,18 @@ def verify_d2(
     tail, tail_witness = _radial_confinement_tail(potential, rng, d)
     if tail_witness is not None:
         witnesses.append(tail_witness)
-        zeta = 0.0 if zeta_u is None else zeta_u
         return D2Report(
             kind=kind,
             passed=False,
-            alpha_u=alpha_u,
-            zeta_u=zeta,
+            alpha_u=ALPHA_U,
+            zeta_u=0.0,
             delta_u=0.0,
             c_u=math.inf,
             confinement_tail=tail,
             uniform=False,
             witnesses=witnesses,
         )
-    zeta = tail / 2.0 if zeta_u is None else zeta_u
+    zeta = tail / 2.0
 
     grad_fn = potential.grad_potential
     lips = potential.lipschitz
@@ -438,7 +410,7 @@ def verify_d2(
     for delta_u in (1.0, 0.5, 0.25):
         fits: list[D2GammaFit] = []
         for gam in gamma_grid:
-            scheme = as_general_scheme(kind, replace(params, gamma=gam, force=potential))
+            scheme = as_general_scheme(kind, replace(params, gamma=gam))
             m1, m2 = scheme.noise_spec.dims(d)
             x, v, z, w1, w2 = _d2_samples(
                 np.random.default_rng(seed + 1), sample_count, d, m1, m2,
@@ -455,7 +427,7 @@ def verify_d2(
             bracket = 1.0 + gam**delta_u * f_cal
             norm_x = np.linalg.norm(x, axis=1)
 
-            lhs1 = np.sum(f_val**2, axis=1) + np.sum((g_val + alpha_u * grad) ** 2, axis=1)
+            lhs1 = np.sum(f_val**2, axis=1) + np.sum((g_val + ALPHA_U * grad) ** 2, axis=1)
             c1 = float(np.max(lhs1 / bracket))
 
             lhs2 = np.sum(x * f_val, axis=1) - gam**scheme.delta * scheme.vartheta * np.sum(
@@ -500,7 +472,7 @@ def verify_d2(
     return D2Report(
         kind=kind,
         passed=passed,
-        alpha_u=alpha_u,
+        alpha_u=ALPHA_U,
         zeta_u=zeta,
         delta_u=chosen_delta,
         c_u=c_u,
@@ -562,7 +534,6 @@ def _log_sum_exp(a: np.ndarray) -> float:
 def estimate_drift(
     kind: SchemeKind,
     params: SchemeParams,
-    potential: ForceModel | None,
     varpi: float,
     grid,
     mc: int,
@@ -590,12 +561,11 @@ def estimate_drift(
     standard error.
     """
     scheme = as_general_scheme(kind, params)
-    force = _require_potential(scheme, potential)
-    ly = LyapunovParams(varpi=varpi, vartheta=scheme.vartheta, vartheta_bar=scheme.vartheta_bar)
-    check_energy_ceiling(scheme, force)
+    check_energy_ceiling(scheme)
     states = list(grid)
     if not states or mc < 2:
         raise ContractViolation("a nonempty state grid and mc >= 2 are required")
+    log_starts = [log_w_bar(st.x, st.v, scheme, varpi) for st in states]
     d = states[0].d
     widths = (d, *scheme.noise_spec.dims(d))
     last = max(i for i, w in enumerate(widths) if w)
@@ -630,7 +600,7 @@ def estimate_drift(
                 scheme, x_tile[: hi - lo], v_tile[: hi - lo], NoiseDraw(z, w1, w2)
             )
             with np.errstate(over="ignore"):
-                a[lo:hi] = ly.varpi * phi_gamma(x1, v1, scheme, ly, force)
+                a[lo:hi] = log_w_bar(x1, v1, scheme, varpi)
             if not np.isfinite(a[lo:hi]).all():
                 # varpi * phi left the float range, so the mean weight has
                 # no finite logarithm and the state is not contracting.
@@ -641,8 +611,7 @@ def estimate_drift(
         a -= log_mean
         np.exp(a, out=a)
         se_log = float(np.std(a, ddof=1) / math.sqrt(mc))
-        log_start = ly.varpi * phi_gamma(st.x, st.v, scheme, ly, force)
-        log_ratio = log_mean - log_start
+        log_ratio = log_mean - log_starts[idx]
         try:
             ratio = math.exp(log_ratio)
         except OverflowError:
@@ -673,17 +642,16 @@ def estimate_drift(
     if math.isinf(k_hat):
         warnings.append("no radius with uniformly contracting tail found")
         lambda_hat = 1.0
-        inside = rows
         log_lambda_gamma = 0.0
     else:
         outside = [r for r in rows if r.radius > k_hat]
         log_lambda_gamma = max(r.log_ratio for r in outside)
         lambda_hat = math.exp(log_lambda_gamma / params.gamma)
-        inside = [r for r in rows if r.radius <= k_hat]
 
     b_hat = 0.0
-    for row in inside:
-        log_start = ly.varpi * phi_gamma(row.x, row.v, scheme, ly, force)
+    for row, log_start in zip(rows, log_starts):
+        if row.radius > k_hat:
+            continue
         lm = row.log_ratio + log_start
         lr = log_lambda_gamma + log_start
         if lm > lr:
@@ -695,7 +663,7 @@ def estimate_drift(
         lambda_hat=lambda_hat,
         k_hat=k_hat,
         b_hat=b_hat,
-        varpi=ly.varpi,
+        varpi=varpi,
         gamma=params.gamma,
         warnings=warnings,
     )

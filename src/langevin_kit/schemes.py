@@ -108,16 +108,6 @@ def _noise_spec(kind: SchemeKind, p: SchemeParams) -> NoiseSpec:
     return NoiseSpec()
 
 
-def _check_native_noise(kind: SchemeKind, p: SchemeParams, d: int, noise: NoiseDraw) -> None:
-    m1, m2 = _noise_spec(kind, p).dims(d)
-    if noise.z.shape[-1] != d:
-        raise ContractViolation(f"z must have width {d}, got {noise.z.shape[-1]}")
-    if noise.w1.shape[-1] != m1:
-        raise ContractViolation(f"{kind.value} needs w1 of width {m1}, got {noise.w1.shape[-1]}")
-    if noise.w2.shape[-1] != m2:
-        raise ContractViolation(f"{kind.value} needs w2 of width {m2}, got {noise.w2.shape[-1]}")
-
-
 @dataclass(frozen=True)
 class CabacCoefficients:
     """Coefficients of the CABAC drift corrections in scaled variables.
@@ -156,7 +146,7 @@ def cabac_coefficients(gamma: float, kappa: float, sigma: float) -> CabacCoeffic
 
 def native_step(kind: SchemeKind, p: SchemeParams, s: State, noise: NoiseDraw) -> State:
     """One step of the scheme's own printed update rule."""
-    _check_native_noise(kind, p, s.d, noise)
+    _noise_spec(kind, p).check(noise, s.d)
     x, v = _native_arrays(kind, p, s.x, s.v, noise.z, noise.w1, noise.w2)
     return State(x, v)
 

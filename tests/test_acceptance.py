@@ -268,7 +268,7 @@ def test_criterion_08_energy_drift_contracts_far_out():
         per_state = [[] for _ in grid]
         for gamma in (0.02, 0.01, 0.005):
             p = params_for(kind, gamma, force=force, d=1)
-            report = estimate_drift(kind, p, force, 0.1, grid, mc=10**5, seed=13)
+            report = estimate_drift(kind, p, 0.1, grid, mc=10**5, seed=13)
             for rates, row in zip(per_state, report.rows):
                 assert row.ratio < 1.0
                 rates.append(row.log_ratio / gamma)

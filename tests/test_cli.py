@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import langevin_kit
+import langevin_kit.cli as cli
 from langevin_kit.cli import CSV_SCHEMA, ConfigError, main, make_potential, validate_config
 from langevin_kit.core import ContractViolation, validate_d1
 from langevin_kit.potentials import flat_tail_potential, quartic_well_potential
@@ -283,6 +284,27 @@ def test_tv_decay_refuses_the_stochastic_gradient_scheme(tmp_path, capsys):
     assert main(["validate", path]) == 2
     assert main(["run", path]) == 2
     assert "tv-decay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_minorization_above_the_histogram_cap_is_a_config_error(tmp_path, capsys, monkeypatch, d):
+    # 7^(2d) histogram cells: 2.8e8 at d = 5 (2.3 GB), 3.3e13 at d = 8. Both
+    # commands refuse before the probe runs.
+    def never(*args, **kwargs):
+        raise AssertionError("the probe ran")
+
+    monkeypatch.setattr(cli, "minorization_probe", never)
+    cfg = {
+        "experiment": "minorization",
+        "scheme": {"kind": "EulerMaruyama", "gamma_grid": [0.05]},
+        "d": d,
+        "monte_carlo": {"pairs": 1, "samples": 10},
+        "output": str(tmp_path / "out"),
+    }
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err.count("above the cap of 2^24") == 2
 
 
 def drift_config(tmp_path, gamma=0.01, **mc):

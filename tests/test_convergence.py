@@ -15,6 +15,7 @@ from langevin_kit.convergence import (
     estimate_tv,
     fit_exponential_decay,
     fit_geometric_rate,
+    minorization_partition,
     minorization_probe,
     solve_poisson,
     stationary_moment_bias,
@@ -132,6 +133,17 @@ def test_minorization_validation(quadratic):
         minorization_probe(SchemeKind.EULER_MARUYAMA, params, 0.5, -1.0, [0.05], 2, 100)
     with pytest.raises(ContractViolation):
         minorization_probe(SchemeKind.EULER_MARUYAMA, params, 0.5, 1.0, [0.05], 0, 100)
+
+
+def test_minorization_partition_cell_cap(quadratic):
+    # histogramdd counts into 7^(2d) cells; the cap of 2^24 admits d <= 4.
+    assert minorization_partition(1.0, 4).bins_per_axis == 5
+    for d in (5, 8):
+        with pytest.raises(ContractViolation, match="cap of 2"):
+            minorization_partition(1.0, d)
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=quadratic)
+    with pytest.raises(ContractViolation, match="cap of 2"):
+        minorization_probe(SchemeKind.EULER_MARUYAMA, params, 0.5, 1.0, [0.05], 1, 10, d=8)
 
 
 def test_minorization_divergence_names_the_pair():

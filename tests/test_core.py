@@ -1,6 +1,7 @@
 """Tests for the general one-step recursion, noise plumbing and trajectories."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -210,9 +211,26 @@ def test_noise_blocks_are_positionally_stable():
     npt.assert_array_equal(small.block_at(12), normal_block(7, 12, 5, 3))
     wide = NoiseSource(7, 600, 3)
     npt.assert_array_equal(wide.block_at(300), normal_block(7, 300, 600, 3))
-    rows = chain_normals(7, 520, 3)
-    npt.assert_array_equal(rows[519], normal_block(7, 519, 1, 3)[0])
-    npt.assert_array_equal(rows[0], normal_block(7, 0, 1, 3)[0])
+    # Step counts that end inside a 256-step key block, at widths 1 to 3.
+    for n_steps, width in ((520, 3), (300, 1), (257, 2)):
+        rows = chain_normals(7, n_steps, width)
+        stacked = [normal_block(7, k, 1, width)[0] for k in range(n_steps)]
+        npt.assert_array_equal(rows, np.array(stacked))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_chain_normals_peak_memory(width):
+    # The output is the only full-length array: holding the raw words and
+    # their concatenation as well peaked at three times its size.
+    n_steps = 2**20 + 100
+    chain_normals(7, 1000, width)
+    tracemalloc.start()
+    try:
+        chain_normals(7, n_steps, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n_steps * width
 
 
 def test_to_normals_in_place_is_bit_equal_to_the_expression():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import langevin_kit.lyapunov as lyapunov
 from conftest import counting_force, split_corrections
 from langevin_kit.core import ContractViolation, ForceModel, NoiseDraw, State, step_ensemble
 from langevin_kit.lyapunov import (
-    LyapunovParams,
+    ALPHA_U,
     derived_constants,
     estimate_drift,
     log_w_bar,
@@ -46,44 +47,33 @@ def scheme_for(kind, gamma, kappa=1.0, sigma=1.0, force=None, d=2):
     return as_general_scheme(kind, params), params
 
 
-def lyapunov_for(scheme, varpi=0.1):
-    return LyapunovParams(
-        varpi=varpi,
-        vartheta=scheme.vartheta,
-        vartheta_bar=scheme.vartheta_bar,
-    )
-
-
 def constants_for(kind, kappa=1.0, lipschitz=1.0):
     scheme, _ = scheme_for(kind, gamma=0.01, kappa=kappa)
-    return derived_constants(
-        kappa, scheme.c_kappa, 1.0, scheme.vartheta_bar, lipschitz, scheme.delta
-    )
+    return derived_constants(kappa, scheme.c_kappa, scheme.vartheta_bar, lipschitz, scheme.delta)
 
 
-def test_lyapunov_params_validation():
-    with pytest.raises(ContractViolation):
-        LyapunovParams(varpi=0.0)
-    with pytest.raises(ContractViolation):
-        LyapunovParams(varpi=0.1, alpha_u=-1.0)
-    with pytest.raises(ContractViolation):
-        LyapunovParams(varpi=0.1, delta_u=1.5)
-    with pytest.raises(ContractViolation):
-        LyapunovParams(varpi=0.1, c_u=-0.1)
+@pytest.mark.parametrize("varpi", [0.0, -0.1])
+def test_nonpositive_varpi_is_refused(varpi):
+    scheme, params = scheme_for(SchemeKind.EULER_MARUYAMA, gamma=0.01, d=1)
+    with pytest.raises(ContractViolation, match="varpi"):
+        estimate_drift(SchemeKind.EULER_MARUYAMA, params, varpi, drift_grid(), mc=100)
+    with pytest.raises(ContractViolation, match="varpi"):
+        log_w_bar([1.0], [1.0], scheme, varpi)
+    with pytest.raises(ContractViolation, match="varpi"):
+        w_bar([1.0], [1.0], scheme, varpi)
 
 
 def test_w_gamma_hand_value_and_origin():
     # EM at kappa=1, gamma=0.1 has cross coefficient 1, so at (1, 1) the
     # energy is 0.5 + 1 + 1 + 2*(1/2) = 3.5.
     scheme, _ = scheme_for(SchemeKind.EULER_MARUYAMA, gamma=0.1, d=1)
-    ly = lyapunov_for(scheme)
-    assert w_gamma([1.0], [1.0], scheme, ly) == pytest.approx(3.5, abs=1e-12)
-    assert w_gamma([0.0], [0.0], scheme, ly) == 0.0
+    assert w_gamma([1.0], [1.0], scheme) == pytest.approx(3.5, abs=1e-12)
+    assert w_gamma([0.0], [0.0], scheme) == 0.0
     # batched call agrees with the scalar one
     xs = np.array([[1.0], [0.0], [-2.0]])
     vs = np.array([[1.0], [0.0], [0.5]])
-    batched = w_gamma(xs, vs, scheme, ly)
-    singles = [w_gamma(x, v, scheme, ly) for x, v in zip(xs, vs)]
+    batched = w_gamma(xs, vs, scheme)
+    singles = [w_gamma(x, v, scheme) for x, v in zip(xs, vs)]
     np.testing.assert_allclose(batched, singles, rtol=1e-14)
 
 
@@ -91,32 +81,30 @@ def test_w_gamma_requires_potential():
     bare = ForceModel(b=lambda x: -x, lipschitz=1.0)
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=bare)
     scheme = as_general_scheme(SchemeKind.EULER_MARUYAMA, params)
-    ly = LyapunovParams(varpi=0.1)
     with pytest.raises(ContractViolation):
-        w_gamma([1.0], [1.0], scheme, ly)
+        w_gamma([1.0], [1.0], scheme)
 
 
 def test_cross_term_vartheta_guard():
     scheme, _ = scheme_for(SchemeKind.EULER_MARUYAMA, gamma=0.1, d=1)
-    ly = LyapunovParams(varpi=0.1, vartheta=0.3, vartheta_bar=0.1)
-    with pytest.raises(ContractViolation):
-        w_gamma([1.0], [1.0], scheme, ly)
+    with pytest.raises(ContractViolation, match="vartheta"):
+        replace(scheme, vartheta=0.3, vartheta_bar=0.1)
 
 
 def test_derived_constants_hand_values():
-    dc1 = derived_constants(1.0, 0.5, 1.0, 0.0, 1.0, 1.0)
+    dc1 = derived_constants(1.0, 0.5, 0.0, 1.0, 1.0)
     assert dc1.c_w == pytest.approx(1.0 / 12.0, abs=1e-15)
     # EM at kappa=1: family ceiling 1/2, energy ceiling (1/12)/(0 + 2) = 1/24
     assert dc1.gamma_bar_w == pytest.approx(1.0 / 24.0, abs=1e-15)
     # sqrt(max(1, 1.5) + 0.5 * 3) = sqrt(3)
     assert dc1.frak_c_phi == pytest.approx(math.sqrt(3.0), abs=1e-15)
     assert dc1.l_phi > 0
-    dc2 = derived_constants(2.0, 0.0, 1.0, 0.0, 1.0, 1.0)
+    dc2 = derived_constants(2.0, 0.0, 0.0, 1.0, 1.0)
     assert dc2.c_w == pytest.approx(1.0 / 8.0, abs=1e-15)
     with pytest.raises(ContractViolation):
-        derived_constants(-1.0, 0.5, 1.0, 0.0, 1.0, 1.0)
+        derived_constants(-1.0, 0.5, 0.0, 1.0, 1.0)
     with pytest.raises(ContractViolation):
-        derived_constants(1.0, 0.5, 1.0, -0.2, 1.0, 1.0)
+        derived_constants(1.0, 0.5, -0.2, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
@@ -129,36 +117,34 @@ def test_pointwise_energy_bounds(kind):
     force = quadratic_potential()
     dc = constants_for(kind)
     scheme, _ = scheme_for(kind, gamma=0.9 * dc.gamma_bar_w)
-    ly = lyapunov_for(scheme)
     rng = np.random.default_rng(0)
     n = 10**5
     xs = rng.standard_normal((n, 2)) * rng.uniform(0.1, 30.0, (n, 1))
     vs = rng.standard_normal((n, 2)) * rng.uniform(0.1, 30.0, (n, 1))
 
-    w = w_gamma(xs, vs, scheme, ly)
+    w = w_gamma(xs, vs, scheme)
     lower = dc.c_w * (np.sum(xs**2, axis=1) + np.sum(vs**2, axis=1)) + 2.0 * force.potential(xs)
     assert np.min(w - lower) > -1e-9
 
-    phi = phi_gamma(xs, vs, scheme, ly)
+    phi = phi_gamma(xs, vs, scheme)
     cap = 1.0 + dc.frak_c_phi * (np.linalg.norm(xs, axis=1) + np.linalg.norm(vs, axis=1))
     assert np.max(phi - cap) < 1e-9
 
     xs2 = xs + rng.standard_normal((n, 2))
     vs2 = vs + rng.standard_normal((n, 2))
-    phi2 = phi_gamma(xs2, vs2, scheme, ly)
+    phi2 = phi_gamma(xs2, vs2, scheme)
     dist = np.sqrt(np.sum((xs - xs2) ** 2, axis=1) + np.sum((vs - vs2) ** 2, axis=1))
     assert np.max(np.abs(phi - phi2) / dist) <= dc.l_phi
 
 
 def test_w_bar_origin_and_overflow_guard():
     scheme, _ = scheme_for(SchemeKind.EULER_MARUYAMA, gamma=0.02, d=1)
-    ly = lyapunov_for(scheme, varpi=0.25)
-    assert w_bar([0.0], [0.0], scheme, ly) == pytest.approx(math.exp(0.25), rel=1e-14)
+    assert w_bar([0.0], [0.0], scheme, 0.25) == pytest.approx(math.exp(0.25), rel=1e-14)
     # far out the log exceeds 700 and the log-domain value is returned as-is
-    far = w_bar([2.0e4], [0.0], scheme, ly)
-    assert far == log_w_bar([2.0e4], [0.0], scheme, ly)
+    far = w_bar([2.0e4], [0.0], scheme, 0.25)
+    assert far == log_w_bar([2.0e4], [0.0], scheme, 0.25)
     assert far > 700.0
-    mixed = w_bar([[0.0], [2.0e4]], [[0.0], [0.0]], scheme, ly)
+    mixed = w_bar([[0.0], [2.0e4]], [[0.0], [0.0]], scheme, 0.25)
     assert mixed[0] == pytest.approx(math.exp(0.25), rel=1e-14)
     assert mixed[1] == far
 
@@ -173,15 +159,14 @@ def test_v_bar_sandwich_fitted_exponents():
     dc = constants_for(SchemeKind.EULER_MARUYAMA)
     scheme, _ = scheme_for(SchemeKind.EULER_MARUYAMA, gamma=0.02)
     varpi = 0.4
-    ly = lyapunov_for(scheme, varpi=varpi)
-    varpi1 = varpi * math.sqrt(min(1.0, dc.c_w, 2.0 * ly.alpha_u))
+    varpi1 = varpi * math.sqrt(min(1.0, dc.c_w, 2.0 * ALPHA_U))
     varpi2 = varpi * max(math.sqrt(2.0), 2.0 * dc.frak_c_phi)
     rng = np.random.default_rng(4)
     n = 10**5
     xs = rng.standard_normal((n, 2)) * rng.uniform(0.1, 50.0, (n, 1))
     vs = rng.standard_normal((n, 2)) * rng.uniform(0.1, 50.0, (n, 1))
     root_v = np.sqrt(1.0 + v_cal(xs, vs, force))
-    mid = log_w_bar(xs, vs, scheme, ly)
+    mid = log_w_bar(xs, vs, scheme, varpi)
     assert np.all(varpi1 * root_v <= mid + 1e-12)
     assert np.all(mid <= varpi2 * root_v + 1e-12)
     # v_bar shares the overflow convention
@@ -246,9 +231,7 @@ def test_noise_lipschitz_bound(kind):
 def test_verify_d2_euler_quadratic():
     force = quadratic_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.04, force=force)
-    report = verify_d2(
-        SchemeKind.EULER_MARUYAMA, params, force, [0.04, 0.02, 0.01], 2000, seed=1
-    )
+    report = verify_d2(SchemeKind.EULER_MARUYAMA, params, [0.04, 0.02, 0.01], 2000, seed=1)
     assert report.passed
     assert report.delta_u == 1.0
     assert report.alpha_u == 1.0
@@ -264,18 +247,18 @@ def test_verify_d2_euler_quadratic():
 def test_verify_d2_reads_f_and_g_from_one_call(monkeypatch, kind):
     force, calls = counting_force(400)
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.04, force=force)
-    report = verify_d2(kind, params, force, [0.04, 0.02, 0.01], 400, seed=3)
+    report = verify_d2(kind, params, [0.04, 0.02, 0.01], 400, seed=3)
     one_call = calls[0]
     split_corrections(monkeypatch, lyapunov)
     calls[0] = 0
-    assert verify_d2(kind, params, force, [0.04, 0.02, 0.01], 400, seed=3) == report
+    assert verify_d2(kind, params, [0.04, 0.02, 0.01], 400, seed=3) == report
     assert one_call > 0 and calls[0] == 2 * one_call
 
 
 def test_verify_d2_cabac_quadratic():
     force = quadratic_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.04, force=force)
-    report = verify_d2(SchemeKind.SPLIT_CABAC, params, force, [0.04, 0.02, 0.01], 2000, seed=1)
+    report = verify_d2(SchemeKind.SPLIT_CABAC, params, [0.04, 0.02, 0.01], 2000, seed=1)
     assert report.passed
     assert report.delta_u == 0.5
     assert math.isfinite(report.c_u)
@@ -305,7 +288,7 @@ def flat_tail_force(radius: float = 5.0) -> ForceModel:
 def test_verify_d2_flat_tail_witness():
     force = flat_tail_force()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.04, force=force)
-    report = verify_d2(SchemeKind.EULER_MARUYAMA, params, force, [0.04, 0.02], 500, seed=1)
+    report = verify_d2(SchemeKind.EULER_MARUYAMA, params, [0.04, 0.02], 500, seed=1)
     assert not report.passed
     assert report.c_u == math.inf
     assert any("confinement ratio" in text for text in report.witnesses)
@@ -315,15 +298,14 @@ def test_verify_d2_input_validation():
     force = quadratic_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.04, force=force)
     with pytest.raises(ContractViolation):
-        verify_d2(SchemeKind.EULER_MARUYAMA, params, force, [], 100)
+        verify_d2(SchemeKind.EULER_MARUYAMA, params, [], 100)
     with pytest.raises(ContractViolation):
-        verify_d2(SchemeKind.EULER_MARUYAMA, params, force, [0.04], 0)
+        verify_d2(SchemeKind.EULER_MARUYAMA, params, [0.04], 0)
     bare = ForceModel(b=lambda x: -x, lipschitz=1.0)
     with pytest.raises(ContractViolation):
         verify_d2(
             SchemeKind.EULER_MARUYAMA,
             SchemeParams(kappa=1.0, sigma=1.0, gamma=0.04, force=bare),
-            bare,
             [0.04],
             100,
         )
@@ -340,7 +322,7 @@ def test_drift_contracts_beyond_radius_ten():
     force = quadratic_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.01, force=force)
     report = estimate_drift(
-        SchemeKind.EULER_MARUYAMA, params, force, 0.1, drift_grid(), mc=10**5, seed=3
+        SchemeKind.EULER_MARUYAMA, params, 0.1, drift_grid(), mc=10**5, seed=3
     )
     for row in report.rows:
         if row.radius >= 10.0:
@@ -357,7 +339,7 @@ def test_drift_report_deterministic_and_thread_invariant(monkeypatch):
 
     def run():
         return estimate_drift(
-            SchemeKind.EULER_MARUYAMA, params, force, 0.1, drift_grid(), mc=2 * 10**4, seed=5
+            SchemeKind.EULER_MARUYAMA, params, 0.1, drift_grid(), mc=2 * 10**4, seed=5
         )
 
     monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
@@ -386,7 +368,7 @@ def tiled_drift(kind, force, d, seed=11):
         State(np.full(d, a), np.full(d, b))
         for a, b in [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0), (-4.0, 4.0)]
     ]
-    return drift_columns(estimate_drift(kind, params, force, 0.1, grid, mc=1000, seed=seed))
+    return drift_columns(estimate_drift(kind, params, 0.1, grid, mc=1000, seed=seed))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -416,11 +398,10 @@ def test_tiled_drift_report_does_not_depend_on_the_thread_count(monkeypatch):
         assert np.array_equal(a, b)
 
 
-def one_pass_drift_rows(kind, params, force, grid, mc, seed, varpi=0.1):
+def one_pass_drift_rows(kind, params, grid, mc, seed, varpi=0.1):
     """(log_ratio, se_log) per state from whole noise blocks and one
     whole-ensemble step, reduced with scipy.special.logsumexp."""
     scheme = as_general_scheme(kind, params)
-    ly = lyapunov_for(scheme, varpi)
     children = np.random.SeedSequence(seed).spawn(len(grid))
     rows = []
     for st, child in zip(grid, children):
@@ -438,10 +419,10 @@ def one_pass_drift_rows(kind, params, force, grid, mc, seed, varpi=0.1):
             np.broadcast_to(st.v, (mc, d)),
             NoiseDraw(z, w1, w2),
         )
-        a = varpi * phi_gamma(x1, v1, scheme, ly, force)
+        a = varpi * phi_gamma(x1, v1, scheme)
         log_mean = float(logsumexp(a) - math.log(mc))
         se_log = float(np.std(np.exp(a - log_mean), ddof=1) / math.sqrt(mc))
-        rows.append((log_mean - varpi * phi_gamma(st.x, st.v, scheme, ly, force), se_log))
+        rows.append((log_mean - varpi * phi_gamma(st.x, st.v, scheme), se_log))
     return rows
 
 
@@ -453,8 +434,8 @@ def test_tiled_drift_rows_equal_the_one_pass_reference(monkeypatch, kind):
     force = quartic_well_potential()
     _, params = scheme_for(kind, gamma=0.01, force=force, d=2)
     grid = [State(np.full(2, a), np.full(2, b)) for a, b in [(0.0, 0.0), (6.0, 0.0), (-4.0, 4.0)]]
-    report = estimate_drift(kind, params, force, 0.1, grid, mc=1000, seed=11)
-    expected = one_pass_drift_rows(kind, params, force, grid, mc=1000, seed=11)
+    report = estimate_drift(kind, params, 0.1, grid, mc=1000, seed=11)
+    expected = one_pass_drift_rows(kind, params, grid, mc=1000, seed=11)
     assert [(row.log_ratio, row.se_log) for row in report.rows] == expected
 
 
@@ -466,10 +447,10 @@ def test_drift_state_peak_memory(monkeypatch):
     force = quartic_well_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.01, force=force)
     grid = [State(np.array([5.0, 5.0]), np.zeros(2))]
-    estimate_drift(SchemeKind.SPLIT_CABAC, params, force, 0.1, grid, mc=1000)
+    estimate_drift(SchemeKind.SPLIT_CABAC, params, 0.1, grid, mc=1000)
     tracemalloc.start()
     try:
-        estimate_drift(SchemeKind.SPLIT_CABAC, params, force, 0.1, grid, mc=10**6)
+        estimate_drift(SchemeKind.SPLIT_CABAC, params, 0.1, grid, mc=10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -512,12 +493,12 @@ def test_drift_gamma_ceiling_and_validation():
     # EM at kappa=1 tolerates at most gamma = 1/24
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=force)
     with pytest.raises(ContractViolation):
-        estimate_drift(SchemeKind.EULER_MARUYAMA, params, force, 0.1, drift_grid(), mc=100)
+        estimate_drift(SchemeKind.EULER_MARUYAMA, params, 0.1, drift_grid(), mc=100)
     ok = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.01, force=force)
     with pytest.raises(ContractViolation):
-        estimate_drift(SchemeKind.EULER_MARUYAMA, ok, force, 0.1, [], mc=100)
+        estimate_drift(SchemeKind.EULER_MARUYAMA, ok, 0.1, [], mc=100)
     with pytest.raises(ContractViolation):
-        estimate_drift(SchemeKind.EULER_MARUYAMA, ok, force, 0.1, drift_grid(), mc=1)
+        estimate_drift(SchemeKind.EULER_MARUYAMA, ok, 0.1, drift_grid(), mc=1)
 
 
 def test_drift_precision_warning_on_tiny_budget():
@@ -526,7 +507,6 @@ def test_drift_precision_warning_on_tiny_budget():
     report = estimate_drift(
         SchemeKind.EULER_MARUYAMA,
         params,
-        force,
         3.0,
         [State(np.array([30.0]), np.array([0.0]))],
         mc=4,
@@ -546,7 +526,7 @@ def test_drift_ou_v_marginal_matches_quadrature():
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=gam, force=free)
     grid = [State(np.array([0.0]), np.array([2.0])), State(np.array([0.0]), np.array([-1.0]))]
     report = estimate_drift(
-        SchemeKind.EULER_MARUYAMA, params, free, varpi, grid, mc=4 * 10**5, seed=21
+        SchemeKind.EULER_MARUYAMA, params, varpi, grid, mc=4 * 10**5, seed=21
     )
     sd = math.sqrt(gam)
     for row in report.rows:

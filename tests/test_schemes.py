@@ -330,6 +330,19 @@ def test_native_noise_width_checks():
         native_step(SchemeKind.SPLIT_CABAC, p, s, NoiseDraw(np.zeros(2)))
     with pytest.raises(ContractViolation):
         native_step(SchemeKind.SPLIT_CABAC, p, s, NoiseDraw(np.zeros(3), np.zeros(3)))
+    # A wrong-width w1 (CABAC needs d) or w2 (SG-EM needs m2 = d) is refused
+    # by the native rule and by the ensemble step alike.
+    bad_w1_w2 = {
+        SchemeKind.SPLIT_CABAC: (np.zeros(3), np.zeros(0)),
+        SchemeKind.SG_EULER_MARUYAMA: (np.zeros(0), np.zeros(1)),
+    }
+    for kind, (w1, w2) in bad_w1_w2.items():
+        p = params_for(kind)
+        with pytest.raises(ContractViolation, match="w1|w2"):
+            native_step(kind, p, s, NoiseDraw(np.zeros(2), w1, w2))
+        batch = NoiseDraw(np.zeros((4, 2)), np.tile(w1, (4, 1)), np.tile(w2, (4, 1)))
+        with pytest.raises(ContractViolation, match="w1|w2"):
+            step_ensemble(as_general_scheme(kind, p), np.zeros((4, 2)), np.zeros((4, 2)), batch)
 
 
 def test_scheme_params_validation():
