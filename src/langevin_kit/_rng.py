@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = ["normal_block", "NoiseSource", "chain_normals", "worker_threads"]
 
@@ -38,7 +37,11 @@ def _to_normals(raw: np.ndarray) -> np.ndarray:
     The top cell k = 2**53 - 1 rounds (k + 1/2) 2**-53 up to 1.0, whose
     ndtri is +inf; it is clamped to the largest double below 1 instead.
     Works in place; ``raw`` must be a fresh array the caller does not reuse.
+    scipy.special is imported here, on the first call, so that programs that
+    draw no Philox normal do not pay for loading it.
     """
+    from scipy.special import ndtri
+
     raw >>= np.uint64(11)
     u = raw.astype(np.float64)
     u += 0.5

@@ -76,7 +76,19 @@ def row_dot(a, b) -> np.ndarray:
     Equals np.sum(a * b, axis=-1) bit for bit when the last axis has length 1
     or 2 and to rounding otherwise, without the per-row reduction loop that
     makes the np.sum form slow on tall, narrow (n, d) arrays.
+
+    For length 1 or 2 the columns of p = a * b are added directly,
+    ``p[..., 0] + 0.0`` or ``(p[..., 0] + p[..., 1]) + 0.0``, which is several
+    times faster than einsum on tall arrays. The ``+ 0.0`` stands for the
+    +0.0 that einsum and np.sum start their sums from, so a sum of -0.0 terms
+    comes out as +0.0 as it does from them. Longer rows go through einsum:
+    a column-by-column sum would not reproduce its summation order.
     """
+    d = np.shape(a)[-1:]
+    if d == np.shape(b)[-1:] and d in ((1,), (2,)):
+        p = np.multiply(a, b)
+        s = p[..., 0] if d == (1,) else p[..., 0] + p[..., 1]
+        return s + 0.0
     return np.einsum("...i,...i->...", a, b)
 
 

@@ -28,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import _rng
 from .core import (
@@ -528,7 +527,11 @@ def _log_sum_exp(a: np.ndarray) -> float:
         if s[0] != 0.0:
             s /= m
         out = float((np.log1p(s) + np.log(m) + a_max)[0])
-    return out if math.isfinite(out) else float(logsumexp(a))
+    if math.isfinite(out):
+        return out
+    from scipy.special import logsumexp  # loaded only for this rare fallback
+
+    return float(logsumexp(a))
 
 
 def estimate_drift(

@@ -246,6 +246,21 @@ def as_general_scheme(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
         ) from exc
 
 
+def _exp_euler_vartheta(k_: float, g_: float, e: float) -> float:
+    """ExpEuler's v-prefactor (1 - h - e) / (kappa gamma^2), h = kappa gamma,
+    e = exp(-h).
+
+    The numerator cancels as h -> 0 (relative error about 1e-16 / h^2), so
+    below h = 0.1 it is summed from its series instead,
+    -kappa sum_j (-h)^j / (j + 2)!, cut after 18 terms (the first term left
+    out is below 1e-36 there).
+    """
+    h = k_ * g_
+    if h >= 0.1:
+        return (1.0 - h - e) / (k_ * g_**2)
+    return -k_ * math.fsum((-h) ** j / math.factorial(j + 2) for j in range(18))
+
+
 def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
     k_, s_, g_ = p.kappa, p.sigma, p.gamma
     b = p.force.b
@@ -380,7 +395,7 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
         cov = continuous_covariance(g_, k_, s_)
         alpha = cov.s2 / math.sqrt(cov.s1 * cov.s3)
         d_scalar = cov.s2 / (st * math.sqrt(g_**3 * cov.s3))
-        c_v = (1.0 - k_ * g_ - e) / (k_ * g_**2)
+        c_v = _exp_euler_vartheta(k_, g_, e)
         c_fb = g_ / k_
         c_gb = (1.0 - e) / (k_ * g_)
         w_coef = math.sqrt(cov.s1 * (1.0 - alpha**2)) / g_

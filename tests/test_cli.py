@@ -162,6 +162,14 @@ def test_validate_subcommand(tmp_path):
         main([])
 
 
+def test_exp_euler_at_a_tiny_stepsize_validates_and_runs(tmp_path):
+    # vartheta = -kappa/2 (1 - kappa gamma/3 + ...) must stay within kappa/2.
+    cfg = simulate_config(tmp_path, scheme={"kind": "ExpEuler", "gamma": 1e-6})
+    path = write_config(tmp_path, "tiny.json", cfg)
+    assert main(["validate", path]) == 0
+    assert main(["run", path]) == 0
+
+
 @pytest.mark.parametrize("bad", ["abc", float("nan"), float("inf"), None, [1.0], True])
 @pytest.mark.parametrize(
     "kind, field",

@@ -153,15 +153,22 @@ def test_divergence_guard_limits(bad, component):
 @pytest.mark.parametrize("d", [1, 2])
 def test_row_dot_is_bit_equal_to_sum_for_short_rows(d):
     rng = np.random.default_rng(d)
-    a = rng.standard_normal((1000, d))
-    b = rng.standard_normal((1000, d))
-    a[:10] = -0.0  # signed zeros must come out as np.sum gives them
-    b[:5] = -1.0
-    for aa, bb in ((a, b), (a, a), (a[7], b[7]), (a[3], b[3])):
-        want = np.sum(aa * bb, axis=-1)
-        got = row_dot(aa, bb)
-        assert np.shape(got) == np.shape(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # Magnitudes from 1e-300 to 1e300: products that underflow to signed
+    # zeros, overflow to infinities and everything between.
+    a, b = rng.standard_normal((2, 3, 400, d)) * 10.0 ** rng.uniform(-300, 300, (2, 3, 400, d))
+    a[:, :10] = -0.0  # signed zeros must come out as np.sum gives them
+    b[:, :5] = -1.0
+    pairs = (
+        (a[0], b[0]), (a[0], a[0]), (a, b), (a[0, 7], b[0, 7]), (a[0, 3], b[0, 3]),
+        (a[0], b[1, 3]), (a[0], b[1, 7]),  # (n, d) against (d,)
+    )
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for aa, bb in pairs:
+            got = row_dot(aa, bb)
+            for want in (np.sum(aa * bb, axis=-1), np.einsum("...i,...i->...", aa, bb)):
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_row_dot_agrees_with_sum_to_rounding():

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -223,6 +224,23 @@ def test_vartheta_bar_table():
     assert bar(SchemeKind.SPLIT_ABCBA) == 1.0
     assert bar(SchemeKind.SPLIT_CABAC) == 1.0
     assert bar(SchemeKind.EXP_EULER) == 1.0
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.5])
+def test_exp_euler_vartheta_keeps_its_digits_as_kappa_gamma_vanishes(kappa):
+    # vartheta = -kappa sum_j (-h)^j / (j + 2)!, h = kappa gamma, summed
+    # exactly (60 terms leave out less than 1e-80 for h <= 1).
+    kind = SchemeKind.EXP_EULER
+    for h in np.geomspace(1e-12, 1.0, 61):
+        gamma = float(h) / kappa
+        x = Fraction(kappa) * Fraction(gamma)
+        term, series = Fraction(1, 2), Fraction(0)
+        for j in range(60):
+            series += term
+            term *= -x / (j + 3)
+        want = -Fraction(kappa) * series
+        got = as_general_scheme(kind, params_for(kind, gamma=gamma, kappa=kappa)).vartheta
+        assert abs(Fraction(got) / want - 1) <= 1e-13, gamma
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
