@@ -7,13 +7,14 @@ variants) embeds into a single general recursion whose drift corrections are
 Lipschitz and whose noise enters through explicit Gaussian aggregates. The
 modules follow that structure:
 
-- ``core``: the general recursion, force models, chain simulation.
+- ``core``: the general recursion and force models.
 - ``potentials``: the built-in force fields (quadratic, quartic well, flat tail).
 - ``schemes``: the named integrators, their embeddings, assumption checks.
 - ``gaussian``: closed-form noise aggregates, covariances, projectors.
 - ``lyapunov``: energy functions, drift-structure checks, contraction probes.
 - ``stability``: coupled-trajectory displacement constants and checks.
-- ``convergence``: minorization, TV-rate, weak-order and Poisson probes.
+- ``convergence``: the ensemble loop, chain simulation, and the minorization,
+  TV-rate, weak-order and Poisson probes.
 - ``cli``: the ``langevin-kit`` experiment runner.
 """
 
@@ -27,15 +28,13 @@ from .core import (
     NoiseDraw,
     NoiseSpec,
     State,
-    TrajectoryConfig,
-    TrajectoryRecord,
     aggregate_closed_form,
     full_noise_step,
     general_step,
-    simulate_chain,
     step_ensemble,
     validate_d1,
 )
+from .convergence import TrajectoryConfig, simulate_chain
 from .schemes import (
     SchemeKind,
     SchemeParams,
@@ -62,7 +61,6 @@ __all__ = [
     "NoiseSpec",
     "State",
     "TrajectoryConfig",
-    "TrajectoryRecord",
     "aggregate_closed_form",
     "full_noise_step",
     "general_step",

@@ -31,21 +31,17 @@ import numpy as np
 from . import __version__
 from .convergence import (
     EstimationError,
+    TrajectoryConfig,
+    _quadratic_curvature,
     fit_geometric_rate,
     minorization_partition,
     minorization_probe,
+    simulate_chain,
     solve_poisson,
     stationary_moment_bias,
 )
-from .core import (
-    ContractViolation,
-    DivergedError,
-    ForceModel,
-    State,
-    TrajectoryConfig,
-    simulate_chain,
-)
-from .gaussian import covariance_consistency
+from .core import ContractViolation, DivergedError, ForceModel, State
+from .gaussian import continuous_covariance, covariance_consistency
 from .lyapunov import check_energy_ceiling, estimate_drift, log_w_bar
 from .potentials import flat_tail_potential, quadratic_potential, quartic_well_potential
 from .schemes import (
@@ -83,7 +79,7 @@ _MC_DEFAULTS = {
     "simulate": {"steps": 100, "ensemble": 1000, "record_every": 10, "init": [0.0, 0.0]},
     "covariance-check": {"t0": 0.5},
     "drift-check": {"varpi": 0.1, "samples": 100_000, "radii": [5.0, 10.0, 15.0, 20.0]},
-    "tv-decay": {"varpi": 0.1, "samples": 200_000, "horizon": 12.0, "init": [5.0, 0.0]},
+    "tv-decay": {"samples": 200_000, "horizon": 12.0, "init": [5.0, 0.0]},
     "minorization": {"t0": 0.5, "m_radius": 1.0, "pairs": 16, "samples": 1_000_000},
     "poisson": {
         "truncation_k": 150,
@@ -242,14 +238,13 @@ def _check_schemes(cfg: dict) -> None:
     """ConfigError unless the scheme builds at every gamma the experiment
     steps with, so that parameters whose derived coefficients overflow or
     leave the family's range are refused before anything runs. For
-    drift-check the gamma must also lie below the energy ceiling."""
+    drift-check the gamma must also lie below the energy ceiling, and
+    order-check needs the quadratic well its moment targets are exact on."""
     experiment = cfg["experiment"]
+    gammas = _gammas(cfg)
     if experiment == "covariance-check":
+        _check_covariance(cfg, gammas)
         return  # works from kappa and sigma alone, never builds the scheme
-    if experiment == "order-check":
-        gammas = cfg["monte_carlo"]["gamma_pair"]
-    else:
-        gammas = _gamma_grid(cfg["scheme"])
     for gamma in gammas:
         try:
             kind, params = _scheme_params(cfg, gamma)
@@ -257,8 +252,34 @@ def _check_schemes(cfg: dict) -> None:
             if experiment == "drift-check":
                 check_energy_ceiling(scheme)
                 _check_log_weights(cfg, scheme)
+            elif experiment == "order-check":
+                _quadratic_curvature(params)
         except ContractViolation as exc:
             raise ConfigError(f"scheme at gamma = {gamma:g}: {exc}")
+
+
+def _check_covariance(cfg: dict, gammas) -> None:
+    """ConfigError unless the O(1) parts of covariance-check evaluate: the
+    continuous covariance at t0, and tau = exp(-kappa gamma) in (0, 1) below
+    t0 at every gamma."""
+    t0 = cfg["monte_carlo"]["t0"]
+    kappa, sigma = cfg["scheme"]["kappa"], cfg["scheme"]["sigma"]
+    for gamma in gammas:
+        if gamma >= t0:
+            raise ConfigError(f"scheme gammas must lie below monte_carlo.t0 = {t0}")
+        tau = math.exp(-kappa * gamma)
+        if not 0.0 < tau < 1.0:
+            raise ConfigError(
+                f"scheme at gamma = {gamma:g}: tau = exp(-kappa gamma) = {tau:g} "
+                f"must lie in (0, 1)"
+            )
+    try:
+        continuous_covariance(t0, kappa, sigma)
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(
+            f"the continuous covariance at t0 = {t0:g} does not evaluate: "
+            f"{type(exc).__name__}: {exc}"
+        )
 
 
 def _check_log_weights(cfg: dict, scheme) -> None:
@@ -283,9 +304,6 @@ def _validate_mc(experiment, mc, scheme, d):
         _check_init(mc["init"], pre)
     elif experiment == "covariance-check":
         mc["t0"] = _require_positive(mc["t0"], f"{pre}.t0")
-        for g in _gamma_grid(scheme):
-            if g >= mc["t0"]:
-                raise ConfigError(f"scheme gammas must lie below {pre}.t0 = {mc['t0']}")
     elif experiment == "drift-check":
         mc["varpi"] = _require_positive(mc["varpi"], f"{pre}.varpi")
         mc["samples"] = _require_int(mc["samples"], f"{pre}.samples", minimum=2)
@@ -294,7 +312,6 @@ def _validate_mc(experiment, mc, scheme, d):
             raise ConfigError(f"{pre}.radii must be a nonempty list")
         mc["radii"] = [_require_positive(r, f"{pre}.radii[{i}]") for i, r in enumerate(radii)]
     elif experiment == "tv-decay":
-        mc["varpi"] = _require_positive(mc["varpi"], f"{pre}.varpi")
         mc["samples"] = _require_int(mc["samples"], f"{pre}.samples", minimum=2)
         mc["horizon"] = _require_positive(mc["horizon"], f"{pre}.horizon")
         _check_init(mc["init"], pre)
@@ -350,15 +367,17 @@ def _check_init(init, pre):
         _finite(val, f"{pre}.init[{i}]")
 
 
-def _gamma_grid(scheme: dict) -> list[float]:
-    return scheme.get("gamma_grid", [scheme["gamma"]] if "gamma" in scheme else [])
-
-
-def _single_gamma(scheme: dict) -> float:
-    grid = _gamma_grid(scheme)
-    if len(grid) != 1:
-        raise ConfigError("this experiment needs a single scheme.gamma")
-    return grid[0]
+def _gammas(cfg: dict) -> list[float]:
+    """The gammas the experiment steps with: order-check's gamma_pair, the
+    gamma grid for minorization and covariance-check, and exactly one gamma
+    for every other experiment."""
+    if cfg["experiment"] == "order-check":
+        return cfg["monte_carlo"]["gamma_pair"]
+    scheme = cfg["scheme"]
+    grid = scheme["gamma_grid"] if "gamma_grid" in scheme else [scheme["gamma"]]
+    if cfg["experiment"] not in ("minorization", "covariance-check") and len(grid) != 1:
+        raise ConfigError(f"{cfg['experiment']} needs a single scheme.gamma, got {grid}")
+    return grid
 
 
 def _scheme_params(cfg: dict, gamma: float) -> tuple[SchemeKind, SchemeParams]:
@@ -399,38 +418,35 @@ def _drift_grid(d: int, radii) -> list[State]:
 
 def _run_simulate(cfg):
     mc = cfg["monte_carlo"]
-    gamma = _single_gamma(cfg["scheme"])
+    (gamma,) = _gammas(cfg)
     kind, params = _scheme_params(cfg, gamma)
     scheme = as_general_scheme(kind, params)
     d = cfg["d"]
     init = State(np.full(d, float(mc["init"][0])), np.full(d, float(mc["init"][1])))
-    record = simulate_chain(
-        scheme,
-        init,
-        TrajectoryConfig(
-            n_steps=mc["steps"],
-            seed=cfg["seed"],
-            ensemble=mc["ensemble"],
-            record_every=mc["record_every"],
-        ),
+    config = TrajectoryConfig(
+        n_steps=mc["steps"],
+        seed=cfg["seed"],
+        ensemble=mc["ensemble"],
+        record_every=mc["record_every"],
     )
     rows = []
-    n = mc["ensemble"]
-    root_n = math.sqrt(n)
-    for i, step in enumerate(record.steps):
-        t = step * gamma
-        point = f"t={t:.10g}"
-        x, v = record.xs[i], record.vs[i]
-        for stat, arr in (("mean_x", x[:, 0]), ("mean_v", v[:, 0])):
-            rows.append((gamma, point, stat, float(np.mean(arr)), float(np.std(arr) / root_n)))
-        for stat, arr in (("msq_x", np.sum(x**2, axis=1)), ("msq_v", np.sum(v**2, axis=1))):
+    root_n = math.sqrt(mc["ensemble"])
+    # Each recorded state is reduced as it is yielded, so one state is held.
+    for step, x, v in simulate_chain(scheme, init, config):
+        point = f"t={step * gamma:.10g}"
+        for stat, arr in (
+            ("mean_x", x[:, 0]),
+            ("mean_v", v[:, 0]),
+            ("msq_x", np.sum(x**2, axis=1)),
+            ("msq_v", np.sum(v**2, axis=1)),
+        ):
             rows.append((gamma, point, stat, float(np.mean(arr)), float(np.std(arr) / root_n)))
     return rows, []
 
 
 def _run_covariance_check(cfg):
     mc = cfg["monte_carlo"]
-    grid = _gamma_grid(cfg["scheme"])
+    grid = _gammas(cfg)
     table = covariance_consistency(
         mc["t0"], np.array(grid), cfg["scheme"]["kappa"], cfg["scheme"]["sigma"]
     )
@@ -453,7 +469,7 @@ def _run_covariance_check(cfg):
 
 def _run_drift_check(cfg):
     mc = cfg["monte_carlo"]
-    gamma = _single_gamma(cfg["scheme"])
+    (gamma,) = _gammas(cfg)
     kind, params = _scheme_params(cfg, gamma)
     grid = _drift_grid(cfg["d"], mc["radii"])
     report = estimate_drift(kind, params, mc["varpi"], grid, mc["samples"], seed=cfg["seed"])
@@ -476,11 +492,11 @@ def _run_drift_check(cfg):
 
 def _run_tv_decay(cfg):
     mc = cfg["monte_carlo"]
-    gamma = _single_gamma(cfg["scheme"])
+    (gamma,) = _gammas(cfg)
     kind, params = _scheme_params(cfg, gamma)
     init = State(np.array([float(mc["init"][0])]), np.array([float(mc["init"][1])]))
     estimate = fit_geometric_rate(
-        kind, params, init, mc["varpi"], mc["horizon"], mc["samples"], seed=cfg["seed"]
+        kind, params, init, mc["horizon"], mc["samples"], seed=cfg["seed"]
     )
     rows = [
         (gamma, f"t={t:.10g}", "tv", float(val), 0.0)
@@ -497,7 +513,7 @@ def _run_tv_decay(cfg):
 
 def _run_minorization(cfg):
     mc = cfg["monte_carlo"]
-    grid = _gamma_grid(cfg["scheme"])
+    grid = _gammas(cfg)
     kind, params = _scheme_params(cfg, grid[0])
     estimates = minorization_probe(
         kind,
@@ -528,7 +544,7 @@ def _run_minorization(cfg):
 
 def _run_poisson(cfg):
     mc = cfg["monte_carlo"]
-    gamma = _single_gamma(cfg["scheme"])
+    (gamma,) = _gammas(cfg)
     kind, params = _scheme_params(cfg, gamma)
     column = 0 if mc["observable"] == "x" else 1
 
@@ -560,7 +576,7 @@ def _run_poisson(cfg):
 
 def _run_order_check(cfg):
     mc = cfg["monte_carlo"]
-    coarse, fine = mc["gamma_pair"]
+    coarse, fine = _gammas(cfg)
     kind, params = _scheme_params(cfg, coarse)
     biases = stationary_moment_bias(kind, params, (coarse, fine), mc["samples"], seed=cfg["seed"])
     rows = []
@@ -577,7 +593,7 @@ def _run_order_check(cfg):
 
 def _run_stability_check(cfg):
     mc = cfg["monte_carlo"]
-    gamma = _single_gamma(cfg["scheme"])
+    (gamma,) = _gammas(cfg)
     kind, params = _scheme_params(cfg, gamma)
     report = verify_contraction(
         kind, params, mc["k"], mc["lambda"], mc["trials"], seed=cfg["seed"], d=cfg["d"]

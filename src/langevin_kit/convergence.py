@@ -1,6 +1,10 @@
-"""Empirical convergence probes for the discretized chains.
+"""Ensemble runs and empirical convergence probes for the discretized chains.
 
-Four experiments drive this module: a minorization check (pairwise kernel
+Every ensemble run in this module goes through one loop, ``_ensemble_path``:
+``simulate_chain`` streams its recorded states from it, and each probe below
+consumes its states as they are made.
+
+Four experiments drive the probes: a minorization check (pairwise kernel
 overlap at a fixed physical horizon, stable in gamma), a geometric-rate fit
 from the decay of total variation to a long stationary reference run, a
 weak-order probe through stationary moment biases on quadratic wells, and a
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -22,6 +27,7 @@ from . import _rng
 from .core import (
     ContractViolation,
     DivergedError,
+    GeneralScheme,
     NoiseDraw,
     State,
     step_ensemble,
@@ -29,6 +35,8 @@ from .core import (
 from .schemes import SchemeKind, SchemeParams, as_general_scheme, scalar_step_closure
 
 __all__ = [
+    "TrajectoryConfig",
+    "simulate_chain",
     "HistogramSpec",
     "TvEstimate",
     "RateEstimate",
@@ -213,7 +221,9 @@ def _ensemble_path(scheme, x, v, n_steps, seed):
     """Advance a batch of states n_steps with the shared noise convention,
     yielding (k, x, v) after each step k = 1..n_steps.
 
-    This is the module's only ensemble step loop. A consumer reads each
+    This is the library's only loop that steps an ensemble on the
+    counter-based noise stream; ``simulate_chain`` and every probe in this
+    module run on it. A consumer reads each
     yielded state and must not write into it; one that consumes the states
     as they are made holds a single state at a time.
     """
@@ -227,6 +237,39 @@ def _ensemble_path(scheme, x, v, n_steps, seed):
         except DivergedError as exc:
             raise DivergedError(exc.component, step + 1) from None
         yield step + 1, x, v
+
+
+@dataclass(frozen=True)
+class TrajectoryConfig:
+    n_steps: int
+    seed: int
+    ensemble: int = 1
+    record_every: int = 1
+
+    def __post_init__(self):
+        if self.n_steps < 1 or self.ensemble < 1 or self.record_every < 1:
+            raise ContractViolation("n_steps, ensemble and record_every must be >= 1")
+
+
+def simulate_chain(
+    scheme: GeneralScheme, init: State, config: TrajectoryConfig
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Run an ensemble of chains from a common initial state.
+
+    Yields (step, x, v), with x and v of shape (ensemble, d), at step 0, at
+    every ``record_every`` steps and at the last step. Chains use disjoint
+    substreams of the counter-based noise source keyed by the config seed, so
+    results do not depend on evaluation order. Iteration raises DivergedError
+    (carrying the step index) if any component passes the divergence guard.
+    The yielded arrays are the loop's state: a consumer must not write into
+    them.
+    """
+    x = np.tile(init.x, (config.ensemble, 1))
+    v = np.tile(init.v, (config.ensemble, 1))
+    yield 0, x, v
+    for k, x, v in _ensemble_path(scheme, x, v, config.n_steps, config.seed):
+        if k % config.record_every == 0 or k == config.n_steps:
+            yield k, x, v
 
 
 def _ball_points(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
@@ -382,7 +425,6 @@ def fit_geometric_rate(
     kind: SchemeKind,
     params: SchemeParams,
     init: State,
-    varpi: float,
     horizon: float,
     mc: int,
     seed: int = 0,
@@ -395,12 +437,11 @@ def fit_geometric_rate(
     stationary reference (one long seed-pinned run) on the declared
     partition. log TV is fitted against physical time over the epochs that
     sit between the saturation regime (TV close to 2) and 3x the Monte-Carlo
-    noise floor of the estimator. ``varpi`` is the weight of the
-    norm the decay theorem is stated in; the fitted distance is plain TV,
-    its lower bound, so varpi only gates the preconditions here.
+    noise floor of the estimator. The decay theorem is stated in a
+    weighted norm; the fitted distance is plain TV, its lower bound.
     """
-    if varpi <= 0 or horizon <= 0 or mc < 2:
-        raise ContractViolation("varpi > 0, horizon > 0 and mc >= 2 are required")
+    if horizon <= 0 or mc < 2:
+        raise ContractViolation("horizon > 0 and mc >= 2 are required")
     if init.d != 1:
         raise ContractViolation("the stationary reference run supports d = 1 only")
     n_epochs = int(horizon / _EPOCH_DT + 1e-9)

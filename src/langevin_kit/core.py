@@ -17,13 +17,15 @@ each distinct point it needs (once per step for every built-in scheme).
 
 All step functions are vectorized: positions and velocities may carry leading
 batch axes (ensemble, d), and the force field must broadcast accordingly.
+The module holds the recursion only: ``convergence.simulate_chain`` and the
+convergence probes run ensembles through time on one shared loop there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,12 +40,9 @@ __all__ = [
     "NoiseDraw",
     "NoiseSpec",
     "GeneralScheme",
-    "TrajectoryConfig",
-    "TrajectoryRecord",
     "general_step",
     "step_ensemble",
     "full_noise_step",
-    "simulate_chain",
     "aggregate_closed_form",
     "validate_d1",
     "row_dot",
@@ -353,11 +352,11 @@ def _advance(scheme: GeneralScheme, x, v, noise, scale, v_noise, w1, w2, step):
     return x_new, v_new
 
 
-def _step_arrays(scheme: GeneralScheme, x, v, z, w1, w2, step: int | None = None):
+def _step_arrays(scheme: GeneralScheme, x, v, z, w1, w2):
     g_ = scheme.gamma
     scale = g_ ** (scheme.delta + 0.5) * scheme.sigma_gamma
     v_noise = math.sqrt(g_) * scheme.sigma_gamma * z
-    return _advance(scheme, x, v, z, scale, v_noise, w1, w2, step)
+    return _advance(scheme, x, v, z, scale, v_noise, w1, w2, None)
 
 
 def general_step(scheme: GeneralScheme, state: State, noise: NoiseDraw) -> State:
@@ -383,80 +382,6 @@ def full_noise_step(scheme: GeneralScheme, x, v, z_full, w1, w2, step: int | Non
     shift the noise rather than the Gaussian seed.
     """
     return _advance(scheme, x, v, z_full, scheme.gamma**scheme.delta, z_full, w1, w2, step)
-
-
-@dataclass(frozen=True)
-class TrajectoryConfig:
-    n_steps: int
-    seed: int
-    ensemble: int = 1
-    record_every: int = 1
-
-    def __post_init__(self):
-        if self.n_steps < 1 or self.ensemble < 1 or self.record_every < 1:
-            raise ContractViolation("n_steps, ensemble and record_every must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Recorded steps of an ensemble run.
-
-    ``xs`` and ``vs`` have shape (n_records, ensemble, d); ``steps`` holds the
-    step index of each record (step 0 is always first, the final step last).
-    """
-
-    steps: np.ndarray
-    xs: np.ndarray
-    vs: np.ndarray
-
-    @property
-    def final_x(self) -> np.ndarray:
-        return self.xs[-1]
-
-    @property
-    def final_v(self) -> np.ndarray:
-        return self.vs[-1]
-
-    def final_state(self) -> State:
-        if self.xs.shape[1] != 1:
-            raise ContractViolation("final_state() is for single-chain records")
-        return State(self.xs[-1, 0], self.vs[-1, 0])
-
-    def states(self) -> Iterator[State]:
-        if self.xs.shape[1] != 1:
-            raise ContractViolation("states() is for single-chain records")
-        for x, v in zip(self.xs[:, 0], self.vs[:, 0]):
-            yield State(x, v)
-
-
-def simulate_chain(scheme: GeneralScheme, init: State, config: TrajectoryConfig) -> TrajectoryRecord:
-    """Run an ensemble of chains from a common initial state.
-
-    Chains use disjoint substreams of the counter-based noise source keyed by
-    the config seed, so results do not depend on evaluation order. Raises
-    DivergedError (carrying the step index) if any component passes the
-    divergence guard.
-    """
-    from ._rng import NoiseSource
-
-    d = init.d
-    spec = scheme.noise_spec
-    n = config.ensemble
-    x = np.broadcast_to(init.x, (n, d)).copy()
-    v = np.broadcast_to(init.v, (n, d)).copy()
-    source = NoiseSource(config.seed, n, spec.width(d))
-
-    rec_steps = [0]
-    rec_x = [x.copy()]
-    rec_v = [v.copy()]
-    for k in range(config.n_steps):
-        z, w1, w2 = spec.split(source.block_at(k), d)
-        x, v = _step_arrays(scheme, x, v, z, w1, w2, step=k + 1)
-        if (k + 1) % config.record_every == 0 or k + 1 == config.n_steps:
-            rec_steps.append(k + 1)
-            rec_x.append(x.copy())
-            rec_v.append(v.copy())
-    return TrajectoryRecord(np.asarray(rec_steps), np.asarray(rec_x), np.asarray(rec_v))
 
 
 def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[NoiseDraw]) -> State:

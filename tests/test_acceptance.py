@@ -301,7 +301,7 @@ def test_criterion_10_fitted_tv_rate_is_step_independent():
         params = params_for(SchemeKind.EULER_MARUYAMA, gamma, d=1)
         start = State(np.array([5.0]), np.array([0.0]))
         fit = fit_geometric_rate(
-            SchemeKind.EULER_MARUYAMA, params, start, 0.1, 12.0, mc=2 * 10**5, seed=17
+            SchemeKind.EULER_MARUYAMA, params, start, 12.0, mc=2 * 10**5, seed=17
         )
         assert fit.r_squared > 0.95
         rates.append(fit.rho)

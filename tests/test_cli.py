@@ -315,6 +315,74 @@ def test_minorization_above_the_histogram_cap_is_a_config_error(tmp_path, capsys
     assert capsys.readouterr().err.count("above the cap of 2^24") == 2
 
 
+_COVARIANCE = {"kind": "EulerMaruyama", "gamma_grid": [0.05, 0.025]}
+_TWO_GAMMAS = {"kind": "EulerMaruyama", "gamma_grid": [0.01, 0.005]}
+
+
+@pytest.mark.parametrize(
+    "experiment, scheme, potential, message",
+    [
+        # covariance-check numerics that ended in a traceback from run
+        ("covariance-check", dict(_COVARIANCE, kappa=1e308), None, "tau = exp(-kappa gamma) = 0"),
+        ("covariance-check", dict(_COVARIANCE, kappa=1e200), None, "tau = exp(-kappa gamma) = 0"),
+        ("covariance-check", dict(_COVARIANCE, sigma=1e200), None, "OverflowError"),
+        ("covariance-check", dict(_COVARIANCE, kappa=1e-300), None, "tau = exp(-kappa gamma) = 1"),
+        ("covariance-check", dict(_COVARIANCE, kappa=1e5), None, "tau = exp(-kappa gamma) = 0"),
+        # a gamma grid where the experiment steps with one gamma
+        ("drift-check", _TWO_GAMMAS, None, "drift-check needs a single scheme.gamma"),
+        ("simulate", _TWO_GAMMAS, None, "simulate needs a single scheme.gamma"),
+        ("tv-decay", _TWO_GAMMAS, None, "tv-decay needs a single scheme.gamma"),
+        ("poisson", _TWO_GAMMAS, None, "poisson needs a single scheme.gamma"),
+        ("stability-check", _TWO_GAMMAS, None, "stability-check needs a single scheme.gamma"),
+        # order-check's moment targets are exact on a quadratic well only
+        (
+            "order-check",
+            {"kind": "EulerMaruyama", "gamma": 0.2},
+            {"kind": "quartic-well"},
+            "require a quadratic well",
+        ),
+        (
+            "order-check",
+            {"kind": "EulerMaruyama", "gamma": 0.2},
+            {"kind": "flat-tail-counterexample", "radius": 1.5},
+            "require a quadratic well",
+        ),
+    ],
+)
+def test_validate_refuses_what_run_refuses(
+    tmp_path, capsys, experiment, scheme, potential, message
+):
+    cfg = {
+        "experiment": experiment,
+        "scheme": scheme,
+        "monte_carlo": {"samples": 100},
+        "output": str(tmp_path / "out"),
+    }
+    if potential is not None:
+        cfg["potential"] = potential
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err.count(message) == 2
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_order_check_on_the_flat_tail_core_still_runs(tmp_path):
+    # Default radius 5: the probe's curvature check sees the quadratic core
+    # at x = 1 and 2, so both commands accept the config as before.
+    cfg = {
+        "experiment": "order-check",
+        "scheme": {"kind": "EulerMaruyama", "gamma": 0.2},
+        "potential": {"kind": "flat-tail-counterexample"},
+        "monte_carlo": {"samples": 1000},
+        "output": str(tmp_path / "out"),
+    }
+    path = write_config(tmp_path, "flat.json", cfg)
+    assert main(["validate", path]) == 0
+    assert main(["run", path]) in (0, 1)
+    assert (tmp_path / "out" / "results.csv").exists()
+
+
 def drift_config(tmp_path, gamma=0.01, **mc):
     return {
         "experiment": "drift-check",

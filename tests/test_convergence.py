@@ -177,14 +177,12 @@ def test_rate_fit_validation(quadratic):
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=quadratic)
     start = State(np.array([5.0]), np.array([0.0]))
     with pytest.raises(ContractViolation):
-        fit_geometric_rate(SchemeKind.EULER_MARUYAMA, params, start, 0.0, 8.0, 100)
-    with pytest.raises(ContractViolation):
-        fit_geometric_rate(SchemeKind.EULER_MARUYAMA, params, start, 0.1, 2.0, 100)
+        fit_geometric_rate(SchemeKind.EULER_MARUYAMA, params, start, 2.0, 100)
     wide = State(np.array([5.0, 0.0]), np.array([0.0, 0.0]))
     with pytest.raises(ContractViolation):
-        fit_geometric_rate(SchemeKind.EULER_MARUYAMA, params, wide, 0.1, 8.0, 100)
+        fit_geometric_rate(SchemeKind.EULER_MARUYAMA, params, wide, 8.0, 100)
     with pytest.raises(ContractViolation):
-        fit_geometric_rate(SchemeKind.EULER_MARUYAMA, params, start, 0.1, 8.0, 1)
+        fit_geometric_rate(SchemeKind.EULER_MARUYAMA, params, start, 8.0, 1)
 
 
 def test_rate_fit_short_reference(quadratic, monkeypatch):
@@ -200,10 +198,10 @@ def test_rate_fit_short_reference(quadratic, monkeypatch):
     # starting essentially at stationarity leaves nothing above the floor
     near = State(np.array([0.05]), np.array([0.0]))
     with pytest.raises(InsufficientSignalError):
-        fit_geometric_rate(SchemeKind.EULER_MARUYAMA, params, near, 0.1, 3.0, mc=256, seed=4)
+        fit_geometric_rate(SchemeKind.EULER_MARUYAMA, params, near, 3.0, mc=256, seed=4)
     far = State(np.array([5.0]), np.array([0.0]))
     rate = fit_geometric_rate(
-        SchemeKind.EULER_MARUYAMA, params, far, 0.1, 8.0, mc=3 * 10**4, seed=4
+        SchemeKind.EULER_MARUYAMA, params, far, 8.0, mc=3 * 10**4, seed=4
     )
     assert 0.0 < rate.rho < 1.0
     assert rate.r_squared > 0.9
@@ -282,7 +280,7 @@ def test_rate_fit_holds_one_ensemble_state(quadratic, monkeypatch):
     tracemalloc.start()
     try:
         rate = fit_geometric_rate(
-            SchemeKind.EULER_MARUYAMA, params, far, 0.1, 12.0, mc=200_000, seed=4, bins=bins
+            SchemeKind.EULER_MARUYAMA, params, far, 12.0, mc=200_000, seed=4, bins=bins
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -19,15 +19,14 @@ from langevin_kit.core import (
     NoiseDraw,
     NoiseSpec,
     State,
-    TrajectoryConfig,
     aggregate_closed_form,
     full_noise_step,
     general_step,
     row_dot,
-    simulate_chain,
     step_ensemble,
     validate_d1,
 )
+from langevin_kit.convergence import TrajectoryConfig, simulate_chain
 from langevin_kit.core import _guard
 from langevin_kit.potentials import quadratic_potential
 from langevin_kit.schemes import SchemeKind, SchemeParams, as_general_scheme
@@ -126,13 +125,19 @@ def test_divergence_guard_raises_with_step_index():
     state = State(np.array([2e12]), np.array([0.0]))
     with pytest.raises(DivergedError):
         general_step(scheme, state, NoiseDraw(np.zeros(1)))
-    # An anti-restoring force blows up and reports the offending step.
+    # An anti-restoring force blows up and reports the offending step, while
+    # the chain is iterated: every state before that step is yielded.
     unstable = ForceModel(b=lambda x: 4.0 * x, lipschitz=4.0)
     bad = as_general_scheme(SchemeKind.EULER_MARUYAMA, SchemeParams(1.0, 1.0, 0.4, unstable))
+    chain = simulate_chain(bad, State(np.array([1.0]), np.array([0.0])),
+                           TrajectoryConfig(n_steps=2000, seed=0))
+    seen = []
     with pytest.raises(DivergedError) as err:
-        simulate_chain(bad, State(np.array([1.0]), np.array([0.0])),
-                       TrajectoryConfig(n_steps=2000, seed=0))
-    assert err.value.step is not None and err.value.step > 1
+        for step, x, v in chain:
+            seen.append(step)
+            assert np.all(np.abs(x) <= 1e12) and np.all(np.abs(v) <= 1e12)
+    assert err.value.step > 1
+    assert seen == list(range(err.value.step))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0000001e12, -2e12])
@@ -185,26 +190,51 @@ def test_row_dot_agrees_with_sum_to_rounding():
 def test_simulate_chain_is_seed_deterministic():
     scheme = em_scheme()
     init = State(np.array([1.0, -1.0]), np.array([0.5, 0.0]))
-    cfg = TrajectoryConfig(n_steps=50, seed=123, ensemble=4, record_every=10)
-    a = simulate_chain(scheme, init, cfg)
-    b = simulate_chain(scheme, init, cfg)
-    npt.assert_array_equal(a.xs, b.xs)
-    npt.assert_array_equal(a.vs, b.vs)
-    c = simulate_chain(scheme, init, TrajectoryConfig(n_steps=50, seed=124, ensemble=4, record_every=10))
-    assert not np.array_equal(a.xs, c.xs)
+
+    def run(seed):
+        cfg = TrajectoryConfig(n_steps=50, seed=seed, ensemble=4, record_every=10)
+        return [(k, np.hstack([x, v])) for k, x, v in simulate_chain(scheme, init, cfg)]
+
+    a, b, c = run(123), run(123), run(124)
+    assert [k for k, _ in a] == [k for k, _ in b] == [0, 10, 20, 30, 40, 50]
+    for (_, sa), (_, sb) in zip(a, b):
+        npt.assert_array_equal(sa, sb)
+    npt.assert_array_equal(a[0][1], c[0][1])
+    assert not np.array_equal(a[-1][1], c[-1][1])
 
 
 def test_simulate_chain_recording_grid():
     scheme = em_scheme()
-    init = State(np.array([0.0]), np.array([0.0]))
-    rec = simulate_chain(scheme, init, TrajectoryConfig(n_steps=5, seed=0, record_every=2))
-    npt.assert_array_equal(rec.steps, [0, 2, 4, 5])
-    assert rec.xs.shape == (4, 1, 1)
-    final = rec.final_state()
-    npt.assert_array_equal(final.x, rec.xs[-1, 0])
-    dense = simulate_chain(scheme, init, TrajectoryConfig(n_steps=5, seed=0))
-    npt.assert_array_equal(dense.xs[-1], rec.xs[-1])
-    assert len(list(dense.states())) == 6
+    init = State(np.array([0.5]), np.array([-1.0]))
+    rec = list(simulate_chain(scheme, init, TrajectoryConfig(n_steps=5, seed=0, record_every=2)))
+    assert [k for k, _, _ in rec] == [0, 2, 4, 5]
+    assert all(x.shape == v.shape == (1, 1) for _, x, v in rec)
+    npt.assert_array_equal(rec[0][1], [[0.5]])
+    npt.assert_array_equal(rec[0][2], [[-1.0]])
+    # The sparse grid yields the dense run's states at its steps.
+    dense = list(simulate_chain(scheme, init, TrajectoryConfig(n_steps=5, seed=0)))
+    assert [k for k, _, _ in dense] == list(range(6))
+    for k, x, v in rec:
+        npt.assert_array_equal(x, dense[k][1])
+        npt.assert_array_equal(v, dense[k][2])
+
+
+def test_simulate_chain_holds_one_state_at_a_time():
+    # 1e4 chains x 201 records: all records of x and v take 32 MB; a consumer
+    # that reduces each state as it is yielded needs only a few states.
+    scheme = em_scheme()
+    init = State(np.array([1.0]), np.array([0.0]))
+    cfg = TrajectoryConfig(n_steps=200, seed=3, ensemble=10_000)
+    one_state = 2 * cfg.ensemble * 8
+    list(simulate_chain(scheme, init, TrajectoryConfig(n_steps=1, seed=0)))  # lazy imports
+    tracemalloc.start()
+    try:
+        means = [float(x.mean()) for _, x, _ in simulate_chain(scheme, init, cfg)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(means) == 201
+    assert peak <= 8 * one_state
 
 
 def test_noise_blocks_are_positionally_stable():
