@@ -41,7 +41,7 @@ from .convergence import (
     stationary_moment_bias,
 )
 from .core import ContractViolation, DivergedError, ForceModel, State
-from .gaussian import continuous_covariance, covariance_consistency
+from .gaussian import covariance_consistency
 from .lyapunov import check_energy_ceiling, estimate_drift, log_w_bar
 from .potentials import flat_tail_potential, quadratic_potential, quartic_well_potential
 from .schemes import (
@@ -90,6 +90,14 @@ _MC_DEFAULTS = {
     "order-check": {"gamma_pair": [0.2, 0.1], "samples": 1_000_000},
     "stability-check": {"k": 20, "lambda": 1.0, "trials": 10_000},
 }
+
+# d sizes every state array, and validate itself builds drift-check's probe
+# states in R^d: 2^16 coordinates keep those under 20 MB.
+_MAX_D = 2**16
+
+# covariance-check sums float64 arrays of floor(t0 / gamma) + 1 entries at
+# each gamma; 2^24 entries take 128 MiB per array.
+_MAX_COVARIANCE_STEPS = 2**24
 
 
 class ConfigError(Exception):
@@ -204,6 +212,8 @@ def validate_config(raw: dict) -> dict:
     make_potential(potential)  # raises ConfigError on bad tags/coefficients
 
     d = _require_int(raw.get("d", 1), "d")
+    if d > _MAX_D:
+        raise ConfigError(f"d must be at most 2^16 = {_MAX_D}, got {d}")
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -259,9 +269,11 @@ def _check_schemes(cfg: dict) -> None:
 
 
 def _check_covariance(cfg: dict, gammas) -> None:
-    """ConfigError unless the O(1) parts of covariance-check evaluate: the
-    continuous covariance at t0, and tau = exp(-kappa gamma) in (0, 1) below
-    t0 at every gamma."""
+    """ConfigError unless covariance-check can run: at every gamma, tau =
+    exp(-kappa gamma) lies in (0, 1), gamma lies below t0, and the step count
+    floor(t0 / gamma) + 1 stays within ``_MAX_COVARIANCE_STEPS``; and the
+    O(1) part, the continuous covariance at t0 with its sandwich, evaluates
+    without a floating-point error that ``run`` would warn about."""
     t0 = cfg["monte_carlo"]["t0"]
     kappa, sigma = cfg["scheme"]["kappa"], cfg["scheme"]["sigma"]
     for gamma in gammas:
@@ -273,11 +285,17 @@ def _check_covariance(cfg: dict, gammas) -> None:
                 f"scheme at gamma = {gamma:g}: tau = exp(-kappa gamma) = {tau:g} "
                 f"must lie in (0, 1)"
             )
+        if t0 / gamma >= _MAX_COVARIANCE_STEPS:
+            raise ConfigError(
+                f"scheme at gamma = {gamma:g}: monte_carlo.t0 = {t0:g} takes "
+                f"floor(t0 / gamma) + 1 steps, more than {_MAX_COVARIANCE_STEPS}"
+            )
     try:
-        continuous_covariance(t0, kappa, sigma)
+        with np.errstate(all="raise", under="ignore"):
+            covariance_consistency(t0, [], kappa, sigma)
     except (ArithmeticError, ValueError) as exc:
         raise ConfigError(
-            f"the continuous covariance at t0 = {t0:g} does not evaluate: "
+            f"the continuous covariance at t0 = {t0:g} or its sandwich does not evaluate: "
             f"{type(exc).__name__}: {exc}"
         )
 
@@ -286,7 +304,7 @@ def _check_log_weights(cfg: dict, scheme) -> None:
     """ConfigError unless varpi * phi, the exponent of the drift weight, is a
     finite float at every state drift-check probes."""
     mc = cfg["monte_carlo"]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for st in _drift_grid(cfg["d"], mc["radii"]):
             if not math.isfinite(log_w_bar(st.x, st.v, scheme, mc["varpi"])):
                 raise ConfigError(

@@ -45,7 +45,6 @@ __all__ = [
     "PoissonReport",
     "EstimationError",
     "InsufficientSignalError",
-    "estimate_tv",
     "minorization_partition",
     "minorization_probe",
     "fit_exponential_decay",
@@ -193,26 +192,6 @@ def _tv_from_counts(counts_a, n_a, counts_b, n_b, bins: HistogramSpec) -> TvEsti
     return TvEstimate(value=min(value, 2.0), std_error=float(math.sqrt(var)), bins=bins)
 
 
-def estimate_tv(samples_a, samples_b, bins: HistogramSpec | None = None) -> TvEstimate:
-    """Discrete total variation between two point sets on a shared partition.
-
-    ``samples_a`` and ``samples_b`` are arrays of shape (n, m) of points in
-    R^m. The value is sum_cells |p_a - p_b|, at most 2; the standard error
-    propagates the binomial variance of every cell frequency.
-    """
-    if bins is None:
-        bins = HistogramSpec()
-    a = np.atleast_2d(np.asarray(samples_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(samples_b, dtype=np.float64))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ContractViolation("both sample sets must be nonempty")
-    if a.shape[1] != b.shape[1]:
-        raise ContractViolation("sample sets must share the ambient dimension")
-    return _tv_from_counts(
-        _histogram_counts(a, bins), a.shape[0], _histogram_counts(b, bins), b.shape[0], bins
-    )
-
-
 def _seed_ints(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
@@ -289,10 +268,10 @@ def minorization_partition(m_radius: float, d: int) -> HistogramSpec:
     7^(2d) cells, exceeds 2^24 cells: d <= 4 runs, d >= 5 is refused.
     """
     bins = HistogramSpec(bins_per_axis=5, box=m_radius + 4.0)
-    cells = (bins.bins_per_axis + 2) ** (2 * d)
-    if cells > _MAX_HISTOGRAM_CELLS:
+    axis_cells = bins.bins_per_axis + 2
+    if 2 * d > math.log(_MAX_HISTOGRAM_CELLS, axis_cells):
         raise ContractViolation(
-            f"d = {d}: the minorization histogram in R^{2 * d} needs {cells:.3g} "
+            f"d = {d}: the minorization histogram in R^{2 * d} needs {axis_cells}^{2 * d} "
             f"cells, above the cap of 2^24 (d <= 4)"
         )
     return bins

@@ -1,10 +1,9 @@
 """Closed-form Gaussian analytics of the discretized dynamics.
 
 Continuous Ornstein-Uhlenbeck covariances, the noise-weight vectors of the
-aggregated multi-step recursion, the discrete aggregated covariance, powers of
-the deterministic transition matrix, projection coefficients, the orthogonal
-projector onto the complement of the aggregate span, and the
-independent-increment decomposition of the raw draws.
+aggregated multi-step recursion, the discrete aggregated covariance,
+projection coefficients, and the orthogonal projector onto the complement of
+the aggregate span.
 
 Indexing convention (documented once here, reused everywhere): display
 formulas index vectors 1-based as i = 1..k+1; arrays in this package are
@@ -28,10 +27,8 @@ __all__ = [
     "continuous_covariance",
     "weight_vectors",
     "discrete_covariance",
-    "transition_matrix_power",
     "solve_projection_coeffs",
     "build_projector",
-    "decompose_noise",
     "covariance_consistency",
     "DET_FLOOR",
     "SERIES_SWITCH",
@@ -206,18 +203,6 @@ def discrete_covariance(k: int, gamma: float, tau: float) -> tuple[CovarianceTri
     return triple, in_ec
 
 
-def transition_matrix_power(k: int, gamma: float, tau: float, d: int) -> np.ndarray:
-    """Deterministic part of the (k+1)-step map, as a 2d x 2d matrix."""
-    _check_kgt(k, gamma, tau)
-    block = np.array(
-        [
-            [1.0, gamma * (1.0 - tau ** (k + 1)) / (1.0 - tau)],
-            [0.0, tau ** (k + 1)],
-        ]
-    )
-    return np.kron(block, np.eye(d))
-
-
 def solve_projection_coeffs(k: int, gamma: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (alpha, beta) projecting each draw onto the aggregates.
 
@@ -254,46 +239,6 @@ def build_projector(k: int, gamma: float, tau: float) -> ProjectionData:
         - gamma * np.outer(alpha, w.g1)
     )
     return ProjectionData(alpha=alpha, beta=beta, projector=p, selector=p[: k - 1])
-
-
-def decompose_noise(
-    k: int,
-    gamma: float,
-    tau: float,
-    z_draws: np.ndarray,
-    d_gamma: float | np.ndarray = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split k+1 raw draws into independent residuals and the three aggregates.
-
-    G1 = sqrt(gamma) sum_{i=0}^{k-1} g1[i+1] Z_{i+1} (the last weight is zero),
-    G2 = sqrt(gamma) sum over all k+1 draws of g2-weighted Z,
-    G3 = sqrt(gamma) D sum of all draws, and
-    z_tilde_i = Z_i - sqrt(gamma) beta_i G2 - sqrt(gamma) alpha_i G1 for the
-    first k-1 draws. The residuals are uncorrelated with (G1, G2) by
-    construction. ``d_gamma`` supplies D (scalar multiple of the identity or a
-    (d, d) matrix) for G3.
-    """
-    z = np.asarray(z_draws, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
-    if z.shape[0] != k + 1:
-        raise ValueError(f"expected k+1 = {k + 1} draws, got {z.shape[0]}")
-    alpha, beta = solve_projection_coeffs(k, gamma, tau)
-    w = weight_vectors(k, gamma, tau)
-    root = math.sqrt(gamma)
-    g1_sum = root * np.einsum("i,id->d", w.g1[:k], z[:k]) if k > 0 else np.zeros(z.shape[1])
-    g2_sum = root * np.einsum("i,id->d", w.g2, z)
-    total = z.sum(axis=0)
-    if np.isscalar(d_gamma):
-        g3 = root * float(d_gamma) * total
-    else:
-        g3 = root * (np.asarray(d_gamma) @ total)
-    z_tilde = (
-        z[: k - 1]
-        - root * np.outer(beta[: k - 1], g2_sum)
-        - root * np.outer(alpha[: k - 1], g1_sum)
-    )
-    return z_tilde, g1_sum, g2_sum, g3
 
 
 @dataclass(frozen=True)

@@ -51,15 +51,12 @@ __all__ = [
     "DerivedConstants",
     "w_gamma",
     "phi_gamma",
-    "w_bar",
     "log_w_bar",
     "v_cal",
     "v_bar",
     "script_f",
-    "script_f_tilde",
     "derived_constants",
     "check_energy_ceiling",
-    "noise_lipschitz_bound",
     "verify_d2",
     "D2Report",
     "estimate_drift",
@@ -136,15 +133,6 @@ def check_energy_ceiling(scheme: GeneralScheme) -> None:
         )
 
 
-def noise_lipschitz_bound(
-    gamma: float, l_tilde: float, sigma_bar: float, d_bound: float
-) -> float:
-    """Lipschitz bound of (z, w1) -> one-step map at full noise scale."""
-    return math.sqrt(2.0 * gamma) * (
-        2.0 * l_tilde * max(1.0, sigma_bar) + d_bound * sigma_bar + sigma_bar
-    )
-
-
 def _require_potential(scheme: GeneralScheme) -> ForceModel:
     if scheme.force is None or scheme.force.potential is None:
         raise ContractViolation("the scheme's force model must carry the potential U")
@@ -187,15 +175,6 @@ def log_w_bar(x, v, scheme: GeneralScheme, varpi: float):
     return varpi * phi_gamma(x, v, scheme)
 
 
-def w_bar(x, v, scheme: GeneralScheme, varpi: float):
-    """exp(varpi phi), except that exponents above 700 are returned as-is.
-
-    The switch avoids inf at far-out states; use log_w_bar when a uniform
-    log-domain value is wanted.
-    """
-    return _exp_unless_overflow(log_w_bar(x, v, scheme, varpi))
-
-
 def v_cal(x, v, force: ForceModel):
     """|x|^2 + |v|^2 + U(x), the scheme-free comparison energy."""
     if force.potential is None:
@@ -211,7 +190,8 @@ def v_cal(x, v, force: ForceModel):
 
 
 def v_bar(x, v, varpi: float, force: ForceModel):
-    """exp(varpi sqrt(1 + V)) with the same overflow convention as w_bar."""
+    """exp(varpi sqrt(1 + V)), except that exponents above 700 are returned
+    as-is, so far-out states give a finite value instead of inf."""
     return _exp_unless_overflow(varpi * np.sqrt(1.0 + v_cal(x, v, force)))
 
 
@@ -229,18 +209,6 @@ def script_f(x, v, z, w, force: ForceModel):
         _grad_sq_over_l2(x, force)
         + np.sum(np.asarray(v, dtype=np.float64) ** 2, axis=-1)
         + np.sum(np.asarray(z, dtype=np.float64) ** 2, axis=-1)
-        + np.sum(np.asarray(w, dtype=np.float64) ** 2, axis=-1)
-        + np.linalg.norm(x, axis=-1)
-    )
-    return float(val) if val.ndim == 0 else val
-
-
-def script_f_tilde(x, v, w, force: ForceModel):
-    """The noise-averaged variant: script_f without the |z|^2 term."""
-    x = np.asarray(x, dtype=np.float64)
-    val = (
-        _grad_sq_over_l2(x, force)
-        + np.sum(np.asarray(v, dtype=np.float64) ** 2, axis=-1)
         + np.sum(np.asarray(w, dtype=np.float64) ** 2, axis=-1)
         + np.linalg.norm(x, axis=-1)
     )
@@ -328,7 +296,7 @@ def _cabac_cross_check(params: SchemeParams, gamma_grid) -> CabacBounds:
     for gam in gamma_grid:
         co = cabac_coefficients(float(gam), kappa, sigma)
         c_vals.append(max(abs(co.c1), co.c2, co.c3, co.c4))
-        g_vals.append(max(co.g1, co.g2, co.g3, co.g4))
+        g_vals.append(max(co.g1, co.c2, co.c3, co.c4))
         k_vals.append(abs(co.g1 - 1.0) / float(gam))
     c_bar_analytic = max(kappa / 2.0, 0.5, sigma / 4.0)
     g_bar_analytic = max(1.0, sigma / 4.0)

@@ -112,9 +112,8 @@ def _noise_spec(kind: SchemeKind, p: SchemeParams) -> NoiseSpec:
 class CabacCoefficients:
     """Coefficients of the CABAC drift corrections in scaled variables.
 
-    f = c1 v + (gamma/2) b(x + c2 v + c3 z + gamma^(3/2) c4 w) + 2 sqrt(gamma) c4 w,
-    g = g1b b(x + g2 v + g3 z + gamma^(3/2) g4 w), with c2 = g2, c3 = g3,
-    c4 = g4.
+    f = c1 v + (gamma/2) b(y) + 2 sqrt(gamma) c4 w and g = g1 b(y), both at
+    the one inner point y = x + c2 v + c3 z + gamma^(3/2) c4 w.
     """
 
     c1: float
@@ -122,9 +121,6 @@ class CabacCoefficients:
     c3: float
     c4: float
     g1: float
-    g2: float
-    g3: float
-    g4: float
 
 
 def cabac_coefficients(gamma: float, kappa: float, sigma: float) -> CabacCoefficients:
@@ -138,9 +134,6 @@ def cabac_coefficients(gamma: float, kappa: float, sigma: float) -> CabacCoeffic
         c3=eh / (2.0 * (1.0 + e)),
         c4=c4,
         g1=eh,
-        g2=eh / 2.0,
-        g3=eh / (2.0 * (1.0 + e)),
-        g4=c4,
     )
 
 
@@ -421,7 +414,7 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
 
 
 def scalar_step_closure(
-    kind: SchemeKind, p: SchemeParams, b_scalar: Callable[[float], float] | None = None
+    kind: SchemeKind, p: SchemeParams
 ) -> Callable[[float, float, float, float], tuple[float, float]]:
     """The d = 1 step of ``as_general_scheme`` specialized to plain floats.
 
@@ -429,17 +422,15 @@ def scalar_step_closure(
     recursions, so the array machinery dominates the cost at d = 1; this
     closure precomputes the general-form coefficients once and applies the
     recursion to scalars in the order of the array kernel, so it equals
-    ``general_step`` at d = 1 bit for bit when ``b_scalar`` agrees with the
-    vectorized force. The stochastic-gradient variant draws its estimator
-    sample per call and is not supported here.
+    ``general_step`` at d = 1 bit for bit. The stochastic-gradient variant
+    draws its estimator sample per call and is not supported here.
     """
     if kind is SchemeKind.SG_EULER_MARUYAMA:
         raise ContractViolation("no scalar fast path for the stochastic-gradient scheme")
-    if b_scalar is None:
-        vec_b = p.force.b
+    vec_b = p.force.b
 
-        def b_scalar(xx: float) -> float:
-            return float(vec_b(np.array([xx]))[0])
+    def b_scalar(xx: float) -> float:
+        return float(vec_b(np.array([xx]))[0])
 
     scheme = as_general_scheme(kind, replace(p, force=replace(p.force, b=b_scalar)))
     corrections = scheme.corrections

@@ -31,10 +31,7 @@ class StabilityConstants:
     """Constants of the coupled-trajectory bounds at one (k, gamma, lambda).
 
     l_gamma and m_gamma are the per-step contraction and noise-injection
-    factors; l_x and l_v the same-start trajectory-sum factors; l_xi the
-    Lipschitz factor of the aggregated drift corrections as a function of
-    the Gaussian aggregates; c_total the full displacement factor of the
-    (k+1)-step map with respect to those aggregates.
+    factors; l_x and l_v the same-start trajectory-sum factors.
     """
 
     k: int
@@ -44,9 +41,6 @@ class StabilityConstants:
     m_gamma: float
     l_x: float
     l_v: float
-    l_xi: float
-    c_total: float
-    m_kg: float
 
 
 def stability_constants(
@@ -56,21 +50,17 @@ def stability_constants(
     delta: float,
     lipschitz: float,
     d_bound: float,
-    tau: float,
-    m_kg: float,
 ) -> StabilityConstants:
     """Evaluate the closed-form stability constants.
 
-    ``m_kg`` is the largest magnitude among the reconstruction coefficients
-    of the Gaussian-aggregate decomposition (max of the sup norms of alpha
-    and beta); ``d_bound`` the operator-norm bound on the position-noise
-    factor; ``lipschitz`` the joint Lipschitz constant of the scaled drift
+    ``d_bound`` is the operator-norm bound on the position-noise factor;
+    ``lipschitz`` the joint Lipschitz constant of the scaled drift
     corrections.
     """
     if k < 1 or gamma <= 0 or lam <= 0:
         raise ContractViolation("k >= 1, gamma > 0 and lam > 0 are required")
-    if lipschitz < 0 or d_bound < 0 or m_kg < 0 or not 0.0 < tau <= 1.0:
-        raise ContractViolation("lipschitz, d_bound, m_kg >= 0 and tau in (0, 1] are required")
+    if lipschitz < 0 or d_bound < 0:
+        raise ContractViolation("lipschitz >= 0 and d_bound >= 0 are required")
     el = lipschitz
     l_gamma = 1.0 + gamma * (1.0 / lam + (1.0 + lam) * max(1.0, gamma**delta / lam) * el)
     m_gamma = lam + gamma**delta * d_bound + gamma ** (1.0 + delta) * (1.0 + lam) * el
@@ -80,31 +70,8 @@ def stability_constants(
         k * gamma * m_gamma * el * grow * l_pow + grow
     )
     l_v = (k - 1) * gamma * m_gamma * grow * l_pow * el + grow
-    kg = k * gamma
-    l_xi = (
-        gamma**delta
-        * (1.0 + kg**2 * m_kg)
-        * (2.0 + d_bound + (1.0 + gamma**delta * el) ** k + gamma * el)
-        + gamma ** (1.0 + delta) * (1.0 + kg * m_kg)
-        + k * gamma**2 * m_kg * (k * m_gamma * l_pow + l_x + gamma**delta * (1.0 + k * l_v))
-    )
-    c_total = (
-        gamma**delta
-        * d_bound
-        * (1.0 + m_kg * kg + (1.0 - tau) / gamma * (1.0 + m_kg * kg**2))
-        + (2.0 + kg) * el * l_xi
-    )
     return StabilityConstants(
-        k=k,
-        gamma=gamma,
-        lam=lam,
-        l_gamma=l_gamma,
-        m_gamma=m_gamma,
-        l_x=l_x,
-        l_v=l_v,
-        l_xi=l_xi,
-        c_total=c_total,
-        m_kg=m_kg,
+        k=k, gamma=gamma, lam=lam, l_gamma=l_gamma, m_gamma=m_gamma, l_x=l_x, l_v=l_v
     )
 
 
@@ -151,7 +118,7 @@ def verify_contraction(
     scheme = as_general_scheme(kind, params)
     el = scheme.a2_constant
     cons = stability_constants(
-        k, params.gamma, lam, scheme.delta, el, scheme.d_bound, scheme.tau, m_kg=0.0
+        k, params.gamma, lam, scheme.delta, el, scheme.d_bound
     )
     rng = np.random.default_rng(seed)
     m1, m2 = scheme.noise_spec.dims(d)

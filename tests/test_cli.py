@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import langevin_kit
 import langevin_kit.cli as cli
@@ -294,10 +296,11 @@ def test_tv_decay_refuses_the_stochastic_gradient_scheme(tmp_path, capsys):
     assert "tv-decay" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("d", [5, 8])
+@pytest.mark.parametrize("d", [5, 8, 200])
 def test_minorization_above_the_histogram_cap_is_a_config_error(tmp_path, capsys, monkeypatch, d):
-    # 7^(2d) histogram cells: 2.8e8 at d = 5 (2.3 GB), 3.3e13 at d = 8. Both
-    # commands refuse before the probe runs.
+    # 7^(2d) histogram cells: 2.8e8 at d = 5 (2.3 GB), 3.3e13 at d = 8, and
+    # beyond the float range at d = 200. Both commands refuse before the
+    # probe runs.
     def never(*args, **kwargs):
         raise AssertionError("the probe ran")
 
@@ -328,6 +331,9 @@ _TWO_GAMMAS = {"kind": "EulerMaruyama", "gamma_grid": [0.01, 0.005]}
         ("covariance-check", dict(_COVARIANCE, sigma=1e200), None, "OverflowError"),
         ("covariance-check", dict(_COVARIANCE, kappa=1e-300), None, "tau = exp(-kappa gamma) = 1"),
         ("covariance-check", dict(_COVARIANCE, kappa=1e5), None, "tau = exp(-kappa gamma) = 0"),
+        # sigma^2 underflows: the sandwich overflows in rho_c or divides by 0
+        ("covariance-check", dict(_COVARIANCE, sigma=1e-160), None, "FloatingPointError"),
+        ("covariance-check", dict(_COVARIANCE, sigma=1e-200), None, "FloatingPointError"),
         # a gamma grid where the experiment steps with one gamma
         ("drift-check", _TWO_GAMMAS, None, "drift-check needs a single scheme.gamma"),
         ("simulate", _TWO_GAMMAS, None, "simulate needs a single scheme.gamma"),
@@ -365,6 +371,99 @@ def test_validate_refuses_what_run_refuses(
     assert main(["run", path]) == 2
     assert capsys.readouterr().err.count(message) == 2
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("steps, code", [(2**24, 2), (2**24 - 1, 0)])
+def test_covariance_step_count_is_capped(tmp_path, capsys, steps, code):
+    # floor(t0 / gamma) + 1 steps at t0 = 1; checked by validate only, so
+    # nothing of that size is allocated.
+    cfg = {
+        "experiment": "covariance-check",
+        "scheme": {"kind": "EulerMaruyama", "gamma_grid": [0.1, 1.0 / steps]},
+        "monte_carlo": {"t0": 1.0},
+    }
+    assert main(["validate", write_config(tmp_path, "cov.json", cfg)]) == code
+    assert ("more than 16777216" in capsys.readouterr().err) == (code == 2)
+
+
+def test_dimension_is_capped(tmp_path, capsys):
+    cfg = {"experiment": "drift-check", "scheme": {"kind": "EulerMaruyama", "gamma": 0.01}}
+    assert main(["validate", write_config(tmp_path, "ok.json", dict(cfg, d=2**16))]) == 0
+    assert main(["validate", write_config(tmp_path, "big.json", dict(cfg, d=2**16 + 1))]) == 2
+    assert "d must be at most 2^16" in capsys.readouterr().err
+
+
+_POTENTIALS = (
+    {"kind": "quadratic", "curvature": 1.0},
+    {"kind": "quartic-well", "quartic": 0.25, "quadratic": 1.0, "box_radius": 10.0},
+    {"kind": "flat-tail-counterexample", "radius": 5.0},
+)
+
+
+def _field_paths(value, path=()):
+    """Every dict entry and list item of a config, as key paths."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, path + (key,))
+
+
+def _replaced(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return cfg
+
+
+# Magnitudes spread evenly over the decades, so that underflow and overflow
+# thresholds anywhere in the double range are reached.
+_JSON_FLOATS = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(1.0, 9.99),
+    st.integers(-320, 307),
+)
+# Bit lengths up to 64 as often as the longer ones, which only JSON can carry.
+_JSON_INTS = (st.integers(0, 64) | st.integers(65, 1100)).flatmap(
+    lambda bits: st.integers(-(2**bits), 2**bits)
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=12) | _JSON_INTS | _JSON_INTS | _JSON_FLOATS
+    | _JSON_FLOATS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_validate_config_returns_or_raises_config_error(experiment, data):
+    # One or two fields of the resolved minimal config are replaced by any
+    # JSON value. validate only: run would start tv-decay's 1e7-step reference.
+    gamma = 0.01 if experiment == "drift-check" else 0.1
+    # order-check's moment targets need a quadratic core
+    potentials = _POTENTIALS[:1] if experiment == "order-check" else _POTENTIALS
+    cfg = validate_config(
+        {
+            "experiment": experiment,
+            "scheme": {"kind": "EulerMaruyama", "gamma": gamma},
+            "potential": data.draw(st.sampled_from(potentials)),
+        }
+    )
+    del cfg["output"]
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(sorted(_field_paths(cfg), key=repr)))
+        cfg = _replaced(cfg, path, data.draw(_JSON_VALUES))
+    try:
+        resolved = validate_config(cfg)
+    except ConfigError:
+        return
+    assert isinstance(resolved, dict)
 
 
 def test_order_check_on_the_flat_tail_core_still_runs(tmp_path):
@@ -432,6 +531,17 @@ def test_huge_varpi_ends_with_an_exit_status(tmp_path, capsys, varpi, samples):
             row[1] for row in rows if row[2] == "log_ratio" and not np.isfinite(float(row[3]))
         }
         assert overflowed == ({"x=20;v=0", "x=-20;v=0"} if varpi == 7.33e306 else set())
+
+
+def test_far_radius_on_the_flat_tail_is_a_config_error(tmp_path, capsys):
+    # |x|^2 and |x|^3 overflow at radius 1e155, so the flat tail's U is
+    # inf - inf; both commands refuse the nan log-weight without a warning.
+    cfg = drift_config(tmp_path, radii=[1e155])
+    cfg["potential"] = {"kind": "flat-tail-counterexample"}
+    path = write_config(tmp_path, "far.json", cfg)
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err.count("varpi * phi overflows") == 2
 
 
 def test_validate_prints_the_resolved_config(tmp_path, capsys):

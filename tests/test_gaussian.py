@@ -16,11 +16,9 @@ from langevin_kit.gaussian import (
     build_projector,
     continuous_covariance,
     covariance_consistency,
-    decompose_noise,
     discrete_covariance,
     sigma_tilde_sq,
     solve_projection_coeffs,
-    transition_matrix_power,
     weight_vectors,
 )
 from langevin_kit.potentials import quadratic_potential
@@ -115,15 +113,6 @@ def test_discrete_covariance_equals_brute_force(k, gamma, tau):
     npt.assert_allclose(cov.s3, gamma * np.dot(w.g2, w.g2), rtol=1e-10, atol=1e-13)
 
 
-@settings(max_examples=40, deadline=None)
-@given(k=st.integers(0, 40), gamma=st.floats(1e-3, 1.0), tau=st.floats(0.05, 0.999), d=st.integers(1, 3))
-def test_transition_matrix_power_matches_numpy(k, gamma, tau, d):
-    one = np.kron(np.array([[1.0, gamma], [0.0, tau]]), np.eye(d))
-    want = np.linalg.matrix_power(one, k + 1)
-    got = transition_matrix_power(k, gamma, tau, d)
-    npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-
-
 def test_degenerate_aggregate_is_flagged_and_projection_refuses():
     cov, in_ec = discrete_covariance(0, 0.1, 0.9)
     assert (cov.s1, cov.s2) == (0.0, 0.0) and cov.s3 == pytest.approx(0.1)
@@ -172,24 +161,6 @@ def test_residuals_are_uncorrelated_with_aggregates_analytically():
         cross2 = w.g2 - (alpha * cov.s2 + beta * cov.s3)
         npt.assert_allclose(cross1[: k - 1], 0.0, atol=1e-12)
         npt.assert_allclose(cross2[: k - 1], 0.0, atol=1e-12)
-
-
-def test_decompose_noise_reproduces_weighted_sums():
-    k, gamma, tau = 8, 0.1, 0.85
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal((k + 1, 3))
-    z_tilde, g1_sum, g2_sum, g3 = decompose_noise(k, gamma, tau, z, d_gamma=0.5)
-    w = weight_vectors(k, gamma, tau)
-    root = math.sqrt(gamma)
-    npt.assert_allclose(g1_sum, root * (w.g1[:k, None] * z[:k]).sum(axis=0), rtol=1e-13)
-    npt.assert_allclose(g2_sum, root * (w.g2[:, None] * z).sum(axis=0), rtol=1e-13)
-    npt.assert_allclose(g3, root * 0.5 * z.sum(axis=0), rtol=1e-13)
-    assert z_tilde.shape == (k - 1, 3)
-    alpha, beta = solve_projection_coeffs(k, gamma, tau)
-    want = z[: k - 1] - root * np.outer(beta[: k - 1], g2_sum) - root * np.outer(alpha[: k - 1], g1_sum)
-    npt.assert_allclose(z_tilde, want, rtol=1e-13)
-    with pytest.raises(ValueError):
-        decompose_noise(k, gamma, tau, z[:-1])
 
 
 def test_covariance_consistency_errors_halve_down_the_grid():

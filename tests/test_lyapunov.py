@@ -17,14 +17,11 @@ from langevin_kit.lyapunov import (
     derived_constants,
     estimate_drift,
     log_w_bar,
-    noise_lipschitz_bound,
     phi_gamma,
     script_f,
-    script_f_tilde,
     v_bar,
     v_cal,
     verify_d2,
-    w_bar,
     w_gamma,
 )
 from langevin_kit.potentials import quadratic_potential, quartic_well_potential
@@ -59,8 +56,6 @@ def test_nonpositive_varpi_is_refused(varpi):
         estimate_drift(SchemeKind.EULER_MARUYAMA, params, varpi, drift_grid(), mc=100)
     with pytest.raises(ContractViolation, match="varpi"):
         log_w_bar([1.0], [1.0], scheme, varpi)
-    with pytest.raises(ContractViolation, match="varpi"):
-        w_bar([1.0], [1.0], scheme, varpi)
 
 
 def test_w_gamma_hand_value_and_origin():
@@ -137,14 +132,14 @@ def test_pointwise_energy_bounds(kind):
     assert np.max(np.abs(phi - phi2) / dist) <= dc.l_phi
 
 
-def test_w_bar_origin_and_overflow_guard():
-    scheme, _ = scheme_for(SchemeKind.EULER_MARUYAMA, gamma=0.02, d=1)
-    assert w_bar([0.0], [0.0], scheme, 0.25) == pytest.approx(math.exp(0.25), rel=1e-14)
-    # far out the log exceeds 700 and the log-domain value is returned as-is
-    far = w_bar([2.0e4], [0.0], scheme, 0.25)
-    assert far == log_w_bar([2.0e4], [0.0], scheme, 0.25)
+def test_v_bar_origin_and_overflow_guard():
+    force = quadratic_potential()
+    assert v_bar([0.0], [0.0], 0.25, force) == pytest.approx(math.exp(0.25), rel=1e-14)
+    # far out the exponent exceeds 700 and is returned as-is
+    far = v_bar([2.0e4], [0.0], 0.25, force)
+    assert far == 0.25 * math.sqrt(1.0 + v_cal([2.0e4], [0.0], force))
     assert far > 700.0
-    mixed = w_bar([[0.0], [2.0e4]], [[0.0], [0.0]], scheme, 0.25)
+    mixed = v_bar([[0.0], [2.0e4]], [[0.0], [0.0]], 0.25, force)
     assert mixed[0] == pytest.approx(math.exp(0.25), rel=1e-14)
     assert mixed[1] == far
 
@@ -179,7 +174,6 @@ def test_script_f_hand_values():
     assert script_f(zero, zero, zero, zero, force) == 0.0
     # |grad U|^2 + |v|^2 + |z|^2 + |w|^2 + |x| = 4 + 1 + 0 + 0 + 2
     assert script_f([2.0], [1.0], [0.0], [0.0], force) == pytest.approx(7.0, abs=1e-12)
-    assert script_f_tilde([2.0], [1.0], [0.0], force) == pytest.approx(7.0, abs=1e-12)
     assert script_f([2.0], [1.0], [3.0], [0.0], force) == pytest.approx(16.0, abs=1e-12)
     with pytest.raises(ContractViolation):
         script_f([1.0], [0.0], [0.0], [0.0], quadratic_potential(0.0))
@@ -201,31 +195,8 @@ def test_script_f_noise_average():
         force,
     )
     se = float(np.std(vals, ddof=1) / math.sqrt(n))
-    target = script_f_tilde(x, v, w, force) + gam * sig**2 * d
+    target = script_f(x, v, np.zeros(d), w, force) + gam * sig**2 * d
     assert abs(float(np.mean(vals)) - target) < 3.0 * se
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
-def test_noise_lipschitz_bound(kind):
-    """One-step output moves at most noise_lipschitz_bound per unit (z, w1)."""
-    force = quadratic_potential()
-    gam, d, n = 0.1, 2, 10**5
-    scheme, _ = scheme_for(kind, gamma=gam)
-    m1, m2 = scheme.noise_spec.dims(d)
-    rng = np.random.default_rng(1)
-    xs = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, (n, 1))
-    vs = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, (n, 1))
-    z, zp = rng.standard_normal((2, n, d))
-    w1, w1p = rng.standard_normal((2, n, m1))
-    w2 = rng.standard_normal((n, m2))
-    if scheme.noise_spec.w2_transform is not None and m2:
-        w2 = scheme.noise_spec.w2_transform(w2)
-    x1, v1 = step_ensemble(scheme, xs, vs, NoiseDraw(z, w1, w2))
-    x1p, v1p = step_ensemble(scheme, xs, vs, NoiseDraw(zp, w1p, w2))
-    moved = np.sqrt(np.sum((x1 - x1p) ** 2, axis=1) + np.sum((v1 - v1p) ** 2, axis=1))
-    shaken = np.sqrt(np.sum((z - zp) ** 2, axis=1) + np.sum((w1 - w1p) ** 2, axis=1))
-    cap = noise_lipschitz_bound(gam, scheme.a2_constant, scheme.sigma_bar, scheme.d_bound)
-    assert np.max(moved / shaken) <= cap
 
 
 def test_verify_d2_euler_quadratic():
