@@ -18,8 +18,6 @@ modules follow that structure:
 - ``cli``: the ``langevin-kit`` experiment runner.
 """
 
-from importlib import metadata
-
 from .core import (
     ContractViolation,
     DivergedError,
@@ -46,10 +44,8 @@ from .schemes import (
     scalar_step_closure,
 )
 
-try:
-    __version__ = metadata.version("langevin-kit")
-except metadata.PackageNotFoundError:  # running from a source tree
-    __version__ = "0.0.0+unpackaged"
+# The one source of the version: pyproject.toml reads it from here.
+__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

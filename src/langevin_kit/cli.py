@@ -42,7 +42,7 @@ from .convergence import (
 )
 from .core import ContractViolation, DivergedError, ForceModel, State
 from .gaussian import covariance_consistency
-from .lyapunov import check_energy_ceiling, estimate_drift, log_w_bar
+from .lyapunov import check_energy_ceiling, drift_state_bytes, estimate_drift, log_w_bar
 from .potentials import flat_tail_potential, quadratic_potential, quartic_well_potential
 from .schemes import (
     SchemeKind,
@@ -98,6 +98,11 @@ _MAX_D = 2**16
 # covariance-check sums float64 arrays of floor(t0 / gamma) + 1 entries at
 # each gamma; 2^24 entries take 128 MiB per array.
 _MAX_COVARIANCE_STEPS = 2**24
+
+# drift-check holds one state per worker thread, each of about 17 bytes per
+# sample plus one tile (lyapunov.drift_state_bytes); 1 GiB admits about
+# 6.3e7 samples.
+_MAX_DRIFT_STATE_BYTES = 2**30
 
 
 class ConfigError(Exception):
@@ -325,6 +330,12 @@ def _validate_mc(experiment, mc, scheme, d):
     elif experiment == "drift-check":
         mc["varpi"] = _require_positive(mc["varpi"], f"{pre}.varpi")
         mc["samples"] = _require_int(mc["samples"], f"{pre}.samples", minimum=2)
+        footprint = drift_state_bytes(mc["samples"], d)
+        if footprint > _MAX_DRIFT_STATE_BYTES:
+            raise ConfigError(
+                f"{pre}.samples = {mc['samples']} at d = {d} takes about {footprint} bytes "
+                f"per state, more than {_MAX_DRIFT_STATE_BYTES}"
+            )
         radii = mc["radii"]
         if not isinstance(radii, list) or not radii:
             raise ConfigError(f"{pre}.radii must be a nonempty list")

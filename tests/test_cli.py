@@ -393,6 +393,21 @@ def test_dimension_is_capped(tmp_path, capsys):
     assert "d must be at most 2^16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples, code", [(62_914_560, 0), (62_914_561, 2)])
+def test_drift_state_footprint_is_capped(tmp_path, capsys, samples, code):
+    # At d = 2, 17 bytes per sample plus a 4 MiB tile reach 2^30 bytes at
+    # exactly 62,914,560 samples; checked by validate only, so nothing of
+    # that size is allocated.
+    cfg = {
+        "experiment": "drift-check",
+        "scheme": {"kind": "SplitCABAC", "gamma": 0.01},
+        "d": 2,
+        "monte_carlo": {"samples": samples},
+    }
+    assert main(["validate", write_config(tmp_path, "drift.json", cfg)]) == code
+    assert ("more than 1073741824" in capsys.readouterr().err) == (code == 2)
+
+
 _POTENTIALS = (
     {"kind": "quadratic", "curvature": 1.0},
     {"kind": "quartic-well", "quartic": 0.25, "quadratic": 1.0, "box_radius": 10.0},

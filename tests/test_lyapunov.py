@@ -348,19 +348,19 @@ def tiled_drift(kind, force, d, seed=11):
 )
 @pytest.mark.parametrize("kind", [SchemeKind.SPLIT_CABAC, SchemeKind.SG_EULER_MARUYAMA])
 def test_drift_report_does_not_depend_on_the_tile_size(monkeypatch, kind, force, d):
-    # mc = 1000 rows: tiles of 7 leave an uneven last tile of 6; 4096 is
-    # one tile. The last noise block is drawn tile by tile: w1 for CABAC, a
-    # transformed w2 for SG-EM.
-    monkeypatch.setattr(lyapunov, "_TILE_ROWS", 7)
+    # mc = 1000 rows: tiles of 7 rows leave an uneven last tile of 6; one
+    # tile of 4096 rows holds them all. Every noise block is drawn tile by
+    # tile: z and w1 for CABAC, z and a transformed w2 for SG-EM.
+    monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 7 * d)
     small = tiled_drift(kind, force, d)
-    monkeypatch.setattr(lyapunov, "_TILE_ROWS", 4096)
+    monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 4096 * d)
     whole = tiled_drift(kind, force, d)
     for a, b in zip(small, whole):
         assert np.array_equal(a, b)
 
 
 def test_tiled_drift_report_does_not_depend_on_the_thread_count(monkeypatch):
-    monkeypatch.setattr(lyapunov, "_TILE_ROWS", 7)
+    monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 14)
     reports = []
     for threads in ("1", "2"):
         monkeypatch.setenv("LANGEVIN_KIT_THREADS", threads)
@@ -371,17 +371,18 @@ def test_tiled_drift_report_does_not_depend_on_the_thread_count(monkeypatch):
 
 def one_pass_drift_rows(kind, params, grid, mc, seed, varpi=0.1):
     """(log_ratio, se_log) per state from whole noise blocks and one
-    whole-ensemble step, reduced with scipy.special.logsumexp."""
+    whole-ensemble step, reduced with scipy.special.logsumexp. z comes from
+    the state's stream, w1 and w2 from the two children it spawns."""
     scheme = as_general_scheme(kind, params)
     children = np.random.SeedSequence(seed).spawn(len(grid))
     rows = []
     for st, child in zip(grid, children):
         d = st.d
         m1, m2 = scheme.noise_spec.dims(d)
-        rng = np.random.default_rng(child)
-        z = rng.standard_normal((mc, d))
-        w1 = rng.standard_normal((mc, m1))
-        w2 = rng.standard_normal((mc, m2))
+        w1_seed, w2_seed = child.spawn(2)
+        z = np.random.default_rng(child).standard_normal((mc, d))
+        w1 = np.random.default_rng(w1_seed).standard_normal((mc, m1))
+        w2 = np.random.default_rng(w2_seed).standard_normal((mc, m2))
         if scheme.noise_spec.w2_transform is not None and m2:
             w2 = scheme.noise_spec.w2_transform(w2)
         x1, v1 = step_ensemble(
@@ -399,9 +400,8 @@ def one_pass_drift_rows(kind, params, grid, mc, seed, varpi=0.1):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
 def test_tiled_drift_rows_equal_the_one_pass_reference(monkeypatch, kind):
-    # Tiles of 7 rows stream the last noise block (z for EM, w1 for CABAC
-    # and ExpEuler, w2 for SG-EM) and reduce in place.
-    monkeypatch.setattr(lyapunov, "_TILE_ROWS", 7)
+    # Tiles of 7 rows at d = 2 stream every noise block and reduce in place.
+    monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 14)
     force = quartic_well_potential()
     _, params = scheme_for(kind, gamma=0.01, force=force, d=2)
     grid = [State(np.full(2, a), np.full(2, b)) for a, b in [(0.0, 0.0), (6.0, 0.0), (-4.0, 4.0)]]
@@ -410,14 +410,16 @@ def test_tiled_drift_rows_equal_the_one_pass_reference(monkeypatch, kind):
     assert [(row.log_ratio, row.se_log) for row in report.rows] == expected
 
 
-def test_drift_state_peak_memory(monkeypatch):
-    # One state at 1e6 samples: z drawn whole (16 MB), the log-weights
-    # (8 MB) and one tile. Drawing w1 whole and reducing with
-    # scipy.special.logsumexp peaked at 46.8 MiB.
+@pytest.mark.parametrize("d, bound_mib", [(2, 20), (8, 24)])
+def test_drift_state_peak_memory(monkeypatch, d, bound_mib):
+    # One state at 1e6 samples: the log-weights and a scratch buffer (16 MB),
+    # the log-sum-exp's tie mask (1 MB) and one tile, in any d; measured
+    # 18.3 MiB at d = 2 and d = 8. Drawing z whole peaked at 25.6 MiB (d = 2)
+    # and 79.7 MiB (d = 8).
     monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
     force = quartic_well_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.01, force=force)
-    grid = [State(np.array([5.0, 5.0]), np.zeros(2))]
+    grid = [State(np.full(d, 5.0), np.zeros(d))]
     estimate_drift(SchemeKind.SPLIT_CABAC, params, 0.1, grid, mc=1000)
     tracemalloc.start()
     try:
@@ -425,7 +427,8 @@ def test_drift_state_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    assert peak <= bound_mib * 2**20
+    assert peak <= lyapunov.drift_state_bytes(10**6, d)
 
 
 def lse_cases():
@@ -454,7 +457,7 @@ def lse_cases():
 def test_log_sum_exp_is_bit_equal_to_scipy(name):
     a = lse_cases()[name]
     before = a.copy()
-    got = lyapunov._log_sum_exp(a)
+    got = lyapunov._log_sum_exp(a, np.empty_like(a))
     assert float(logsumexp(a)).hex() == got.hex()
     assert np.array_equal(a, before, equal_nan=True)
 
