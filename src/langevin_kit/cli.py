@@ -104,6 +104,11 @@ _MAX_COVARIANCE_STEPS = 2**24
 # 6.3e7 samples.
 _MAX_DRIFT_STATE_BYTES = 2**30
 
+# drift-check's work is samples x d at each probed state. One thread takes
+# about 50 ns per unit at d = 2^16 (3.1 ms a sample), so 2^32 units take a
+# few minutes; the drift-check-wide config (1e6 x 2 x 16) is 3.2e7.
+_MAX_DRIFT_WORK = 2**32
+
 
 class ConfigError(Exception):
     """The config file cannot be turned into a runnable experiment."""
@@ -340,6 +345,13 @@ def _validate_mc(experiment, mc, scheme, d):
         if not isinstance(radii, list) or not radii:
             raise ConfigError(f"{pre}.radii must be a nonempty list")
         mc["radii"] = [_require_positive(r, f"{pre}.radii[{i}]") for i, r in enumerate(radii)]
+        states = len(_drift_grid(d, mc["radii"]))
+        work = mc["samples"] * d * states
+        if work > _MAX_DRIFT_WORK:
+            raise ConfigError(
+                f"{pre}.samples = {mc['samples']} at d = {d} over {states} states "
+                f"is {work} sample coordinates of work, more than {_MAX_DRIFT_WORK}"
+            )
     elif experiment == "tv-decay":
         mc["samples"] = _require_int(mc["samples"], f"{pre}.samples", minimum=2)
         mc["horizon"] = _require_positive(mc["horizon"], f"{pre}.horizon")

@@ -2,7 +2,8 @@
 
 Every ensemble run in this module goes through one loop, ``_ensemble_path``:
 ``simulate_chain`` streams its recorded states from it, and each probe below
-consumes its states as they are made.
+consumes its states as they are made. The minorization probe steps the two
+ensembles of a pair on one noise stream.
 
 Four experiments drive the probes: a minorization check (pairwise kernel
 overlap at a fixed physical horizon, stable in gamma), a geometric-rate fit
@@ -58,8 +59,9 @@ __all__ = [
 # alongside the noise plateau.
 _TV_CEILING = 1.8
 
-# np.histogramdd counts points in R^m into (bins_per_axis + 2)^m float64
-# cells: one outlier cell at each end of every axis. 2^24 cells take 128 MiB.
+# minorization_partition refuses R^(2d) when 7^(2d) cells (5 per axis and an
+# outlier cell at each end) exceed this cap, so d <= 4 runs. The counts take
+# 5^(2d) float64 cells: 3 MiB at d = 4.
 _MAX_HISTOGRAM_CELLS = 2**24
 
 # Physical time between the epochs at which fit_geometric_rate measures TV.
@@ -175,13 +177,27 @@ def _parallel_map(fn, items):
 
 
 def _histogram_counts(samples: np.ndarray, bins: HistogramSpec) -> np.ndarray:
-    """Flat cell counts of a point set in R^m on the shared partition."""
+    """Flat cell counts of a point set in R^m on the shared partition.
+
+    Each coordinate is clipped to inside the box, so mass outside it counts
+    in the boundary cell, and located among the edges by ``searchsorted``;
+    the per-axis cells fold row-major into one flat index that ``bincount``
+    counts. The counts equal ``np.histogramdd`` of the clipped points,
+    raveled. ContractViolation on a non-finite sample: a NaN survives the
+    clip and would be counted in some cell.
+    """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    m = samples.shape[1]
+    n, m = samples.shape
+    if not np.isfinite(samples).all():
+        raise ContractViolation("histogram samples must be finite")
+    edges = bins.edges()
     half_cell = bins.box / bins.bins_per_axis
-    clipped = np.clip(samples, -bins.box + 0.5 * half_cell, bins.box - 0.5 * half_cell)
-    counts, _ = np.histogramdd(clipped, bins=[bins.edges()] * m)
-    return counts.ravel()
+    lo, hi = -bins.box + 0.5 * half_cell, bins.box - 0.5 * half_cell
+    flat = np.zeros(n, dtype=np.intp)
+    for j in range(m):
+        flat *= bins.bins_per_axis
+        flat += np.searchsorted(edges, np.clip(samples[:, j], lo, hi), side="right") - 1
+    return np.bincount(flat, minlength=bins.bins_per_axis**m).astype(np.float64)
 
 
 def _tv_from_counts(counts_a, n_a, counts_b, n_b, bins: HistogramSpec) -> TvEstimate:
@@ -196,26 +212,35 @@ def _seed_ints(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _ensemble_path(scheme, x, v, n_steps, seed):
-    """Advance a batch of states n_steps with the shared noise convention,
-    yielding (k, x, v) after each step k = 1..n_steps.
+def _ensemble_path(scheme, ensembles, n_steps, seed):
+    """Advance equal-size batches of states n_steps on one noise stream,
+    yielding (k, (x, v), ...) with every batch's state after each step
+    k = 1..n_steps.
 
-    This is the library's only loop that steps an ensemble on the
-    counter-based noise stream; ``simulate_chain`` and every probe in this
-    module run on it. A consumer reads each
-    yielded state and must not write into it; one that consumes the states
-    as they are made holds a single state at a time.
+    Each step draws one noise block from the counter-based stream keyed by
+    ``seed`` and drives every batch with it, one ``step_ensemble`` call per
+    batch. A batch's path is therefore the one it would follow alone with the
+    same seed; batches stepped together share their noise, chain by chain
+    (the synchronous coupling). This is the library's only loop that steps
+    an ensemble; ``simulate_chain`` and every probe in this module run on it.
+    A consumer reads each yielded state and must not write into it; one that
+    consumes the states as they are made holds a single state per batch at a
+    time. A DivergedError carries the step and the index of the batch.
     """
-    d = x.shape[-1]
+    # A new list, so that no reference to the caller's initial states stays
+    # here once they are stepped.
+    ensembles = list(ensembles)
+    n, d = ensembles[0][0].shape
     spec = scheme.noise_spec
-    src = _rng.NoiseSource(seed, x.shape[0], spec.width(d))
+    src = _rng.NoiseSource(seed, n, spec.width(d))
     for step in range(n_steps):
-        z, w1, w2 = spec.split(src.block_at(step), d)
-        try:
-            x, v = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
-        except DivergedError as exc:
-            raise DivergedError(exc.component, step + 1) from None
-        yield step + 1, x, v
+        noise = NoiseDraw(*spec.split(src.block_at(step), d))
+        for i in range(len(ensembles)):
+            try:
+                ensembles[i] = step_ensemble(scheme, *ensembles[i], noise)
+            except DivergedError as exc:
+                raise DivergedError(exc.component, step + 1, ensemble=i) from None
+        yield (step + 1, *ensembles)
 
 
 @dataclass(frozen=True)
@@ -246,7 +271,7 @@ def simulate_chain(
     x = np.tile(init.x, (config.ensemble, 1))
     v = np.tile(init.v, (config.ensemble, 1))
     yield 0, x, v
-    for k, x, v in _ensemble_path(scheme, x, v, config.n_steps, config.seed):
+    for k, (x, v) in _ensemble_path(scheme, [(x, v)], config.n_steps, config.seed):
         if k % config.record_every == 0 or k == config.n_steps:
             yield k, x, v
 
@@ -264,8 +289,8 @@ def minorization_partition(m_radius: float, d: int) -> HistogramSpec:
 
     It uses 5 cells per axis (an odd count, so no cell boundary splits
     antipodal pairs) spanning the ball of radius m_radius plus the noise
-    scale. ContractViolation when histogramdd's count array for R^(2d), of
-    7^(2d) cells, exceeds 2^24 cells: d <= 4 runs, d >= 5 is refused.
+    scale. ContractViolation when 7^(2d) cells (5 per axis plus an outlier
+    cell at each end) exceed 2^24: d <= 4 runs, d >= 5 is refused.
     """
     bins = HistogramSpec(bins_per_axis=5, box=m_radius + 4.0)
     axis_cells = bins.bins_per_axis + 2
@@ -295,6 +320,14 @@ def minorization_probe(
     radius ``m_radius`` (mc chains per kernel) and reports
     epsilon_hat = 1 - max_pair TV/2 on a deliberately coarse partition.
 
+    The two ensembles of a pair share one noise stream, seeded per (gamma,
+    pair): chain i of both kernels sees the same Gaussian increments (the
+    synchronous coupling). Each kernel's histogram is still that of mc
+    i.i.d. chains from its own start, so the TV estimand is unchanged; only
+    the joint law of the two histograms differs from independent runs. The
+    per-pair ``TvEstimate.std_error`` assumes independent histograms, and the
+    probe does not report it.
+
     A uniform-in-gamma lower bound on kernel overlap is a necessary
     consequence of minorization at horizon t0; the partition
     (``minorization_partition``) must be coarse for the probe to see it,
@@ -309,33 +342,29 @@ def minorization_probe(
     rng = np.random.default_rng(seed)
     starts = _ball_points(rng, 2 * pairs, 2 * d, m_radius)
     gamma_grid = [float(g) for g in gamma_grid]
-    all_seeds = _seed_ints(seed + 1, len(gamma_grid) * len(starts))
+    all_seeds = _seed_ints(seed + 1, len(gamma_grid) * pairs)
 
     results = []
     for gi, gamma in enumerate(gamma_grid):
         scheme = as_general_scheme(kind, replace(params, gamma=gamma))
         n_steps = math.ceil(t0 / gamma) + 1
-        kernel_seeds = all_seeds[gi * len(starts) : (gi + 1) * len(starts)]
+        pair_seeds = all_seeds[gi * pairs : (gi + 1) * pairs]
 
-        def one_kernel(j, gamma=gamma, scheme=scheme, n_steps=n_steps, seeds=kernel_seeds):
-            p = starts[j]
-            x = np.tile(p[:d], (mc, 1))
-            v = np.tile(p[d:], (mc, 1))
+        def one_pair(pair, gamma=gamma, scheme=scheme, n_steps=n_steps, seeds=pair_seeds):
+            ends = starts[2 * pair : 2 * pair + 2]
+            ensembles = [(np.tile(p[:d], (mc, 1)), np.tile(p[d:], (mc, 1))) for p in ends]
             try:
-                for _, x, v in _ensemble_path(scheme, x, v, n_steps, seeds[j]):
+                for _, *ensembles in _ensemble_path(scheme, ensembles, n_steps, seeds[pair]):
                     pass
             except DivergedError as exc:
                 raise EstimationError(
-                    f"chain diverged at gamma={gamma} from pair {j // 2} "
-                    f"(point {j % 2}, start {p})"
+                    f"chain diverged at gamma={gamma} from pair {pair} "
+                    f"(point {exc.ensemble}, start {ends[exc.ensemble]})"
                 ) from exc
-            return _histogram_counts(np.hstack([x, v]), bins)
+            counts_p, counts_q = (_histogram_counts(np.hstack(s), bins) for s in ensembles)
+            return _tv_from_counts(counts_p, mc, counts_q, mc, bins).value
 
-        counts = _parallel_map(one_kernel, range(len(starts)))
-        max_tv = 0.0
-        for pair in range(pairs):
-            tv = _tv_from_counts(counts[2 * pair], mc, counts[2 * pair + 1], mc, bins)
-            max_tv = max(max_tv, tv.value)
+        max_tv = max(_parallel_map(one_pair, range(pairs)))
         results.append(
             MinorizationEstimate(
                 epsilon=1.0 - max_tv / 2.0,
@@ -446,7 +475,7 @@ def fit_geometric_rate(
     # Each wanted epoch is histogrammed when the ensemble reaches it, so only
     # the current state is held.
     tv_by_step = {}
-    for k, x, v in _ensemble_path(scheme, x, v, max(wanted), ens_seed):
+    for k, (x, v) in _ensemble_path(scheme, [(x, v)], max(wanted), ens_seed):
         if k in wanted:
             counts = _histogram_counts(np.hstack([x, v]), bins)
             tv_by_step[k] = _tv_from_counts(counts, mc, ref_counts, n_ref, bins).value
@@ -491,7 +520,7 @@ def _time_averages(scheme, observables, d, n_chains, burn_time, keep, seed):
     x = np.zeros((n_chains, d))
     v = np.zeros((n_chains, d))
     sums = [np.zeros(n_chains) for _ in observables]
-    for k, x, v in _ensemble_path(scheme, x, v, burn + keep, seed):
+    for k, (x, v) in _ensemble_path(scheme, [(x, v)], burn + keep, seed):
         if k > burn:
             for acc, obs in zip(sums, observables):
                 acc += obs(x, v)
@@ -595,7 +624,7 @@ def solve_poisson(
         x = np.tile(p[:d], (mc, 1))
         v = np.tile(p[d:], (mc, 1))
         series_sums = phi(x, v) - mu_hat
-        for k, x, v in _ensemble_path(scheme, x, v, truncation_k + 1, seeds[1 + j]):
+        for k, (x, v) in _ensemble_path(scheme, [(x, v)], truncation_k + 1, seeds[1 + j]):
             term = phi(x, v) - mu_hat
             if k <= truncation_k:
                 series_sums += term

@@ -58,11 +58,16 @@ class ContractViolation(ValueError):
 
 
 class DivergedError(FloatingPointError):
-    """A state component left the admissible range during stepping."""
+    """A state component left the admissible range during stepping.
 
-    def __init__(self, component: str, step: int | None = None):
+    ``ensemble`` is the index of the diverged ensemble when several are
+    stepped together on one noise stream.
+    """
+
+    def __init__(self, component: str, step: int | None = None, ensemble: int | None = None):
         self.component = component
         self.step = step
+        self.ensemble = ensemble
         where = f" at step {step}" if step is not None else ""
         super().__init__(
             f"|{component}| exceeded {DIVERGENCE_LIMIT:g} or became non-finite{where}"

@@ -387,7 +387,12 @@ def test_covariance_step_count_is_capped(tmp_path, capsys, steps, code):
 
 
 def test_dimension_is_capped(tmp_path, capsys):
-    cfg = {"experiment": "drift-check", "scheme": {"kind": "EulerMaruyama", "gamma": 0.01}}
+    # 1000 samples keep d = 2^16 inside the drift-check work cap.
+    cfg = {
+        "experiment": "drift-check",
+        "scheme": {"kind": "EulerMaruyama", "gamma": 0.01},
+        "monte_carlo": {"samples": 1000},
+    }
     assert main(["validate", write_config(tmp_path, "ok.json", dict(cfg, d=2**16))]) == 0
     assert main(["validate", write_config(tmp_path, "big.json", dict(cfg, d=2**16 + 1))]) == 2
     assert "d must be at most 2^16" in capsys.readouterr().err
@@ -406,6 +411,25 @@ def test_drift_state_footprint_is_capped(tmp_path, capsys, samples, code):
     }
     assert main(["validate", write_config(tmp_path, "drift.json", cfg)]) == code
     assert ("more than 1073741824" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize("samples, code", [(16_384, 0), (16_385, 2)])
+def test_drift_work_is_capped(tmp_path, capsys, samples, code):
+    # At d = 2^16 over the four states of one radius, 2^14 samples are exactly
+    # 2^32 units of work. Only the estimate is checked: the accepted config is
+    # validated, never run, and the refused one stops at validation.
+    cfg = {
+        "experiment": "drift-check",
+        "scheme": {"kind": "SplitCABAC", "gamma": 0.01},
+        "d": 2**16,
+        "monte_carlo": {"samples": samples, "radii": [1.0]},
+    }
+    path = write_config(tmp_path, "drift.json", cfg)
+    assert main(["validate", path]) == code
+    assert ("more than 4294967296" in capsys.readouterr().err) == (code == 2)
+    if code == 2:
+        assert main(["run", path]) == 2
+        assert "more than 4294967296" in capsys.readouterr().err
 
 
 _POTENTIALS = (

@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +92,34 @@ def test_tv_symmetry_and_triangle():
     assert tv(a, c).value <= ab + tv(b, c).value + 1e-12
 
 
+@pytest.mark.parametrize(
+    "bins", [minorization_partition(1.0, 2), HistogramSpec(bins_per_axis=32, box=6.0)]
+)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 3000])
+def test_histogram_counts_equal_histogramdd_of_the_clipped_samples(bins, m, n):
+    rng = np.random.default_rng(10 * m + n)
+    samples = rng.normal(0.0, bins.box, (n, m))
+    edges = bins.edges()
+    samples[::3, 0] = rng.choice(edges[1:-1], size=samples[::3, 0].size)
+    samples[1::7, -1] = 1e300
+    samples[2::7, -1] = -1e300
+    half_cell = bins.box / bins.bins_per_axis
+    clipped = np.clip(samples, -bins.box + 0.5 * half_cell, bins.box - 0.5 * half_cell)
+    expected, _ = np.histogramdd(clipped, bins=[edges] * m)
+    counts = convergence._histogram_counts(samples, bins)
+    assert counts.dtype == np.float64
+    assert np.array_equal(counts, expected.ravel())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_histogram_counts_refuse_non_finite_samples(bad):
+    samples = np.zeros((10, 2))
+    samples[4, 1] = bad
+    with pytest.raises(ContractViolation, match="finite"):
+        convergence._histogram_counts(samples, HistogramSpec())
+
+
 def test_tv_input_validation():
     with pytest.raises(ContractViolation):
         TvEstimate(value=2.5, std_error=0.0, bins=HistogramSpec())
@@ -141,7 +171,7 @@ def test_minorization_validation(quadratic):
 
 
 def test_minorization_partition_cell_cap(quadratic):
-    # histogramdd counts into 7^(2d) cells; the cap of 2^24 admits d <= 4.
+    # 7^(2d) cells against the cap of 2^24 admit d <= 4.
     assert minorization_partition(1.0, 4).bins_per_axis == 5
     for d in (5, 8):
         with pytest.raises(ContractViolation, match="cap of 2"):
@@ -160,10 +190,51 @@ def test_minorization_divergence_names_the_pair():
         label="anti-restoring",
     )
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=anti)
-    with pytest.raises(EstimationError, match="pair 0"):
+    with pytest.raises(EstimationError, match=r"pair 0 \(point [01], start"):
         minorization_probe(
             SchemeKind.EULER_MARUYAMA, params, 25.0, 1.0, [0.1], pairs=1, mc=50, seed=0
         )
+
+
+def test_each_kernel_of_a_pair_is_its_own_single_ensemble_run(quadratic, monkeypatch):
+    # Both kernels of a pair run on the pair's noise stream; each one's counts
+    # are those of its start run alone on that stream.
+    monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
+    histogram = convergence._histogram_counts
+    counted = []
+
+    def recording(samples, bins):
+        counted.append(histogram(samples, bins))
+        return counted[-1]
+
+    monkeypatch.setattr(convergence, "_histogram_counts", recording)
+    kind = SchemeKind.EULER_MARUYAMA
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=quadratic)
+    grid, pairs, mc, seed, d = [0.1, 0.05], 3, 500, 4, 2
+    res = minorization_probe(kind, params, 0.5, 1.0, grid, pairs=pairs, mc=mc, seed=seed, d=d)
+
+    starts = convergence._ball_points(np.random.default_rng(seed), 2 * pairs, 2 * d, 1.0)
+    seeds = convergence._seed_ints(seed + 1, len(grid) * pairs)
+    bins = minorization_partition(1.0, d)
+    expected = []
+    for gi, gamma in enumerate(grid):
+        scheme = as_general_scheme(kind, replace(params, gamma=gamma))
+        n_steps = math.ceil(0.5 / gamma) + 1
+        pair_tvs = []
+        for pair in range(pairs):
+            counts = []
+            for p in starts[2 * pair : 2 * pair + 2]:
+                x, v = np.tile(p[:d], (mc, 1)), np.tile(p[d:], (mc, 1))
+                path = convergence._ensemble_path(scheme, [(x, v)], n_steps, seeds[gi * pairs + pair])
+                for _, (x, v) in path:
+                    pass
+                counts.append(histogram(np.hstack([x, v]), bins))
+            expected += counts
+            pair_tvs.append(convergence._tv_from_counts(counts[0], mc, counts[1], mc, bins).value)
+        assert res[gi].max_tv == max(pair_tvs)
+    assert len(counted) == len(expected)
+    for got, want in zip(counted, expected):
+        assert np.array_equal(got, want)
 
 
 def test_exponential_fit_exact_recovery():
@@ -231,18 +302,32 @@ def test_reference_counts_do_not_depend_on_the_chunk(quadratic, monkeypatch, kin
 
 
 def test_ensemble_path_yields_every_step_of_the_noise_stream(quadratic):
+    # Both batches are driven by the same block at each step.
     scheme = as_general_scheme(
         SchemeKind.SPLIT_CABAC, SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic)
     )
-    x = np.full((5, 2), 1.5)
-    v = np.zeros((5, 2))
-    path = list(convergence._ensemble_path(scheme, x, v, 3, 9))
+    batches = [(np.full((5, 2), 1.5), np.zeros((5, 2))), (np.zeros((5, 2)), np.ones((5, 2)))]
+    path = list(convergence._ensemble_path(scheme, batches, 3, 9))
     assert [k for k, _, _ in path] == [1, 2, 3]
     src = NoiseSource(9, 5, scheme.noise_spec.width(2))
-    for k, xk, vk in path:
-        z, w1, w2 = scheme.noise_spec.split(src.block_at(k - 1), 2)
-        x, v = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
-        assert np.array_equal(xk, x) and np.array_equal(vk, v)
+    for k, *yielded in path:
+        noise = NoiseDraw(*scheme.noise_spec.split(src.block_at(k - 1), 2))
+        batches = [step_ensemble(scheme, x, v, noise) for x, v in batches]
+        for (xk, vk), (x, v) in zip(yielded, batches, strict=True):
+            assert np.array_equal(xk, x) and np.array_equal(vk, v)
+
+
+def test_ensemble_path_releases_the_initial_states(quadratic):
+    # Once stepped, a batch's initial state is no longer held by the loop.
+    scheme = as_general_scheme(
+        SchemeKind.EULER_MARUYAMA, SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic)
+    )
+    x, v = np.zeros((8, 1)), np.zeros((8, 1))
+    initial = weakref.ref(x)
+    path = convergence._ensemble_path(scheme, [(x, v)], 3, 1)
+    del x, v
+    next(path)
+    assert initial() is None
 
 
 def test_ensemble_path_divergence_names_the_step():
@@ -263,12 +348,18 @@ def test_ensemble_path_divergence_names_the_step():
             diverged_at = k
             break
     assert diverged_at is not None and diverged_at > 1
-    path = convergence._ensemble_path(scheme, np.full((4, 1), 1.0), np.zeros((4, 1)), 100, 3)
+    path = convergence._ensemble_path(scheme, [(np.full((4, 1), 1.0), np.zeros((4, 1)))], 100, 3)
     with pytest.raises(DivergedError) as err:
         for _ in path:
             pass
     assert err.value.step == diverged_at
+    assert err.value.ensemble == 0
     assert f"at step {diverged_at}" in str(err.value)
+    # A batch that leaves the range in its first step, behind one that does not.
+    batches = [(np.zeros((4, 1)), np.zeros((4, 1))), (np.full((4, 1), 1e11), np.zeros((4, 1)))]
+    with pytest.raises(DivergedError) as err:
+        next(convergence._ensemble_path(scheme, batches, 100, 3))
+    assert (err.value.step, err.value.ensemble) == (1, 1)
 
 
 def test_rate_fit_holds_one_ensemble_state(quadratic, monkeypatch):
