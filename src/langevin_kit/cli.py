@@ -395,6 +395,8 @@ def _validate_mc(experiment, mc, scheme, d):
             raise ConfigError(f"{pre}.gamma_pair must satisfy fine < coarse")
         mc["gamma_pair"] = [coarse, fine]
         mc["samples"] = _require_int(mc["samples"], f"{pre}.samples", minimum=2)
+        if d != 1:
+            raise ConfigError("order-check supports d = 1 only (scalar moment targets)")
     elif experiment == "stability-check":
         mc["k"] = _require_int(mc["k"], f"{pre}.k")
         mc["lambda"] = _require_positive(mc["lambda"], f"{pre}.lambda")

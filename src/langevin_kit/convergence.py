@@ -97,11 +97,14 @@ class HistogramSpec:
         return np.linspace(-self.box, self.box, self.bins_per_axis + 1)
 
 
+# The partition of R^2 that fit_geometric_rate measures TV on.
+_RATE_BINS = HistogramSpec(bins_per_axis=32, box=6.0)
+
+
 @dataclass(frozen=True)
 class TvEstimate:
     value: float
     std_error: float
-    bins: HistogramSpec
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 2.0 + 1e-12:
@@ -115,7 +118,6 @@ class RateEstimate:
     rho: float
     prefactor: float
     r_squared: float
-    horizon: float
     times: np.ndarray
     values: np.ndarray
 
@@ -129,12 +131,8 @@ class RateEstimate:
 @dataclass(frozen=True)
 class MinorizationEstimate:
     epsilon: float
-    t0: float
-    m_radius: float
     gamma: float
-    pair_count: int
     max_tv: float
-    bins: HistogramSpec
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
@@ -145,7 +143,6 @@ class MinorizationEstimate:
 class MomentBias:
     """Stationary bias of one squared moment at the coarse and fine timesteps."""
 
-    moment: str
     target: float
     bias_coarse: float
     se_coarse: float
@@ -163,7 +160,6 @@ class PoissonReport:
     residual: np.ndarray
     residual_se: np.ndarray
     tail_fraction: float
-    truncation_k: int
     warnings: list[str] = field(default_factory=list)
 
 
@@ -200,12 +196,12 @@ def _histogram_counts(samples: np.ndarray, bins: HistogramSpec) -> np.ndarray:
     return np.bincount(flat, minlength=bins.bins_per_axis**m).astype(np.float64)
 
 
-def _tv_from_counts(counts_a, n_a, counts_b, n_b, bins: HistogramSpec) -> TvEstimate:
+def _tv_from_counts(counts_a, n_a, counts_b, n_b) -> TvEstimate:
     pa = counts_a / n_a
     pb = counts_b / n_b
     value = float(np.sum(np.abs(pa - pb)))
     var = np.sum(pa * (1.0 - pa)) / n_a + np.sum(pb * (1.0 - pb)) / n_b
-    return TvEstimate(value=min(value, 2.0), std_error=float(math.sqrt(var)), bins=bins)
+    return TvEstimate(value=min(value, 2.0), std_error=float(math.sqrt(var)))
 
 
 def _seed_ints(seed: int, n: int) -> list[int]:
@@ -362,19 +358,11 @@ def minorization_probe(
                     f"(point {exc.ensemble}, start {ends[exc.ensemble]})"
                 ) from exc
             counts_p, counts_q = (_histogram_counts(np.hstack(s), bins) for s in ensembles)
-            return _tv_from_counts(counts_p, mc, counts_q, mc, bins).value
+            return _tv_from_counts(counts_p, mc, counts_q, mc).value
 
         max_tv = max(_parallel_map(one_pair, range(pairs)))
         results.append(
-            MinorizationEstimate(
-                epsilon=1.0 - max_tv / 2.0,
-                t0=t0,
-                m_radius=m_radius,
-                gamma=float(gamma),
-                pair_count=pairs,
-                max_tv=max_tv,
-                bins=bins,
-            )
+            MinorizationEstimate(epsilon=1.0 - max_tv / 2.0, gamma=float(gamma), max_tv=max_tv)
         )
     return results
 
@@ -436,7 +424,6 @@ def fit_geometric_rate(
     horizon: float,
     mc: int,
     seed: int = 0,
-    bins: HistogramSpec | None = None,
 ) -> RateEstimate:
     """Fit the geometric decay rate of TV(law at time t, stationary law).
 
@@ -455,13 +442,11 @@ def fit_geometric_rate(
     n_epochs = int(horizon / _EPOCH_DT + 1e-9)
     if n_epochs < 10:
         raise ContractViolation("horizon must span at least 10 recorded epochs")
-    if bins is None:
-        bins = HistogramSpec(bins_per_axis=32, box=6.0)
     gamma = params.gamma
     scheme = as_general_scheme(kind, params)
     ref_seed, ens_seed = _seed_ints(seed, 2)
 
-    ref_counts, n_ref = _reference_histogram(kind, params, bins, ref_seed)
+    ref_counts, n_ref = _reference_histogram(kind, params, _RATE_BINS, ref_seed)
     p_ref = ref_counts / n_ref
     floor = math.sqrt(2.0 / math.pi) * float(
         np.sum(np.sqrt(p_ref * (1.0 - p_ref) * (1.0 / mc + 1.0 / n_ref)))
@@ -477,8 +462,8 @@ def fit_geometric_rate(
     tv_by_step = {}
     for k, (x, v) in _ensemble_path(scheme, [(x, v)], max(wanted), ens_seed):
         if k in wanted:
-            counts = _histogram_counts(np.hstack([x, v]), bins)
-            tv_by_step[k] = _tv_from_counts(counts, mc, ref_counts, n_ref, bins).value
+            counts = _histogram_counts(np.hstack([x, v]), _RATE_BINS)
+            tv_by_step[k] = _tv_from_counts(counts, mc, ref_counts, n_ref).value
     values = np.array([tv_by_step[s] for s in steps])
 
     usable = (values > 3.0 * floor) & (values < _TV_CEILING)
@@ -492,7 +477,6 @@ def fit_geometric_rate(
         rho=rho,
         prefactor=prefactor,
         r_squared=r_squared,
-        horizon=horizon,
         times=times,
         values=values,
     )
@@ -573,7 +557,6 @@ def stationary_moment_bias(
         inconclusive = abs(bias_c) < 3.0 * se_c or abs(bias_f) < 3.0 * se_f
         ratio = abs(bias_c) / abs(bias_f) if bias_f != 0.0 else math.inf
         out[name] = MomentBias(
-            moment=name,
             target=target,
             bias_coarse=bias_c,
             se_coarse=se_c,
@@ -653,6 +636,5 @@ def solve_poisson(
         residual=residual,
         residual_se=residual_se,
         tail_fraction=tail,
-        truncation_k=truncation_k,
         warnings=warnings,
     )

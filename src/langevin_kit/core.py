@@ -3,17 +3,21 @@
 The continuous dynamics are dX = V dt, dV = (b(X) - kappa V) dt + sigma dB.
 A discretization with timestep gamma is encoded by
 
-    X' = x + gamma v + gamma f(x, gamma^delta v, gamma^(delta+1/2) sigma_g z, w)
-         + gamma^(delta+1/2) sigma_g D z,
-    V' = tau v + gamma g(x, gamma^delta v, gamma^(delta+1/2) sigma_g z, w)
+    X' = x + gamma v + gamma f(x, gamma v, gamma^(3/2) sigma_g z, w)
+         + gamma^(3/2) sigma_g d_scalar z,
+    V' = tau v + gamma g(x, gamma v, gamma^(3/2) sigma_g z, w)
          + sqrt(gamma) sigma_g z,
 
 with z a standard d-dimensional Gaussian and w = (w1, w2) auxiliary noise
 (w1 Gaussian from higher-order time integration, w2 stochastic-gradient
-input). The drift corrections f and g always receive the already-scaled
-velocity and noise arguments. A scheme supplies them jointly, as one
-function returning (f, g), so that a step evaluates the force b once for
-each distinct point it needs (once per step for every built-in scheme).
+input). This is the general form of Durmus, Enfroy, Moulines and Stoltz
+(arXiv 2107.14542) at exponent delta = 1 and position-noise matrix
+D = d_scalar I. The paper allows any delta and any matrix D; no scheme here
+uses either, so neither is represented. The drift corrections f and g
+always receive the already-scaled velocity and noise arguments. A scheme
+supplies them jointly, as one function returning (f, g), so that a step
+evaluates the force b once for each distinct point it needs (once per step
+for every built-in scheme).
 
 All step functions are vectorized: positions and velocities may carry leading
 batch axes (ensemble, d), and the force field must broadcast accordingly.
@@ -51,6 +55,8 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 
 _A1_SLACK = 1e-9
+# Absolute tolerance of validate_d1's checks (relative for b = -grad U).
+_D1_TOL = 1e-9
 
 
 class ContractViolation(ValueError):
@@ -146,7 +152,7 @@ class ForceModel:
             raise ContractViolation("lipschitz must be nonnegative")
 
 
-def validate_d1(force: ForceModel, points: np.ndarray, tol: float = 1e-9) -> None:
+def validate_d1(force: ForceModel, points: np.ndarray) -> None:
     """Check the gradient-type conditions at the origin and on sample points.
 
     Requires U(0) = 0, grad U(0) = 0, U >= 0 at every row of ``points``, and
@@ -156,15 +162,15 @@ def validate_d1(force: ForceModel, points: np.ndarray, tol: float = 1e-9) -> Non
         raise ContractViolation("force model does not carry a potential and its gradient")
     d = points.shape[-1]
     origin = np.zeros(d)
-    if abs(float(force.potential(origin))) > tol:
+    if abs(float(force.potential(origin))) > _D1_TOL:
         raise ContractViolation("U(0) must vanish")
-    if np.max(np.abs(force.grad_potential(origin))) > tol:
+    if np.max(np.abs(force.grad_potential(origin))) > _D1_TOL:
         raise ContractViolation("grad U(0) must vanish")
     u = force.potential(points)
-    if np.min(u) < -tol:
+    if np.min(u) < -_D1_TOL:
         raise ContractViolation("U must be nonnegative on the sampled points")
     gap = np.max(np.abs(force.b(points) + force.grad_potential(points)))
-    if gap > tol * (1.0 + np.max(np.abs(force.grad_potential(points)))):
+    if gap > _D1_TOL * (1.0 + np.max(np.abs(force.grad_potential(points)))):
         raise ContractViolation("b must equal -grad U on the sampled points")
 
 
@@ -229,22 +235,29 @@ class NoiseSpec:
 class GeneralScheme:
     """Coefficients and drift corrections of one discretization at fixed gamma.
 
+    The one-step map (see the module docstring) is
+
+        X' = x + gamma v + gamma f + gamma^(3/2) sigma_gamma d_scalar z,
+        V' = tau v + gamma g + sqrt(gamma) sigma_gamma z,
+
+    the paper's general form at delta = 1 and D = d_scalar I; its general
+    delta and matrix D are used by no scheme here.
+
     ``corrections(x, v_scaled, z_scaled, w1, w2)`` returns the pair (f, g) of
     drift corrections, evaluated jointly so that a force value both of them
     need is computed once; f is None when it vanishes identically. Its
-    arguments are the already-scaled velocity gamma^delta * v and noise
-    gamma^(delta+1/2) * sigma_gamma * Z, and it must broadcast over leading
+    arguments are the already-scaled velocity gamma * v and noise
+    gamma^(3/2) * sigma_gamma * Z, and it must broadcast over leading
     axes. ``f`` and ``g`` are the two components as separate functions with
     the same signature (f returning zeros where it vanishes); they are
     derived from ``corrections`` when not given, and the step functions never
-    call them. ``d_matrix`` is either a scalar multiple of the identity or a
-    (d, d) array.
+    call them.
 
     The remaining fields record the consistency metadata of the family the
     scheme was drawn from: tau must stay within c_kappa * gamma^2 of
-    exp(-kappa gamma), sigma_gamma below sigma_bar, the operator norm of
-    d_matrix below d_bound, and gamma within (0, gamma_bar]. ``a2_constant``
-    is a Lipschitz constant L of the corrections at this gamma: both
+    exp(-kappa gamma), sigma_gamma below sigma, |d_scalar| below d_bound,
+    and gamma within (0, gamma_bar]. ``a2_constant`` is a Lipschitz
+    constant L of the corrections at this gamma: both
     |f(a) - f(a')| and |g(a) - g(a')| are at most
     L (|(x, v) - (x', v')| + |z - z'|) in the scaled slots. ``vartheta`` is
     the v-prefactor of f in the scaled slots and ``vartheta_bar`` a bound on
@@ -254,21 +267,18 @@ class GeneralScheme:
     gamma: float
     tau: float
     sigma_gamma: float
-    d_matrix: float | np.ndarray
-    delta: float
+    d_scalar: float
     corrections: Callable[..., tuple[np.ndarray | None, np.ndarray]]
     noise_spec: NoiseSpec
     kappa: float
     sigma: float
     c_kappa: float
-    sigma_bar: float
     d_bound: float
     gamma_bar: float
     a2_constant: float
     vartheta_bar: float
-    vartheta: float = 0.0
-    label: str = "general"
-    force: ForceModel | None = None
+    vartheta: float
+    force: ForceModel
     f: Callable[..., np.ndarray] | None = None
     g: Callable[..., np.ndarray] | None = None
 
@@ -293,40 +303,25 @@ class GeneralScheme:
             )
         if not (0.0 < self.tau < 1.0):
             raise ContractViolation(f"tau must lie in (0, 1), got {self.tau:g}")
-        coefficients = (self.sigma_gamma, self.d_norm(), self.c_kappa, self.vartheta,
+        coefficients = (self.sigma_gamma, self.d_scalar, self.c_kappa, self.vartheta,
                         self.a2_constant)
         if not all(math.isfinite(c) for c in coefficients):
             raise ContractViolation(
-                "sigma_gamma, d_matrix, c_kappa, vartheta and a2_constant must be finite"
+                "sigma_gamma, d_scalar, c_kappa, vartheta and a2_constant must be finite"
             )
         drift = abs(self.tau - math.exp(-self.kappa * self.gamma))
         if drift > self.c_kappa * self.gamma**2 + _A1_SLACK:
             raise ContractViolation(
                 f"|tau - exp(-kappa gamma)| = {drift:g} exceeds c_kappa gamma^2"
             )
-        if self.sigma_gamma > self.sigma_bar * (1 + _A1_SLACK):
-            raise ContractViolation("sigma_gamma exceeds sigma_bar")
-        if self.d_norm() > self.d_bound * (1 + _A1_SLACK) + _A1_SLACK:
-            raise ContractViolation("operator norm of d_matrix exceeds d_bound")
+        if self.sigma_gamma > self.sigma * (1 + _A1_SLACK):
+            raise ContractViolation("sigma_gamma exceeds sigma")
+        if abs(self.d_scalar) > self.d_bound * (1 + _A1_SLACK) + _A1_SLACK:
+            raise ContractViolation("|d_scalar| exceeds d_bound")
         if abs(self.vartheta) > self.vartheta_bar * (1.0 + 1e-9) + 1e-12:
             raise ContractViolation(
                 f"|vartheta| = {abs(self.vartheta):g} exceeds vartheta_bar = {self.vartheta_bar:g}"
             )
-
-    def d_norm(self) -> float:
-        if np.isscalar(self.d_matrix):
-            return abs(float(self.d_matrix))
-        return float(np.linalg.norm(self.d_matrix, ord=2))
-
-    def apply_d(self, z: np.ndarray) -> np.ndarray:
-        if np.isscalar(self.d_matrix):
-            return float(self.d_matrix) * z
-        return z @ np.asarray(self.d_matrix).T
-
-    @property
-    def d_is_zero(self) -> bool:
-        """D = 0 as a scalar: the position update carries no Gaussian term."""
-        return np.isscalar(self.d_matrix) and float(self.d_matrix) == 0.0
 
 
 def _guard(x: np.ndarray, v: np.ndarray, step: int | None) -> None:
@@ -340,18 +335,18 @@ def _guard(x: np.ndarray, v: np.ndarray, step: int | None) -> None:
 
 
 def _advance(scheme: GeneralScheme, x, v, noise, scale, v_noise, w1, w2, step):
-    """The recursion with position noise ``scale * D noise``, scaled noise
-    slot ``scale * noise`` and velocity noise ``v_noise``.
+    """The recursion with position noise ``scale * d_scalar * noise``, scaled
+    noise slot ``scale * noise`` and velocity noise ``v_noise``.
 
-    Structural zeros cost nothing: a vanishing f or D adds no term.
+    Structural zeros cost nothing: a vanishing f or d_scalar adds no term.
     """
     g_ = scheme.gamma
-    fx, gx = scheme.corrections(x, g_**scheme.delta * v, scale * noise, w1, w2)
+    fx, gx = scheme.corrections(x, g_ * v, scale * noise, w1, w2)
     x_new = x + g_ * v
     if fx is not None:
         x_new = x_new + g_ * fx
-    if not scheme.d_is_zero:
-        x_new = x_new + scale * scheme.apply_d(noise)
+    if scheme.d_scalar != 0.0:
+        x_new = x_new + scale * (scheme.d_scalar * noise)
     v_new = scheme.tau * v + g_ * gx + v_noise
     _guard(x_new, v_new, step)
     return x_new, v_new
@@ -359,7 +354,7 @@ def _advance(scheme: GeneralScheme, x, v, noise, scale, v_noise, w1, w2, step):
 
 def _step_arrays(scheme: GeneralScheme, x, v, z, w1, w2):
     g_ = scheme.gamma
-    scale = g_ ** (scheme.delta + 0.5) * scheme.sigma_gamma
+    scale = g_**1.5 * scheme.sigma_gamma
     v_noise = math.sqrt(g_) * scheme.sigma_gamma * z
     return _advance(scheme, x, v, z, scale, v_noise, w1, w2, None)
 
@@ -386,7 +381,7 @@ def full_noise_step(scheme: GeneralScheme, x, v, z_full, w1, w2, step: int | Non
     that value reproduces ``general_step``. Used by perturbation probes that
     shift the noise rather than the Gaussian seed.
     """
-    return _advance(scheme, x, v, z_full, scheme.gamma**scheme.delta, z_full, w1, w2, step)
+    return _advance(scheme, x, v, z_full, scheme.gamma, z_full, w1, w2, step)
 
 
 def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[NoiseDraw]) -> State:
@@ -404,7 +399,6 @@ def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[N
     k = len(noises) - 1
     g_ = scheme.gamma
     tau = scheme.tau
-    delta = scheme.delta
     d = init.d
     w = weight_vectors(k, g_, tau)
     g1, g2 = w.g1, w.g2
@@ -417,16 +411,14 @@ def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[N
     for i, draw in enumerate(noises):
         scheme.noise_spec.check(draw, d)
         z_full = math.sqrt(g_) * scheme.sigma_gamma * draw.z
-        f_i, gd_i = scheme.corrections(
-            x_i, g_**delta * v_i, g_**delta * z_full, draw.w1, draw.w2
-        )
+        f_i, gd_i = scheme.corrections(x_i, g_ * v_i, g_ * z_full, draw.w1, draw.w2)
         if i < k:
             sum_g = sum_g + g1[i] * (g_ * gd_i + z_full)
         sum_gv = sum_gv + g2[i] * (g_ * gd_i + z_full)
         if f_i is not None:
             sum_f = sum_f + f_i
-        if not scheme.d_is_zero:
-            sum_dz = sum_dz + scheme.apply_d(z_full)
+        if scheme.d_scalar != 0.0:
+            sum_dz = sum_dz + scheme.d_scalar * z_full
         x_i, v_i = full_noise_step(scheme, x_i, v_i, z_full, draw.w1, draw.w2, step=i + 1)
 
     x_out = (
@@ -434,7 +426,7 @@ def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[N
         + g_ * (1.0 - tau ** (k + 1)) / (1.0 - tau) * init.v
         + sum_g
         + g_ * sum_f
-        + g_**delta * sum_dz
+        + g_ * sum_dz
     )
     v_out = tau ** (k + 1) * init.v + sum_gv
     return State(x_out, v_out)

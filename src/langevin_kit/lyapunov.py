@@ -3,18 +3,19 @@
 The central object is the step-dependent quadratic-plus-potential energy
 
     W(x, v) = kappa^2/2 |x|^2 + |v|^2
-              + kappa^2 gamma (1 + gamma^delta vartheta) / (1 - tau) <x, v>
+              + kappa^2 gamma (1 + gamma vartheta) / (1 - tau) <x, v>
               + 2 alpha_U U(x),
 
 together with phi = sqrt(1 + W) and the exponential weight
-exp(varpi phi). Every quantity in W is read from the scheme: kappa, gamma,
-tau, delta, vartheta, and the potential U of the force it steps with; the
-weight alpha_U of the potential is fixed at 1 (``ALPHA_U``). The module
-evaluates these, derives the constants that bracket them (lower quadratic
-constant, admissible timestep ceiling, upper and Lipschitz constants of
-phi), verifies the drift-structure conditions on the scheme's corrections f
-and g by sampling, and estimates the one-step geometric drift of the
-exponential weight by Monte Carlo.
+exp(varpi phi). It is the paper's energy at delta = 1, the exponent every
+scheme here embeds with (see ``core``). Every quantity in W is read from the
+scheme: kappa, gamma, tau, vartheta, and the potential U of the force it
+steps with; the weight alpha_U of the potential is fixed at 1
+(``ALPHA_U``). The module evaluates these, derives the constants that
+bracket them (lower quadratic constant, admissible timestep ceiling, upper
+and Lipschitz constants of phi), verifies the drift-structure conditions on
+the scheme's corrections f and g by sampling, and estimates the one-step
+geometric drift of the exponential weight by Monte Carlo.
 
 Everything involving the exponential weight is computed in the log domain;
 ratios of weights at far-out states stay finite even when the weights
@@ -88,7 +89,6 @@ def derived_constants(
     c_kappa: float,
     vartheta_bar: float,
     lipschitz: float,
-    delta: float,
 ) -> DerivedConstants:
     """Constants bracketing the energy W and its square root.
 
@@ -103,7 +103,7 @@ def derived_constants(
     c_w = 0.5 * min(kappa**2 / 6.0, 0.25)
     gamma_bar = 1.0 / (kappa + 2.0 * c_kappa / kappa)
     ceiling = c_w / (kappa * vartheta_bar + (1.0 + vartheta_bar) * (2.0 * c_kappa + kappa**2))
-    gamma_bar_w = min(1.0, gamma_bar, ceiling ** (1.0 / min(delta, 1.0)))
+    gamma_bar_w = min(1.0, gamma_bar, ceiling)
     frak_c_phi = math.sqrt(
         max(1.0, kappa**2 / 2.0 + ALPHA_U * lipschitz)
         + 0.5 * (1.0 + vartheta_bar) * (kappa**2 + kappa + 2.0 * c_kappa)
@@ -128,7 +128,6 @@ def check_energy_ceiling(scheme: GeneralScheme) -> None:
         scheme.c_kappa,
         scheme.vartheta_bar,
         _require_potential(scheme).lipschitz,
-        scheme.delta,
     )
     if scheme.gamma > dc.gamma_bar_w * (1.0 + 1e-12):
         raise ContractViolation(
@@ -137,7 +136,7 @@ def check_energy_ceiling(scheme: GeneralScheme) -> None:
 
 
 def _require_potential(scheme: GeneralScheme) -> ForceModel:
-    if scheme.force is None or scheme.force.potential is None:
+    if scheme.force.potential is None:
         raise ContractViolation("the scheme's force model must carry the potential U")
     return scheme.force
 
@@ -156,7 +155,7 @@ def w_gamma(x, v, scheme: GeneralScheme):
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     g_ = scheme.gamma
-    cross = scheme.kappa**2 * g_ * (1.0 + g_**scheme.delta * scheme.vartheta) / (1.0 - scheme.tau)
+    cross = scheme.kappa**2 * g_ * (1.0 + g_ * scheme.vartheta) / (1.0 - scheme.tau)
     val = (
         0.5 * scheme.kappa**2 * row_dot(x, x)
         + row_dot(v, v)
@@ -332,11 +331,12 @@ def verify_d2(
     """Probe the drift-structure inequalities on random samples and a gamma grid.
 
     For each gamma, draws mixed-scale (x, v, z, w) samples, evaluates the
-    corrections f and g in their scaled slots, and fits the smallest constant
-    making each of the three inequalities hold:
+    corrections f and g in their scaled slots (gamma v and
+    gamma^(3/2) sigma_gamma z), and fits the smallest constant making each of
+    the three inequalities hold:
 
       |f|^2 + |g + alpha_U grad U|^2   <= C [1 + gamma^d_U F],
-      <x, f> - gamma^delta theta <x,v> <= C [gamma^d_U |x||w1| + 1 + gamma^d_U F],
+      <x, f> - gamma vartheta <x,v>    <= C [gamma^d_U |x||w1| + 1 + gamma^d_U F],
       <x, g> + zeta_U [|grad U|^2/L^2 + |x|] <= C [1 + gamma^d_U F],
 
     with F evaluated at (x, v, sqrt(gamma) sigma_gamma z, w), alpha_U = 1
@@ -386,8 +386,8 @@ def verify_d2(
                 np.random.default_rng(seed + 1), sample_count, d, m1, m2,
                 scheme.noise_spec.w2_transform,
             )
-            v_s = gam**scheme.delta * v
-            z_s = gam ** (scheme.delta + 0.5) * scheme.sigma_gamma * z
+            v_s = gam * v
+            z_s = gam**1.5 * scheme.sigma_gamma * z
             f_val, g_val = scheme.corrections(x, v_s, z_s, w1, w2)
             if f_val is None:
                 f_val = np.zeros_like(x)
@@ -400,9 +400,7 @@ def verify_d2(
             lhs1 = np.sum(f_val**2, axis=1) + np.sum((g_val + ALPHA_U * grad) ** 2, axis=1)
             c1 = float(np.max(lhs1 / bracket))
 
-            lhs2 = np.sum(x * f_val, axis=1) - gam**scheme.delta * scheme.vartheta * np.sum(
-                x * v, axis=1
-            )
+            lhs2 = np.sum(x * f_val, axis=1) - gam * scheme.vartheta * np.sum(x * v, axis=1)
             den2 = gam**delta_u * norm_x * np.linalg.norm(w1, axis=1) + bracket
             c2 = max(0.0, float(np.max(lhs2 / den2)))
 

@@ -129,7 +129,7 @@ def cabac_coefficients(gamma: float, kappa: float, sigma: float) -> CabacCoeffic
     st_half_sq = sigma_tilde_sq(gamma / 2.0, kappa, sigma)
     c4 = math.sqrt(st_half_sq / (8.0 * (1.0 + e)))
     return CabacCoefficients(
-        c1=(eh - 1.0) / gamma,
+        c1=math.expm1(-kappa * gamma / 2.0) / gamma,
         c2=eh / 2.0,
         c3=eh / (2.0 * (1.0 + e)),
         c4=c4,
@@ -217,11 +217,12 @@ def as_general_scheme(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
     at each point it needs exactly once: b(x) for BAC and ExpEuler,
     b(x + v_s/2) for ABCBA, the inner point for CABAC, the predicted
     position for CAB, and b(x) (or the gradient estimator) for the
-    Euler-Maruyama pair, whose f vanishes. tau, sigma_gamma and the D factor
-    are the printed coefficients. The returned object also carries the family
-    metadata (c_kappa, sigma_bar, d_bound, gamma_bar, vartheta, vartheta_bar)
-    and the Lipschitz constant a2_constant of the corrections, used by the
-    assumption-checking, stability and Lyapunov layers.
+    Euler-Maruyama pair, whose f vanishes. tau, sigma_gamma and the scalar
+    position-noise factor d_scalar are the printed coefficients; every scheme
+    embeds at delta = 1 with sigma_gamma at most sigma. The returned object
+    also carries the family metadata (c_kappa, d_bound, gamma_bar, vartheta,
+    vartheta_bar) and the Lipschitz constant a2_constant of the corrections,
+    used by the assumption-checking, stability and Lyapunov layers.
 
     Raises ContractViolation when a coefficient or the Lipschitz constant
     (which scales with the force's) cannot be evaluated in float64 at the
@@ -259,9 +260,7 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
     b = p.force.b
     lb = p.force.lipschitz
     spec = _noise_spec(kind, p)
-    common = dict(
-        gamma=g_, delta=1.0, noise_spec=spec, kappa=k_, sigma=s_, sigma_bar=s_, force=p.force
-    )
+    common = dict(gamma=g_, noise_spec=spec, kappa=k_, sigma=s_, force=p.force)
 
     if kind in (SchemeKind.EULER_MARUYAMA, SchemeKind.SG_EULER_MARUYAMA):
         if kind is SchemeKind.EULER_MARUYAMA:
@@ -280,7 +279,7 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
         return GeneralScheme(
             tau=1.0 - k_ * g_,
             sigma_gamma=s_,
-            d_matrix=0.0,
+            d_scalar=0.0,
             corrections=corrections,
             c_kappa=k_**2 / 2.0,
             d_bound=0.0,
@@ -288,7 +287,6 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
             a2_constant=a2,
             vartheta_bar=0.0,
             vartheta=0.0,
-            label=kind.value,
             **common,
         )
 
@@ -304,40 +302,40 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
 
         return GeneralScheme(
             sigma_gamma=st,
-            d_matrix=0.0,
+            d_scalar=0.0,
             corrections=corrections,
             d_bound=0.0,
             a2_constant=lb * max(g_, e),
             vartheta_bar=0.0,
             vartheta=0.0,
-            label=kind.value,
             **exact_tau,
             **common,
         )
 
     # Below, vartheta (the v-prefactor of f) is largest in magnitude as
     # gamma -> 0, so vartheta_bar is that limit: kappa for CAB, kappa/2 else.
+    # Their e - 1 is taken as expm1(-kappa gamma): the difference cancels as
+    # kappa gamma -> 0, and the rounded value would break that bound.
     if kind is SchemeKind.SPLIT_CAB:
-        c_v = (e - 1.0) / g_
+        c_v = math.expm1(-k_ * g_) / g_
 
         def corrections(x, vs, zs, w1, w2):
             return c_v * vs, b(x + e * vs + zs)
 
         return GeneralScheme(
             sigma_gamma=st,
-            d_matrix=1.0,
+            d_scalar=1.0,
             corrections=corrections,
             d_bound=1.0,
             a2_constant=max(-c_v, lb * math.sqrt(1.0 + e**2), lb),
             vartheta_bar=k_,
             vartheta=c_v,
-            label=kind.value,
             **exact_tau,
             **common,
         )
 
     if kind is SchemeKind.SPLIT_ABCBA:
-        c_v = (e - 1.0) / (2.0 * g_)
+        c_v = math.expm1(-k_ * g_) / (2.0 * g_)
         c_fb = 0.25 * g_ * (1.0 + e)
         c_gb = 0.5 * (1.0 + e)
         half = math.sqrt(1.25)  # |(dx, dv/2)| <= sqrt(5)/2 |(dx, dv)|
@@ -348,13 +346,12 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
 
         return GeneralScheme(
             sigma_gamma=st,
-            d_matrix=0.5,
+            d_scalar=0.5,
             corrections=corrections,
             d_bound=0.5,
             a2_constant=max(-c_v + c_fb * lb * half, c_gb * lb * half),
             vartheta_bar=k_ / 2.0,
             vartheta=c_v,
-            label=kind.value,
             **exact_tau,
             **common,
         )
@@ -373,13 +370,12 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
 
         return GeneralScheme(
             sigma_gamma=sigma_gamma,
-            d_matrix=math.exp(-k_ * g_ / 2.0) / (1.0 + e),
+            d_scalar=math.exp(-k_ * g_ / 2.0) / (1.0 + e),
             corrections=corrections,
             d_bound=0.5,
             a2_constant=max(abs(co.c1) + c_fb * lb * inner, co.g1 * lb * inner),
             vartheta_bar=k_ / 2.0,
             vartheta=co.c1,
-            label=kind.value,
             **exact_tau,
             **common,
         )
@@ -399,13 +395,12 @@ def _embed(kind: SchemeKind, p: SchemeParams) -> GeneralScheme:
 
         return GeneralScheme(
             sigma_gamma=st,
-            d_matrix=d_scalar,
+            d_scalar=d_scalar,
             corrections=corrections,
             d_bound=0.5,
             a2_constant=max(abs(c_v) * math.sqrt(1.0 + (g_ * lb / k_) ** 2), c_gb * lb),
             vartheta_bar=k_ / 2.0,
             vartheta=c_v,
-            label=kind.value,
             **exact_tau,
             **common,
         )
@@ -434,14 +429,12 @@ def scalar_step_closure(
 
     scheme = as_general_scheme(kind, replace(p, force=replace(p.force, b=b_scalar)))
     corrections = scheme.corrections
-    g_, tau = scheme.gamma, scheme.tau
-    g_delta = g_**scheme.delta
-    scale = g_ ** (scheme.delta + 0.5) * scheme.sigma_gamma
+    g_, tau, d_scalar = scheme.gamma, scheme.tau, scheme.d_scalar
+    scale = g_**1.5 * scheme.sigma_gamma
     v_noise = math.sqrt(g_) * scheme.sigma_gamma
-    d_scalar = float(scheme.d_matrix)
 
     def step(x, v, z, w1):
-        fx, gx = corrections(x, g_delta * v, scale * z, w1, None)
+        fx, gx = corrections(x, g_ * v, scale * z, w1, None)
         x_new = x + g_ * v
         if fx is not None:
             x_new = x_new + g_ * fx
@@ -488,15 +481,15 @@ def check_a1_a2(
         gap = abs(sch.tau - math.exp(-p.kappa * gam))
         fitted_ck = max(fitted_ck, gap / gam**2)
         fitted_sb = max(fitted_sb, sch.sigma_gamma)
-        fitted_db = max(fitted_db, sch.d_norm())
+        fitted_db = max(fitted_db, abs(sch.d_scalar))
         if not 0.0 < sch.tau < 1.0:
             violations.append(f"A1-tau: tau={sch.tau:g} outside (0,1) at gamma={gam:g}")
         if gap > sch.c_kappa * gam**2 + 1e-12:
             violations.append(f"A1-consistency: gap {gap:g} > C_kappa gamma^2 at gamma={gam:g}")
-        if sch.sigma_gamma > sch.sigma_bar * (1 + 1e-12):
-            violations.append(f"A1-sigma: sigma_gamma {sch.sigma_gamma:g} above bound")
-        if sch.d_norm() > sch.d_bound * (1 + 1e-12) + 1e-15:
-            violations.append(f"A1-D: |D| {sch.d_norm():g} above bound")
+        if sch.sigma_gamma > sch.sigma * (1 + 1e-12):
+            violations.append(f"A1-sigma: sigma_gamma {sch.sigma_gamma:g} above sigma")
+        if abs(sch.d_scalar) > sch.d_bound * (1 + 1e-12) + 1e-15:
+            violations.append(f"A1-D: |d_scalar| {abs(sch.d_scalar):g} above bound")
 
     declared = probe.a2_constant
     scheme = probe

@@ -47,26 +47,26 @@ def stability_constants(
     k: int,
     gamma: float,
     lam: float,
-    delta: float,
     lipschitz: float,
     d_bound: float,
 ) -> StabilityConstants:
     """Evaluate the closed-form stability constants.
 
-    ``d_bound`` is the operator-norm bound on the position-noise factor;
-    ``lipschitz`` the joint Lipschitz constant of the scaled drift
-    corrections.
+    ``d_bound`` bounds |d_scalar|, the position-noise factor; ``lipschitz``
+    is the joint Lipschitz constant of the scaled drift corrections. The
+    powers of gamma are those of the general form at delta = 1 (see
+    ``core``).
     """
     if k < 1 or gamma <= 0 or lam <= 0:
         raise ContractViolation("k >= 1, gamma > 0 and lam > 0 are required")
     if lipschitz < 0 or d_bound < 0:
         raise ContractViolation("lipschitz >= 0 and d_bound >= 0 are required")
     el = lipschitz
-    l_gamma = 1.0 + gamma * (1.0 / lam + (1.0 + lam) * max(1.0, gamma**delta / lam) * el)
-    m_gamma = lam + gamma**delta * d_bound + gamma ** (1.0 + delta) * (1.0 + lam) * el
+    l_gamma = 1.0 + gamma * (1.0 / lam + (1.0 + lam) * max(1.0, gamma / lam) * el)
+    m_gamma = lam + gamma * d_bound + gamma**2.0 * (1.0 + lam) * el
     l_pow = l_gamma**k
-    grow = (1.0 + gamma ** (1.0 + delta) * el) ** k
-    l_x = gamma * el * m_gamma * l_pow + gamma * (1.0 + gamma**delta * el) * (
+    grow = (1.0 + gamma**2.0 * el) ** k
+    l_x = gamma * el * m_gamma * l_pow + gamma * (1.0 + gamma * el) * (
         k * gamma * m_gamma * el * grow * l_pow + grow
     )
     l_v = (k - 1) * gamma * m_gamma * grow * l_pow * el + grow
@@ -77,10 +77,6 @@ def stability_constants(
 
 @dataclass(frozen=True)
 class ContractionReport:
-    kind: SchemeKind
-    k: int
-    lam: float
-    trials: int
     max_ratio_coupled: float
     max_ratio_position_sum: float
     max_ratio_velocity_sum: float
@@ -117,9 +113,7 @@ def verify_contraction(
         raise ContractViolation("trials >= 1 and k >= 1 are required")
     scheme = as_general_scheme(kind, params)
     el = scheme.a2_constant
-    cons = stability_constants(
-        k, params.gamma, lam, scheme.delta, el, scheme.d_bound
-    )
+    cons = stability_constants(k, params.gamma, lam, el, scheme.d_bound)
     rng = np.random.default_rng(seed)
     m1, m2 = scheme.noise_spec.dims(d)
     g_ = params.gamma
@@ -169,11 +163,10 @@ def verify_contraction(
         witnesses.append(f"coupled bound violated at trial {j}: ratio {max_c:.6g}")
 
     _, _, sum_dx, sum_dv, dz_head, dz_last = run_pair(perturb_init=False)
-    delta = scheme.delta
-    rhs_x = g_**delta * (scheme.d_bound + g_ * el) * dz_last + (
+    rhs_x = g_ * (scheme.d_bound + g_ * el) * dz_last + (
         k * cons.m_gamma * cons.l_gamma**k + cons.l_x
     ) * dz_head
-    rhs_v = (1.0 + g_ ** (1.0 + delta) * el) ** k * dz_last + k * cons.l_v * dz_head
+    rhs_v = (1.0 + g_**2.0 * el) ** k * dz_last + k * cons.l_v * dz_head
     ratios_x = _ratio(sum_dx, rhs_x)
     ratios_v = _ratio(sum_dv, rhs_v)
     max_x = float(np.max(ratios_x))
@@ -186,10 +179,6 @@ def verify_contraction(
         witnesses.append(f"velocity-sum bound violated at trial {j}: ratio {max_v:.6g}")
 
     return ContractionReport(
-        kind=kind,
-        k=k,
-        lam=lam,
-        trials=trials,
         max_ratio_coupled=max_c,
         max_ratio_position_sum=max_x,
         max_ratio_velocity_sum=max_v,

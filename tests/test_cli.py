@@ -296,6 +296,25 @@ def test_tv_decay_refuses_the_stochastic_gradient_scheme(tmp_path, capsys):
     assert "tv-decay" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["EulerMaruyama", "SgEulerMaruyama"])
+def test_order_check_refuses_d_above_1(tmp_path, capsys, kind):
+    # The moment targets and the stepped chains are scalar: at d = 2,
+    # EulerMaruyama ran at d = 1 under a meta.json that said d = 2, and
+    # SgEulerMaruyama passed validate but failed in run.
+    cfg = {
+        "experiment": "order-check",
+        "scheme": {"kind": kind, "gamma": 0.2},
+        "d": 2,
+        "monte_carlo": {"samples": 100},
+        "output": str(tmp_path / "out"),
+    }
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err.count("order-check supports d = 1 only") == 2
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 @pytest.mark.parametrize("d", [5, 8, 200])
 def test_minorization_above_the_histogram_cap_is_a_config_error(tmp_path, capsys, monkeypatch, d):
     # 7^(2d) histogram cells: 2.8e8 at d = 5 (2.3 GB), 3.3e13 at d = 8, and
@@ -594,6 +613,62 @@ def test_validate_prints_the_resolved_config(tmp_path, capsys):
 # End-to-end runs
 
 
+# One small config per experiment, validated and run. tv-decay's fixed
+# 1e7-step reference run takes tens of seconds; covariance-check and
+# stability-check have their own end-to-end tests below.
+_WELL = {"kind": "quadratic", "curvature": 1.0}
+_SMALL_RUNS = {
+    "simulate": {
+        "scheme": {"kind": "SplitCABAC", "kappa": 1.0, "sigma": 1.0, "gamma": 0.05},
+        "potential": _WELL,
+        "seed": 1,
+        "d": 1,
+        "monte_carlo": {"steps": 20, "ensemble": 50, "record_every": 10},
+    },
+    "drift-check": {
+        "scheme": {"kind": "SplitCABAC", "kappa": 1.0, "sigma": 1.0, "gamma": 0.01},
+        "potential": {"kind": "quartic-well"},
+        "seed": 1,
+        "d": 2,
+        "monte_carlo": {"varpi": 0.1, "radii": [10.0], "samples": 2000},
+    },
+    "order-check": {
+        "scheme": {"kind": "EulerMaruyama", "kappa": 1.0, "sigma": 1.0, "gamma": 0.2},
+        "potential": _WELL,
+        "seed": 5,
+        "d": 1,
+        "monte_carlo": {"gamma_pair": [0.2, 0.1], "samples": 51200},
+    },
+    "poisson": {
+        "scheme": {"kind": "SplitABCBA", "kappa": 1.0, "sigma": 1.0, "gamma": 0.1},
+        "potential": {"kind": "quartic-well"},
+        "seed": 7,
+        "d": 1,
+        "monte_carlo": {"truncation_k": 100, "samples": 20000},
+    },
+    "minorization": {
+        "scheme": {
+            "kind": "EulerMaruyama", "kappa": 1.0, "sigma": 1.0, "gamma_grid": [0.05, 0.025],
+        },
+        "potential": _WELL,
+        "seed": 1,
+        "d": 2,
+        "monte_carlo": {"t0": 0.5, "m_radius": 1.0, "pairs": 2, "samples": 20000},
+    },
+}
+
+
+@pytest.mark.parametrize("experiment", list(_SMALL_RUNS))
+def test_each_experiment_validates_and_runs(tmp_path, experiment):
+    cfg = dict(_SMALL_RUNS[experiment], experiment=experiment, output=str(tmp_path / "out"))
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main(["validate", path]) == 0
+    assert main(["run", path]) == 0
+    header, rows = read_rows(tmp_path / "out")
+    assert header == CSV_SCHEMA
+    assert rows
+
+
 def test_run_simulate_outputs(tmp_path):
     path = write_config(tmp_path, "sim.json", simulate_config(tmp_path))
     assert main(["run", path]) == 0
@@ -644,6 +719,7 @@ def test_run_covariance_check_halving(tmp_path):
         "output": str(tmp_path / "cov"),
     }
     path = write_config(tmp_path, "cov.json", cfg)
+    assert main(["validate", path]) == 0
     assert main(["run", path]) == 0
     _, rows = read_rows(tmp_path / "cov")
     ratios = [float(r[3]) for r in rows if r[2] == "halving_ratio"]
@@ -659,6 +735,7 @@ def test_run_stability_check(tmp_path):
         "output": str(tmp_path / "st"),
     }
     path = write_config(tmp_path, "st.json", cfg)
+    assert main(["validate", path]) == 0
     assert main(["run", path]) == 0
     _, rows = read_rows(tmp_path / "st")
     stats = {row[2] for row in rows}

@@ -185,7 +185,7 @@ def test_exp_euler_factorization_scalars():
     npt.assert_allclose(alpha, EXP_EULER_ALPHA_AT_HALF, rtol=1e-13)
     kind = SchemeKind.EXP_EULER
     scheme = as_general_scheme(kind, SchemeParams(1.0, 1.0, 0.5, quadratic_potential()))
-    npt.assert_allclose(scheme.d_matrix, EXP_EULER_D_AT_HALF, rtol=1e-13)
+    npt.assert_allclose(scheme.d_scalar, EXP_EULER_D_AT_HALF, rtol=1e-13)
 
 
 def test_covariance_triple_rejects_indefinite_entries():

@@ -46,7 +46,7 @@ def scheme_for(kind, gamma, kappa=1.0, sigma=1.0, force=None, d=2):
 
 def constants_for(kind, kappa=1.0, lipschitz=1.0):
     scheme, _ = scheme_for(kind, gamma=0.01, kappa=kappa)
-    return derived_constants(kappa, scheme.c_kappa, scheme.vartheta_bar, lipschitz, scheme.delta)
+    return derived_constants(kappa, scheme.c_kappa, scheme.vartheta_bar, lipschitz)
 
 
 @pytest.mark.parametrize("varpi", [0.0, -0.1])
@@ -87,19 +87,19 @@ def test_cross_term_vartheta_guard():
 
 
 def test_derived_constants_hand_values():
-    dc1 = derived_constants(1.0, 0.5, 0.0, 1.0, 1.0)
+    dc1 = derived_constants(1.0, 0.5, 0.0, 1.0)
     assert dc1.c_w == pytest.approx(1.0 / 12.0, abs=1e-15)
     # EM at kappa=1: family ceiling 1/2, energy ceiling (1/12)/(0 + 2) = 1/24
     assert dc1.gamma_bar_w == pytest.approx(1.0 / 24.0, abs=1e-15)
     # sqrt(max(1, 1.5) + 0.5 * 3) = sqrt(3)
     assert dc1.frak_c_phi == pytest.approx(math.sqrt(3.0), abs=1e-15)
     assert dc1.l_phi > 0
-    dc2 = derived_constants(2.0, 0.0, 0.0, 1.0, 1.0)
+    dc2 = derived_constants(2.0, 0.0, 0.0, 1.0)
     assert dc2.c_w == pytest.approx(1.0 / 8.0, abs=1e-15)
     with pytest.raises(ContractViolation):
-        derived_constants(-1.0, 0.5, 0.0, 1.0, 1.0)
+        derived_constants(-1.0, 0.5, 0.0, 1.0)
     with pytest.raises(ContractViolation):
-        derived_constants(1.0, 0.5, -0.2, 1.0, 1.0)
+        derived_constants(1.0, 0.5, -0.2, 1.0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])

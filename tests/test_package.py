@@ -182,10 +182,12 @@ def test_readme_library_session_runs(capsys):
 def test_scipy_special_loads_only_for_philox_normals(tmp_path):
     # validate and the probes that draw no Philox normal never import
     # scipy.special; the first Philox normal (here a minorization run) does.
+    # The version is a literal in __init__.py, so importing the CLI looks up
+    # no package metadata.
     code = (
         "import json, sys\n"
         "from langevin_kit import cli\n"
-        "out = {}\n"
+        "out = {'import': (0, 'importlib.metadata' in sys.modules)}\n"
         "for name in cli.EXPERIMENTS:\n"
         "    gamma = 0.01 if name == 'drift-check' else 0.1\n"
         "    cli.validate_config({'experiment': name,\n"
@@ -233,6 +235,7 @@ def test_scipy_special_loads_only_for_philox_normals(tmp_path):
     )
     got = json.loads(out.stdout.splitlines()[-1])
     assert got == {
+        "import": [0, False],
         "validate": [0, False],
         paths[0]: [0, False],
         paths[1]: [0, False],

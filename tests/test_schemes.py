@@ -80,23 +80,23 @@ def test_native_equals_general(kind):
 def two_call_step(scheme, x, v, z, w1, w2):
     """The recursion as two separate correction calls with every zero term
     written out: the reference the fused kernel must reproduce bit for bit."""
-    g_, d_ = scheme.gamma, scheme.delta
-    v_s = g_**d_ * v
-    z_s = g_ ** (d_ + 0.5) * scheme.sigma_gamma * z
+    g_ = scheme.gamma
+    v_s = g_ * v
+    z_s = g_**1.5 * scheme.sigma_gamma * z
     fx = scheme.f(x, v_s, z_s, w1, w2)
     gx = scheme.g(x, v_s, z_s, w1, w2)
-    x_new = x + g_ * v + g_ * fx + g_ ** (d_ + 0.5) * scheme.sigma_gamma * scheme.apply_d(z)
+    x_new = x + g_ * v + g_ * fx + g_**1.5 * scheme.sigma_gamma * (scheme.d_scalar * z)
     v_new = scheme.tau * v + g_ * gx + math.sqrt(g_) * scheme.sigma_gamma * z
     return x_new, v_new
 
 
 def two_call_full_noise_step(scheme, x, v, z_full, w1, w2):
-    g_, d_ = scheme.gamma, scheme.delta
-    v_s = g_**d_ * v
-    z_s = g_**d_ * z_full
+    g_ = scheme.gamma
+    v_s = g_ * v
+    z_s = g_ * z_full
     fx = scheme.f(x, v_s, z_s, w1, w2)
     gx = scheme.g(x, v_s, z_s, w1, w2)
-    x_new = x + g_ * v + g_ * fx + g_**d_ * scheme.apply_d(z_full)
+    x_new = x + g_ * v + g_ * fx + g_ * (scheme.d_scalar * z_full)
     v_new = scheme.tau * v + g_ * gx + z_full
     return x_new, v_new
 
@@ -195,19 +195,19 @@ def test_coefficient_values_at_tenth():
     bac = as_general_scheme(SchemeKind.VERLET_BAC, p)
     npt.assert_allclose(bac.tau, BAC_TAU_01, rtol=1e-15)
     npt.assert_allclose(bac.sigma_gamma**2, SIGMA_TILDE_SQ_01, rtol=1e-14)
-    assert bac.d_norm() == 0.0
+    assert bac.d_scalar == 0.0
 
     em = as_general_scheme(SchemeKind.EULER_MARUYAMA, params_for(SchemeKind.EULER_MARUYAMA))
     assert em.tau == 1.0 - 0.1
     assert em.sigma_gamma == 1.0
-    assert em.d_norm() == 0.0
+    assert em.d_scalar == 0.0
 
     co = cabac_coefficients(0.1, 1.0, 1.0)
     npt.assert_allclose(co.c1, CABAC_C1_01, rtol=1e-14)
     npt.assert_allclose(co.c3, CABAC_C3_01, rtol=1e-14)
     npt.assert_allclose(co.c4, CABAC_C4_01, rtol=1e-14)
     cabac = as_general_scheme(SchemeKind.SPLIT_CABAC, params_for(SchemeKind.SPLIT_CABAC))
-    npt.assert_allclose(cabac.d_matrix, CABAC_D_01, rtol=1e-14)
+    npt.assert_allclose(cabac.d_scalar, CABAC_D_01, rtol=1e-14)
     # The half-step variance folded with the velocity mix reproduces the
     # full-step Ornstein-Uhlenbeck variance: sigma_gamma = sigma_tilde(gamma).
     npt.assert_allclose(cabac.sigma_gamma**2, SIGMA_TILDE_SQ_01, rtol=1e-14)
@@ -226,19 +226,31 @@ def test_vartheta_bar_table():
     assert bar(SchemeKind.EXP_EULER) == 1.0
 
 
+# vartheta = -p kappa sum_j (-a h)^j / (j + o)!, h = kappa gamma, as
+# kind: (p, a, o).
+_VARTHETA_SERIES = {
+    SchemeKind.SPLIT_CAB: (Fraction(1), Fraction(1), 1),
+    SchemeKind.SPLIT_ABCBA: (Fraction(1, 2), Fraction(1), 1),
+    SchemeKind.SPLIT_CABAC: (Fraction(1, 2), Fraction(1, 2), 1),
+    SchemeKind.EXP_EULER: (Fraction(1), Fraction(1), 2),
+}
+
+
+@pytest.mark.parametrize("kind", list(_VARTHETA_SERIES), ids=lambda k: k.value)
 @pytest.mark.parametrize("kappa", [1.0, 2.5])
-def test_exp_euler_vartheta_keeps_its_digits_as_kappa_gamma_vanishes(kappa):
-    # vartheta = -kappa sum_j (-h)^j / (j + 2)!, h = kappa gamma, summed
-    # exactly (60 terms leave out less than 1e-80 for h <= 1).
-    kind = SchemeKind.EXP_EULER
+def test_vartheta_keeps_its_digits_as_kappa_gamma_vanishes(kind, kappa):
+    # The series summed exactly (60 terms leave out less than 1e-80 for
+    # h <= 1). Rounded differences lost these digits and made the scheme
+    # refuse its own vartheta bound below about gamma = 1e-8.
+    p, a, o = _VARTHETA_SERIES[kind]
     for h in np.geomspace(1e-12, 1.0, 61):
         gamma = float(h) / kappa
-        x = Fraction(kappa) * Fraction(gamma)
-        term, series = Fraction(1, 2), Fraction(0)
+        x = a * Fraction(kappa) * Fraction(gamma)
+        term, series = Fraction(1, math.factorial(o)), Fraction(0)
         for j in range(60):
             series += term
-            term *= -x / (j + 3)
-        want = -Fraction(kappa) * series
+            term *= -x / (j + o + 1)
+        want = -p * Fraction(kappa) * series
         got = as_general_scheme(kind, params_for(kind, gamma=gamma, kappa=kappa)).vartheta
         assert abs(Fraction(got) / want - 1) <= 1e-13, gamma
 
@@ -272,7 +284,7 @@ def test_assumption_report_passes(kind):
     assert rep.worst_ratio <= rep.declared_l * 1.01 + 1e-12
     scheme = as_general_scheme(kind, params_for(kind, d=1))
     assert rep.fitted_c_kappa <= scheme.c_kappa + 1e-9
-    assert rep.fitted_sigma_bar <= scheme.sigma_bar + 1e-12
+    assert rep.fitted_sigma_bar <= scheme.sigma + 1e-12
     assert rep.fitted_d_bound <= scheme.d_bound + 1e-12
 
 
@@ -401,6 +413,6 @@ def test_unrepresentable_coefficients_are_a_contract_violation(kind, kappa, sigm
         scheme = as_general_scheme(kind, params)
     except ContractViolation:
         return
-    for value in (scheme.tau, scheme.sigma_gamma, scheme.d_norm(), scheme.c_kappa,
+    for value in (scheme.tau, scheme.sigma_gamma, scheme.d_scalar, scheme.c_kappa,
                   scheme.vartheta, scheme.a2_constant):
         assert math.isfinite(value)
