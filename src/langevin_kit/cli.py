@@ -42,7 +42,7 @@ from .convergence import (
 )
 from .core import ContractViolation, DivergedError, ForceModel, State
 from .gaussian import covariance_consistency
-from .lyapunov import check_energy_ceiling, drift_state_bytes, estimate_drift, log_w_bar
+from .lyapunov import check_energy_ceiling, estimate_drift, log_w_bar
 from .potentials import flat_tail_potential, quadratic_potential, quartic_well_potential
 from .schemes import (
     SchemeKind,
@@ -99,12 +99,9 @@ _MAX_D = 2**16
 # each gamma; 2^24 entries take 128 MiB per array.
 _MAX_COVARIANCE_STEPS = 2**24
 
-# drift-check holds one state per worker thread, each of about 17 bytes per
-# sample plus one tile (lyapunov.drift_state_bytes); 1 GiB admits about
-# 6.3e7 samples.
-_MAX_DRIFT_STATE_BYTES = 2**30
-
-# drift-check's work is samples x d at each probed state. One thread takes
+# drift-check's memory does not grow with its budget: a state holds one tile
+# and one block of pending weights at any sample count, so only its work is
+# capped. The work is samples x d at each probed state. One thread takes
 # about 50 ns per unit at d = 2^16 (3.1 ms a sample), so 2^32 units take a
 # few minutes; the drift-check-wide config (1e6 x 2 x 16) is 3.2e7.
 _MAX_DRIFT_WORK = 2**32
@@ -335,12 +332,6 @@ def _validate_mc(experiment, mc, scheme, d):
     elif experiment == "drift-check":
         mc["varpi"] = _require_positive(mc["varpi"], f"{pre}.varpi")
         mc["samples"] = _require_int(mc["samples"], f"{pre}.samples", minimum=2)
-        footprint = drift_state_bytes(mc["samples"], d)
-        if footprint > _MAX_DRIFT_STATE_BYTES:
-            raise ConfigError(
-                f"{pre}.samples = {mc['samples']} at d = {d} takes about {footprint} bytes "
-                f"per state, more than {_MAX_DRIFT_STATE_BYTES}"
-            )
         radii = mc["radii"]
         if not isinstance(radii, list) or not radii:
             raise ConfigError(f"{pre}.radii must be a nonempty list")

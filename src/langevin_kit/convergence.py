@@ -39,7 +39,6 @@ __all__ = [
     "TrajectoryConfig",
     "simulate_chain",
     "HistogramSpec",
-    "TvEstimate",
     "RateEstimate",
     "MinorizationEstimate",
     "MomentBias",
@@ -99,16 +98,6 @@ class HistogramSpec:
 
 # The partition of R^2 that fit_geometric_rate measures TV on.
 _RATE_BINS = HistogramSpec(bins_per_axis=32, box=6.0)
-
-
-@dataclass(frozen=True)
-class TvEstimate:
-    value: float
-    std_error: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 2.0 + 1e-12:
-            raise ContractViolation("total variation lies in [0, 2]")
 
 
 @dataclass(frozen=True)
@@ -196,12 +185,10 @@ def _histogram_counts(samples: np.ndarray, bins: HistogramSpec) -> np.ndarray:
     return np.bincount(flat, minlength=bins.bins_per_axis**m).astype(np.float64)
 
 
-def _tv_from_counts(counts_a, n_a, counts_b, n_b) -> TvEstimate:
-    pa = counts_a / n_a
-    pb = counts_b / n_b
-    value = float(np.sum(np.abs(pa - pb)))
-    var = np.sum(pa * (1.0 - pa)) / n_a + np.sum(pb * (1.0 - pb)) / n_b
-    return TvEstimate(value=min(value, 2.0), std_error=float(math.sqrt(var)))
+def _tv_from_counts(counts_a, n_a, counts_b, n_b) -> float:
+    """The total variation of two histograms, sum |p_a - p_b|, in [0, 2]."""
+    value = float(np.sum(np.abs(counts_a / n_a - counts_b / n_b)))
+    return min(value, 2.0)
 
 
 def _seed_ints(seed: int, n: int) -> list[int]:
@@ -320,9 +307,9 @@ def minorization_probe(
     pair): chain i of both kernels sees the same Gaussian increments (the
     synchronous coupling). Each kernel's histogram is still that of mc
     i.i.d. chains from its own start, so the TV estimand is unchanged; only
-    the joint law of the two histograms differs from independent runs. The
-    per-pair ``TvEstimate.std_error`` assumes independent histograms, and the
-    probe does not report it.
+    the joint law of the two histograms differs from independent runs, so
+    a standard error that assumes independent histograms would not hold,
+    and the probe reports none.
 
     A uniform-in-gamma lower bound on kernel overlap is a necessary
     consequence of minorization at horizon t0; the partition
@@ -358,7 +345,7 @@ def minorization_probe(
                     f"(point {exc.ensemble}, start {ends[exc.ensemble]})"
                 ) from exc
             counts_p, counts_q = (_histogram_counts(np.hstack(s), bins) for s in ensembles)
-            return _tv_from_counts(counts_p, mc, counts_q, mc).value
+            return _tv_from_counts(counts_p, mc, counts_q, mc)
 
         max_tv = max(_parallel_map(one_pair, range(pairs)))
         results.append(
@@ -463,7 +450,7 @@ def fit_geometric_rate(
     for k, (x, v) in _ensemble_path(scheme, [(x, v)], max(wanted), ens_seed):
         if k in wanted:
             counts = _histogram_counts(np.hstack([x, v]), _RATE_BINS)
-            tv_by_step[k] = _tv_from_counts(counts, mc, ref_counts, n_ref).value
+            tv_by_step[k] = _tv_from_counts(counts, mc, ref_counts, n_ref)
     values = np.array([tv_by_step[s] for s in steps])
 
     usable = (values > 3.0 * floor) & (values < _TV_CEILING)

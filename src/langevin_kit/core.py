@@ -97,8 +97,11 @@ def row_dot(a, b) -> np.ndarray:
     d = np.shape(a)[-1:]
     if d == np.shape(b)[-1:] and d in ((1,), (2,)):
         p = np.multiply(a, b)
-        s = p[..., 0] if d == (1,) else p[..., 0] + p[..., 1]
-        return s + 0.0
+        if d == (1,):
+            return p[..., 0] + 0.0
+        s = p[..., 0] + p[..., 1]
+        s += 0.0
+        return s
     return np.einsum("...i,...i->...", a, b)
 
 
@@ -145,7 +148,6 @@ class ForceModel:
     lipschitz: float
     potential: Callable[[np.ndarray], np.ndarray] | None = None
     grad_potential: Callable[[np.ndarray], np.ndarray] | None = None
-    label: str = "custom"
 
     def __post_init__(self):
         if self.lipschitz < 0:
@@ -334,20 +336,27 @@ def _guard(x: np.ndarray, v: np.ndarray, step: int | None) -> None:
             raise DivergedError(name, step)
 
 
-def _advance(scheme: GeneralScheme, x, v, noise, scale, v_noise, w1, w2, step):
+def _advance(scheme: GeneralScheme, x, v, noise, scale, v_scale, w1, w2, step):
     """The recursion with position noise ``scale * d_scalar * noise``, scaled
-    noise slot ``scale * noise`` and velocity noise ``v_noise``.
+    noise slot ``scale * noise`` and velocity noise ``v_scale * noise``.
 
     Structural zeros cost nothing: a vanishing f or d_scalar adds no term.
     """
     g_ = scheme.gamma
-    fx, gx = scheme.corrections(x, g_ * v, scale * noise, w1, w2)
-    x_new = x + g_ * v
+    vs = g_ * v
+    fx, gx = scheme.corrections(x, vs, scale * noise, w1, w2)
+    # x + g_ v, in the array that holds g_ v; the sums below run in place
+    # in the order of the printed recursion, so the bits do not change.
+    x_new = vs
+    x_new += x
     if fx is not None:
-        x_new = x_new + g_ * fx
+        x_new += g_ * fx
     if scheme.d_scalar != 0.0:
-        x_new = x_new + scale * (scheme.d_scalar * noise)
-    v_new = scheme.tau * v + g_ * gx + v_noise
+        x_new += scale * (scheme.d_scalar * noise)
+    v_new = scheme.tau * v
+    v_new += g_ * gx
+    # Made last, so it is not held while the corrections run.
+    v_new += v_scale * noise
     _guard(x_new, v_new, step)
     return x_new, v_new
 
@@ -355,8 +364,8 @@ def _advance(scheme: GeneralScheme, x, v, noise, scale, v_noise, w1, w2, step):
 def _step_arrays(scheme: GeneralScheme, x, v, z, w1, w2):
     g_ = scheme.gamma
     scale = g_**1.5 * scheme.sigma_gamma
-    v_noise = math.sqrt(g_) * scheme.sigma_gamma * z
-    return _advance(scheme, x, v, z, scale, v_noise, w1, w2, None)
+    v_scale = math.sqrt(g_) * scheme.sigma_gamma
+    return _advance(scheme, x, v, z, scale, v_scale, w1, w2, None)
 
 
 def general_step(scheme: GeneralScheme, state: State, noise: NoiseDraw) -> State:
@@ -381,7 +390,7 @@ def full_noise_step(scheme: GeneralScheme, x, v, z_full, w1, w2, step: int | Non
     that value reproduces ``general_step``. Used by perturbation probes that
     shift the noise rather than the Gaussian seed.
     """
-    return _advance(scheme, x, v, z_full, scheme.gamma, z_full, w1, w2, step)
+    return _advance(scheme, x, v, z_full, scheme.gamma, 1.0, w1, w2, step)
 
 
 def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[NoiseDraw]) -> State:

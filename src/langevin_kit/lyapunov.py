@@ -25,7 +25,6 @@ themselves overflow.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -62,7 +61,6 @@ __all__ = [
     "verify_d2",
     "D2Report",
     "estimate_drift",
-    "drift_state_bytes",
     "DriftReport",
     "DriftRow",
 ]
@@ -74,6 +72,9 @@ _OVERFLOW_EXPONENT = 700.0
 # rows, so a (rows, d) float64 intermediate takes 256 KiB in any d and a
 # tile's working set stays within an L2 cache (16384 rows at d = 2).
 _TILE_FLOATS = 32768
+# Samples per block of the weights' running summary in estimate_drift: the
+# blocks, not the tiles, fix the order of the reduction.
+_FOLD_ROWS = 65536
 
 
 @dataclass(frozen=True)
@@ -473,55 +474,97 @@ class DriftReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _log_sum_exp(a: np.ndarray, scratch: np.ndarray) -> float:
-    """scipy.special.logsumexp of a 1-d float64 array, bit for bit, on
-    ``scratch`` (a float64 array of a's length, overwritten) instead of
-    scipy's five full-length temporaries.
-
-    Performs scipy 1.17's operations in its order (the max-shifted sum of
-    Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021): the maximum and
-    its m ties are split off, the other entries are shifted, exponentiated
-    and summed pairwise, and the result is log1p(s / m) + log(m) + max on
-    1-element arrays. A non-finite result (an infinite or NaN entry, or
-    overflow) is left to scipy, whose direct path handles those cases.
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a_max = np.max(a, keepdims=True)
-        ties = a == a_max
-        m = np.array([np.count_nonzero(ties)], dtype=np.float64)
-        shifted = np.subtract(a, a_max, out=scratch)
-        np.exp(shifted, out=shifted)
-        shifted[ties] = 0.0
-        s = np.sum(shifted, keepdims=True)
-        del ties
-        if s[0] != 0.0:
-            s /= m
-        out = float((np.log1p(s) + np.log(m) + a_max)[0])
-    if math.isfinite(out):
-        return out
-    from scipy.special import logsumexp  # loaded only for this rare fallback
-
-    return float(logsumexp(a))
-
-
 def _tile_rows(d: int) -> int:
     return max(1, _TILE_FLOATS // d)
 
 
-def drift_state_bytes(mc: int, d: int) -> int:
-    """An upper estimate of the memory ``estimate_drift`` holds for one state
-    of R^d at ``mc`` samples; the states in flight at once (one per worker
-    thread) each hold this much.
+class _WeightFold:
+    """A running summary of exp(a) over the log-weights a pushed so far.
 
-    A worker holds 17 bytes per sample: the float64 log-weights, a float64
-    scratch buffer (the log-sum-exp's shifted copy, then the squared
-    deviations) and the log-sum-exp's boolean tie mask. A tile holds at most
-    16 float64 arrays of max(_TILE_FLOATS, d) entries: the state copies, the
-    noise blocks and the step and energy intermediates. The measured
-    tracemalloc peak stays below this estimate (18.3 MiB at 1e6 samples in
-    d = 2 and d = 8, against an estimate of 20.2 MiB).
+    It holds the shift (the largest log-weight seen), the count, the mean of
+    exp(a - shift) and the centred sum of squares M2 of the same values: the
+    online normalizer of Milakov & Gimelshein (2018) combined with the
+    pairwise variance update of Chan, Golub & LeVeque (1983). When the shift
+    rises, the mean is rescaled by r = exp(old - new) and M2 by r^2.
+
+    Log-weights are summarized in blocks of ``_FOLD_ROWS``, in the order they
+    were pushed, and the blocks are merged one at a time; a block waits in a
+    buffer until it is whole. The summary therefore depends only on the
+    log-weights, not on how they were split into pushes.
     """
-    return 17 * mc + 16 * 8 * _tile_rows(d) * d
+
+    def __init__(self, push_rows: int):
+        self._rows = _FOLD_ROWS
+        # Fewer than _rows wait after each push of at most push_rows.
+        self._pending = np.empty(self._rows + push_rows - 1)
+        self._fill = 0
+        self._finite = True
+        self._shift, self._count, self._mean, self._m2 = -math.inf, 0, 0.0, 0.0
+
+    def push(self, a: np.ndarray) -> bool:
+        """Add the next log-weights (a 1-d array of at most push_rows).
+        False once a log-weight is not finite: the mean weight then has no
+        finite logarithm, and later pushes may be skipped."""
+        rows, fill = self._rows, self._fill + a.size
+        self._pending[self._fill : fill] = a
+        if fill >= rows:
+            # Once per whole block, not per push: with two worker threads,
+            # every numpy call costs more than its own work.
+            full = fill - fill % rows
+            self._fold(self._pending[:full].reshape(-1, rows))
+            fill -= full
+            self._pending[:fill] = self._pending[full : full + fill]
+        self._fill = fill
+        return self._finite
+
+    def finish(self) -> tuple[float, float] | None:
+        """The log of the mean of exp(a), and its standard error: the sample
+        standard deviation of exp(a) over its mean, over sqrt(count). None
+        when a log-weight is not finite."""
+        if self._fill:
+            self._fold(self._pending[: self._fill].reshape(1, -1))
+            self._fill = 0
+        if not self._finite:
+            return None
+        log_mean = self._shift + math.log(self._mean)
+        se_log = math.sqrt(self._m2 / (self._count - 1)) / self._mean / math.sqrt(self._count)
+        return log_mean, se_log
+
+    def _fold(self, blocks: np.ndarray) -> None:
+        # blocks: k rows of n log-weights, overwritten. A fixed number of
+        # numpy calls whatever k is, and no BLAS reduction, so the sums do
+        # not depend on the BLAS thread count.
+        if not self._finite:
+            return
+        n = blocks.shape[1]
+        shifts = np.maximum.accumulate(blocks.max(axis=1))
+        np.maximum(shifts, self._shift, out=shifts)
+        # NaN propagates through the maxima, and +inf is the last shift.
+        if not math.isfinite(shifts[-1]):
+            self._finite = False
+            return
+        # Each block is exponentiated against the shift after it, and its
+        # squares are centred on its own mean.
+        np.subtract(blocks, shifts[:, None], out=blocks)
+        np.exp(blocks, out=blocks)
+        means = np.sum(blocks, axis=1) / n
+        np.subtract(blocks, means[:, None], out=blocks)
+        np.square(blocks, out=blocks)
+        m2s = np.sum(blocks, axis=1)
+        shift, count, mean, m2 = self._shift, self._count, self._mean, self._m2
+        for s, mean_b, m2_b in zip(shifts.tolist(), means.tolist(), m2s.tolist()):
+            if s > shift:
+                r = math.exp(shift - s)
+                mean *= r
+                m2 *= r * r
+                shift = s
+            total = count + n
+            frac = n / total
+            delta = mean_b - mean
+            mean += delta * frac
+            m2 += m2_b + delta * delta * count * frac
+            count = total
+        self._shift, self._count, self._mean, self._m2 = shift, count, mean, m2
 
 
 def estimate_drift(
@@ -547,10 +590,12 @@ def estimate_drift(
     spawns. Every block is drawn tile by tile, and each tile continues its
     block's stream, so the values do not depend on the tile size. Tiles have
     max(1, ``_TILE_FLOATS`` // d) rows; the step and the energy run over one
-    tile at a time from a contiguous copy of the state, and the weights are
-    reduced in place. A state's working set is one float64 per sample, the
-    reduction's temporaries and one tile (see ``drift_state_bytes``), in any
-    d; each worker thread reuses its per-sample buffers from state to state.
+    tile at a time from a contiguous copy of the state. Each tile's
+    log-weights are folded into a running summary of the state's weights
+    (``_WeightFold``) in blocks of ``_FOLD_ROWS`` samples, in sample order,
+    so the result depends on neither the tile size nor the thread count. A
+    state holds one tile and one block of pending log-weights, in any d and
+    at any sample count.
     A ratio too large for a float is reported as inf, and so is a state
     whose log-weight varpi * phi overflows, with an infinite standard error.
     """
@@ -565,14 +610,20 @@ def estimate_drift(
     w2_transform = scheme.noise_spec.w2_transform if widths[2] else None
     tile_rows = _tile_rows(d)
     children = np.random.SeedSequence(seed).spawn(len(states))
-    # Each worker thread keeps one pair of per-sample buffers for all the
-    # states it takes, so their pages are touched once per call, not per state.
-    buffers = threading.local()
+
+    def log_weights(rngs, x, v) -> np.ndarray:
+        # varpi * phi one step on from each row of (x, v), with the next rows
+        # of each noise block. The step's arrays are freed on return, so
+        # they are not held while the next tile steps.
+        n = len(x)
+        z, w1, w2 = (rng.standard_normal((n, w)) for rng, w in zip(rngs, widths))
+        if w2_transform is not None:
+            w2 = w2_transform(w2)
+        x1, v1 = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
+        with np.errstate(over="ignore"):
+            return log_w_bar(x1, v1, scheme, varpi)
 
     def one_state(idx: int) -> DriftRow:
-        if not hasattr(buffers, "a"):
-            buffers.a, buffers.scratch = np.empty(mc), np.empty(mc)
-        a, scratch = buffers.a, buffers.scratch
         st = states[idx]
         radius = float(np.linalg.norm(st.x) + np.linalg.norm(st.v))
         rngs = [np.random.default_rng(s) for s in (children[idx], *children[idx].spawn(2))]
@@ -581,33 +632,20 @@ def estimate_drift(
         v_tile = np.tile(st.v, (n_tile, 1))
         # Every tile reuses them, so the step must not write into them.
         x_tile.flags.writeable = v_tile.flags.writeable = False
+        fold = _WeightFold(tile_rows)
         # Step and energy are row-wise, so evaluating them one tile of rows
         # at a time gives the same values as one whole-ensemble pass while
         # the intermediates stay cache-sized.
         for lo in range(0, mc, tile_rows):
-            hi = min(lo + tile_rows, mc)
-            z, w1, w2 = (rng.standard_normal((hi - lo, w)) for rng, w in zip(rngs, widths))
-            if w2_transform is not None:
-                w2 = w2_transform(w2)
-            x1, v1 = step_ensemble(
-                scheme, x_tile[: hi - lo], v_tile[: hi - lo], NoiseDraw(z, w1, w2)
-            )
-            with np.errstate(over="ignore"):
-                a[lo:hi] = log_w_bar(x1, v1, scheme, varpi)
-        # Checked once, not per tile: with two worker threads, every numpy
-        # call in the tile loop costs more than its own work.
-        if not np.isfinite(a).all():
+            n = min(tile_rows, mc - lo)
+            if not fold.push(log_weights(rngs, x_tile[:n], v_tile[:n])):
+                break
+        summary = fold.finish()
+        if summary is None:
             # varpi * phi left the float range, so the mean weight has no
             # finite logarithm and the state is not contracting.
             return DriftRow(st.x, st.v, radius, math.inf, math.inf, math.inf)
-        log_mean = _log_sum_exp(a, scratch) - math.log(mc)
-        a -= log_mean
-        np.exp(a, out=a)
-        # np.std(a, ddof=1): numpy 2's operations in its order, with the
-        # squared deviations in scratch.
-        np.subtract(a, np.sum(a, keepdims=True) / mc, out=scratch)
-        np.square(scratch, out=scratch)
-        se_log = float(np.sqrt(np.sum(scratch) / (mc - 1)) / math.sqrt(mc))
+        log_mean, se_log = summary
         log_ratio = log_mean - log_starts[idx]
         try:
             ratio = math.exp(log_ratio)

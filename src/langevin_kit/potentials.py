@@ -30,7 +30,6 @@ def quadratic_potential(curvature: float = 1.0) -> ForceModel:
         lipschitz=a,
         potential=lambda x: 0.5 * a * row_dot(x, x),
         grad_potential=lambda x: a * x,
-        label="quadratic",
     )
 
 
@@ -67,7 +66,6 @@ def quartic_well_potential(
         lipschitz=lipschitz,
         potential=potential,
         grad_potential=grad,
-        label="quartic-well",
     )
 
 
@@ -104,5 +102,4 @@ def flat_tail_potential(radius: float = 5.0) -> ForceModel:
         lipschitz=2.0,
         potential=potential,
         grad_potential=grad,
-        label="flat-tail-counterexample",
     )

@@ -434,8 +434,9 @@ def scalar_step_closure(
     v_noise = math.sqrt(g_) * scheme.sigma_gamma
 
     def step(x, v, z, w1):
-        fx, gx = corrections(x, g_ * v, scale * z, w1, None)
-        x_new = x + g_ * v
+        vs = g_ * v
+        fx, gx = corrections(x, vs, scale * z, w1, None)
+        x_new = x + vs
         if fx is not None:
             x_new = x_new + g_ * fx
         if d_scalar != 0.0:

@@ -34,9 +34,6 @@ class StabilityConstants:
     factors; l_x and l_v the same-start trajectory-sum factors.
     """
 
-    k: int
-    gamma: float
-    lam: float
     l_gamma: float
     m_gamma: float
     l_x: float
@@ -70,9 +67,7 @@ def stability_constants(
         k * gamma * m_gamma * el * grow * l_pow + grow
     )
     l_v = (k - 1) * gamma * m_gamma * grow * l_pow * el + grow
-    return StabilityConstants(
-        k=k, gamma=gamma, lam=lam, l_gamma=l_gamma, m_gamma=m_gamma, l_x=l_x, l_v=l_v
-    )
+    return StabilityConstants(l_gamma=l_gamma, m_gamma=m_gamma, l_x=l_x, l_v=l_v)
 
 
 @dataclass(frozen=True)

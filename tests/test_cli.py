@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,11 +51,16 @@ def read_rows(out_dir):
 
 
 def test_make_potential_tags():
-    assert make_potential({"kind": "quadratic"}).label == "quadratic"
-    assert make_potential({"kind": "quartic-well"}).label == "quartic-well"
-    assert make_potential({"kind": "flat-tail-counterexample"}).label == (
-        "flat-tail-counterexample"
-    )
+    # Each tag builds its own force, told apart by b at |x| = 2 (inside every
+    # core), 7.5 (on the flat tail's ramp) and 12 (past it), at the defaults.
+    x = np.array([[2.0], [7.5], [12.0]])
+    expected = {
+        "quadratic": [-2.0, -7.5, -12.0],
+        "quartic-well": [-4.0, -112.96875, -444.0],
+        "flat-tail-counterexample": [-2.0, -3.75, 0.0],
+    }
+    for kind, b in expected.items():
+        np.testing.assert_allclose(make_potential({"kind": kind}).b(x)[:, 0], b, rtol=1e-15)
     with pytest.raises(ConfigError, match="potential.kind"):
         make_potential({"kind": "cosine"})
     with pytest.raises(ConfigError, match="curvature"):
@@ -417,19 +426,20 @@ def test_dimension_is_capped(tmp_path, capsys):
     assert "d must be at most 2^16" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("samples, code", [(62_914_560, 0), (62_914_561, 2)])
-def test_drift_state_footprint_is_capped(tmp_path, capsys, samples, code):
-    # At d = 2, 17 bytes per sample plus a 4 MiB tile reach 2^30 bytes at
-    # exactly 62,914,560 samples; checked by validate only, so nothing of
-    # that size is allocated.
+@pytest.mark.parametrize("samples, code", [(62_914_561, 0), (2**29, 0), (2**29 + 1, 2)])
+def test_drift_samples_are_limited_only_by_the_work_cap(tmp_path, capsys, samples, code):
+    # A state's memory does not grow with its samples, so at d = 2 only the
+    # work cap binds: over the four states of one radius, 2^29 samples are
+    # exactly 2^32 units. 62,914,561 samples were refused while every state
+    # kept all its log-weights. Checked by validate only; nothing runs.
     cfg = {
         "experiment": "drift-check",
         "scheme": {"kind": "SplitCABAC", "gamma": 0.01},
         "d": 2,
-        "monte_carlo": {"samples": samples},
+        "monte_carlo": {"samples": samples, "radii": [1.0]},
     }
     assert main(["validate", write_config(tmp_path, "drift.json", cfg)]) == code
-    assert ("more than 1073741824" in capsys.readouterr().err) == (code == 2)
+    assert ("more than 4294967296" in capsys.readouterr().err) == (code == 2)
 
 
 @pytest.mark.parametrize("samples, code", [(16_384, 0), (16_385, 2)])
@@ -781,3 +791,40 @@ def test_run_exit_codes(tmp_path, capsys):
     path = write_config(tmp_path, "blocked.json", blocked)
     assert main(["run", path]) == 2
     assert "not writable" in capsys.readouterr().err
+
+
+def test_drift_check_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
+    # The drift-check-wide benchmark config at 70,000 samples: one whole
+    # block of the weights' fold and a partial one, each long enough that a
+    # BLAS reduction would split its work across threads. Each run is a fresh
+    # process, since OpenBLAS reads its thread count once, at load.
+    cfg = {
+        "experiment": "drift-check",
+        "d": 2,
+        "seed": 3,
+        "scheme": {"kind": "SplitCABAC", "kappa": 1.0, "sigma": 1.0, "gamma": 0.01},
+        "potential": {"kind": "quartic-well"},
+        "monte_carlo": {"varpi": 0.1, "radii": [5.0, 10.0, 15.0, 20.0], "samples": 70_000},
+    }
+    path = write_config(tmp_path, "drift.json", cfg)
+    src = str(Path(langevin_kit.__file__).resolve().parents[1])
+    code = "import sys; from langevin_kit.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = set()
+    for blas in ("1", "2"):
+        for workers in ("1", "2"):
+            out = tmp_path / f"blas{blas}-workers{workers}"
+            env = dict(
+                os.environ,
+                PYTHONPATH=src,
+                OPENBLAS_NUM_THREADS=blas,
+                LANGEVIN_KIT_THREADS=workers,
+            )
+            subprocess.run(
+                [sys.executable, "-c", code, "run", path, "--out", str(out)],
+                capture_output=True,
+                check=True,
+                env=env,
+                timeout=300,
+            )
+            outputs.add((out / "results.csv").read_bytes())
+    assert len(outputs) == 1

@@ -252,7 +252,6 @@ def flat_tail_force(radius: float = 5.0) -> ForceModel:
         lipschitz=1.0,
         potential=pot,
         grad_potential=grad,
-        label="flat-tail",
     )
 
 
@@ -342,15 +341,18 @@ def tiled_drift(kind, force, d, seed=11):
     return drift_columns(estimate_drift(kind, params, 0.1, grid, mc=1000, seed=seed))
 
 
+@pytest.mark.parametrize("fold_rows", [65536, 64])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize(
     "force", [quadratic_potential(), quartic_well_potential()], ids=["quadratic", "quartic-well"]
 )
 @pytest.mark.parametrize("kind", [SchemeKind.SPLIT_CABAC, SchemeKind.SG_EULER_MARUYAMA])
-def test_drift_report_does_not_depend_on_the_tile_size(monkeypatch, kind, force, d):
+def test_drift_report_does_not_depend_on_the_tile_size(monkeypatch, kind, force, d, fold_rows):
     # mc = 1000 rows: tiles of 7 rows leave an uneven last tile of 6; one
     # tile of 4096 rows holds them all. Every noise block is drawn tile by
-    # tile: z and w1 for CABAC, z and a transformed w2 for SG-EM.
+    # tile: z and w1 for CABAC, z and a transformed w2 for SG-EM. Blocks of
+    # 64 rows straddle the 7-row tiles, and the last block has 40 rows.
+    monkeypatch.setattr(lyapunov, "_FOLD_ROWS", fold_rows)
     monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 7 * d)
     small = tiled_drift(kind, force, d)
     monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 4096 * d)
@@ -361,6 +363,7 @@ def test_drift_report_does_not_depend_on_the_tile_size(monkeypatch, kind, force,
 
 def test_tiled_drift_report_does_not_depend_on_the_thread_count(monkeypatch):
     monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 14)
+    monkeypatch.setattr(lyapunov, "_FOLD_ROWS", 64)
     reports = []
     for threads in ("1", "2"):
         monkeypatch.setenv("LANGEVIN_KIT_THREADS", threads)
@@ -369,10 +372,18 @@ def test_tiled_drift_report_does_not_depend_on_the_thread_count(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def fold_all(a):
+    """The estimator's summary of a whole array of log-weights at once."""
+    fold = lyapunov._WeightFold(a.size)
+    fold.push(a)
+    return fold.finish()
+
+
 def one_pass_drift_rows(kind, params, grid, mc, seed, varpi=0.1):
     """(log_ratio, se_log) per state from whole noise blocks and one
-    whole-ensemble step, reduced with scipy.special.logsumexp. z comes from
-    the state's stream, w1 and w2 from the two children it spawns."""
+    whole-ensemble step, with the whole array of log-weights reduced by the
+    estimator's fold. z comes from the state's stream, w1 and w2 from the two
+    children it spawns."""
     scheme = as_general_scheme(kind, params)
     children = np.random.SeedSequence(seed).spawn(len(grid))
     rows = []
@@ -392,16 +403,17 @@ def one_pass_drift_rows(kind, params, grid, mc, seed, varpi=0.1):
             NoiseDraw(z, w1, w2),
         )
         a = varpi * phi_gamma(x1, v1, scheme)
-        log_mean = float(logsumexp(a) - math.log(mc))
-        se_log = float(np.std(np.exp(a - log_mean), ddof=1) / math.sqrt(mc))
+        log_mean, se_log = fold_all(a)
         rows.append((log_mean - varpi * phi_gamma(st.x, st.v, scheme), se_log))
     return rows
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
 def test_tiled_drift_rows_equal_the_one_pass_reference(monkeypatch, kind):
-    # Tiles of 7 rows at d = 2 stream every noise block and reduce in place.
+    # Tiles of 7 rows at d = 2 stream every noise block; blocks of 64 rows
+    # are folded as they fill.
     monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 14)
+    monkeypatch.setattr(lyapunov, "_FOLD_ROWS", 64)
     force = quartic_well_potential()
     _, params = scheme_for(kind, gamma=0.01, force=force, d=2)
     grid = [State(np.full(2, a), np.full(2, b)) for a, b in [(0.0, 0.0), (6.0, 0.0), (-4.0, 4.0)]]
@@ -410,36 +422,40 @@ def test_tiled_drift_rows_equal_the_one_pass_reference(monkeypatch, kind):
     assert [(row.log_ratio, row.se_log) for row in report.rows] == expected
 
 
-@pytest.mark.parametrize("d, bound_mib", [(2, 20), (8, 24)])
-def test_drift_state_peak_memory(monkeypatch, d, bound_mib):
-    # One state at 1e6 samples: the log-weights and a scratch buffer (16 MB),
-    # the log-sum-exp's tie mask (1 MB) and one tile, in any d; measured
-    # 18.3 MiB at d = 2 and d = 8. Drawing z whole peaked at 25.6 MiB (d = 2)
-    # and 79.7 MiB (d = 8).
-    monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
+def drift_peak_bytes(d, mc):
     force = quartic_well_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.01, force=force)
     grid = [State(np.full(d, 5.0), np.zeros(d))]
-    estimate_drift(SchemeKind.SPLIT_CABAC, params, 0.1, grid, mc=1000)
     tracemalloc.start()
     try:
-        estimate_drift(SchemeKind.SPLIT_CABAC, params, 0.1, grid, mc=10**6)
-        peak = tracemalloc.get_traced_memory()[1]
+        estimate_drift(SchemeKind.SPLIT_CABAC, params, 0.1, grid, mc=mc)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound_mib * 2**20
-    assert peak <= lyapunov.drift_state_bytes(10**6, d)
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_drift_state_peak_memory_does_not_grow_with_samples(monkeypatch, d):
+    # One state holds one tile and one block of pending log-weights at any
+    # sample count. Measured 2.9 MiB at 1e6 samples in d = 2 and 2.8 MiB in
+    # d = 8; keeping every log-weight took 18.3 MiB. At 1e4 samples in d = 2
+    # the tile is cut to 1e4 of its 16384 rows, 0.7 MiB less.
+    monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
+    drift_peak_bytes(d, 1000)
+    small = drift_peak_bytes(d, 10**4)
+    large = drift_peak_bytes(d, 10**6)
+    assert abs(large - small) <= 2**20
 
 
 def lse_cases():
     rng = np.random.default_rng(17)
     ties = rng.standard_normal(1000)
     ties[[3, 400, 999]] = ties.max() + 0.5
+    late = rng.standard_normal(3 * 65536 + 100)
+    late[-1] = 40.0
     return {
-        "n=1": np.array([0.3]),
         "n=2": np.array([-1.25, 2.5]),
         "n=1e6": rng.standard_normal(10**6) * 3.0,
-        # log1p(s) ~ s: the result carries every bit of the pairwise sum
         "one-dominant": np.concatenate([[0.0], rng.standard_normal(10**6) - 20.0]),
         "ties": ties,
         "all-tied": np.full(5, -2.0),
@@ -447,19 +463,31 @@ def lse_cases():
         "offset+700": 700.0 + rng.standard_normal(10**5),
         "offset-700": -700.0 + rng.standard_normal(10**5) * 0.01,
         "minus-inf": np.array([-np.inf, 1.0, 1.0]),
-        "plus-inf": np.array([np.inf, 1.0]),
-        "nan": np.array([np.nan, 1.0]),
-        "all-minus-inf": np.full(2, -np.inf),
+        # the maximum arrives in the last, partial block
+        "late-maximum": late,
     }
 
 
+@pytest.mark.parametrize("fold_rows", [65536, 64])
 @pytest.mark.parametrize("name", list(lse_cases()))
-def test_log_sum_exp_is_bit_equal_to_scipy(name):
+def test_weight_fold_matches_scipy(monkeypatch, name, fold_rows):
+    monkeypatch.setattr(lyapunov, "_FOLD_ROWS", fold_rows)
     a = lse_cases()[name]
-    before = a.copy()
-    got = lyapunov._log_sum_exp(a, np.empty_like(a))
-    assert float(logsumexp(a)).hex() == got.hex()
-    assert np.array_equal(a, before, equal_nan=True)
+    mc = a.size
+    log_mean = float(logsumexp(a)) - math.log(mc)
+    se_log = float(np.std(np.exp(a - log_mean), ddof=1)) / math.sqrt(mc)
+    got_mean, got_se = fold_all(a)
+    assert abs(got_mean - log_mean) <= 1e-12
+    assert abs(got_se - se_log) <= 1e-10 * se_log
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("where", [0, 70, 199])
+def test_weight_fold_refuses_a_non_finite_log_weight(monkeypatch, bad, where):
+    monkeypatch.setattr(lyapunov, "_FOLD_ROWS", 64)
+    a = np.linspace(0.0, 1.0, 200)
+    a[where] = bad
+    assert fold_all(a) is None
 
 
 def test_drift_gamma_ceiling_and_validation():
