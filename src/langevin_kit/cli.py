@@ -6,8 +6,9 @@ the config file and optionally overrides the seed and the output directory.
 Each run writes ``results.csv`` (one row per gamma, probe point and
 statistic) and ``meta.json`` (the fully resolved config plus a content hash,
 seed, wall time and library version). The meta file is itself a valid
-config: unknown keys are ignored on load, so re-running it reproduces the
-CSV byte for byte.
+config: unknown keys are dropped on load at every level (the top,
+``scheme``, ``potential`` and ``monte_carlo``), so re-running it reproduces
+the CSV byte for byte.
 
 Exit status: 0 when the experiment ran and every built-in check passed, 1
 when a check failed (a non-contracting drift, a rate fit below quality, a
@@ -63,33 +64,6 @@ __all__ = [
 ]
 
 CSV_SCHEMA = ("gamma", "probe_point", "statistic", "value", "std_error")
-
-EXPERIMENTS = (
-    "simulate",
-    "covariance-check",
-    "drift-check",
-    "tv-decay",
-    "minorization",
-    "poisson",
-    "order-check",
-    "stability-check",
-)
-
-_MC_DEFAULTS = {
-    "simulate": {"steps": 100, "ensemble": 1000, "record_every": 10, "init": [0.0, 0.0]},
-    "covariance-check": {"t0": 0.5},
-    "drift-check": {"varpi": 0.1, "samples": 100_000, "radii": [5.0, 10.0, 15.0, 20.0]},
-    "tv-decay": {"samples": 200_000, "horizon": 12.0, "init": [5.0, 0.0]},
-    "minorization": {"t0": 0.5, "m_radius": 1.0, "pairs": 16, "samples": 1_000_000},
-    "poisson": {
-        "truncation_k": 150,
-        "samples": 200_000,
-        "observable": "x",
-        "eval_points": [[-2.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
-    },
-    "order-check": {"gamma_pair": [0.2, 0.1], "samples": 1_000_000},
-    "stability-check": {"k": 20, "lambda": 1.0, "trials": 10_000},
-}
 
 # d sizes every state array, and validate itself builds drift-check's probe
 # states in R^d: 2^16 coordinates keep those under 20 MB.
@@ -170,6 +144,46 @@ def _require_int(value, name, minimum=1):
     return value
 
 
+def _require_samples(value, name):
+    return _require_int(value, name, minimum=2)
+
+
+def _require_init(value, name):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{name} must be [x0, v0]")
+    for i, val in enumerate(value):
+        _finite(val, f"{name}[{i}]")
+    return value
+
+
+def _require_radii(value, name):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a nonempty list")
+    return [_require_positive(r, f"{name}[{i}]") for i, r in enumerate(value)]
+
+
+def _require_observable(value, name):
+    if value not in ("x", "v"):
+        raise ConfigError(f"{name} must be 'x' or 'v'")
+    return value
+
+
+def _require_rows(value, name):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a nonempty list of [x.., v..] rows")
+    return value
+
+
+def _require_gamma_pair(value, name):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{name} must be [coarse, fine]")
+    coarse = _require_positive(value[0], f"{name}[0]")
+    fine = _require_positive(value[1], f"{name}[1]")
+    if not fine < coarse:
+        raise ConfigError(f"{name} must satisfy fine < coarse")
+    return [coarse, fine]
+
+
 def validate_config(raw: dict) -> dict:
     """Resolve and validate a raw config dict; unknown keys are dropped.
 
@@ -183,6 +197,7 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(
             f"experiment must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}"
         )
+    entry = _TABLE[experiment]
 
     scheme_raw = raw.get("scheme")
     if not isinstance(scheme_raw, dict):
@@ -217,6 +232,9 @@ def validate_config(raw: dict) -> dict:
     if not isinstance(potential, dict):
         raise ConfigError("potential must be an object with a kind tag")
     make_potential(potential)  # raises ConfigError on bad tags/coefficients
+    # Only the known keys stay, each with its value as given (an int stays an int).
+    names = ("kind", *_POTENTIALS[potential["kind"]][1])
+    potential = {name: potential[name] for name in names if name in potential}
 
     d = _require_int(raw.get("d", 1), "d")
     if d > _MAX_D:
@@ -224,53 +242,55 @@ def validate_config(raw: dict) -> dict:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    if seed >= 2**64:
+        # The generators key on the seed modulo 2^64: a larger one would
+        # repeat a smaller seed's numbers under another content hash.
+        raise ConfigError(f"seed must be below 2^64, got {seed}")
 
     mc_raw = raw.get("monte_carlo", {})
     if not isinstance(mc_raw, dict):
         raise ConfigError("monte_carlo must be an object")
-    mc = dict(_MC_DEFAULTS[experiment])
-    for key, value in mc_raw.items():
-        if key in mc:
-            mc[key] = value
-    _validate_mc(experiment, mc, scheme, d)
+    mc = {
+        key: coerce(mc_raw.get(key, default), f"monte_carlo.{key}")
+        for key, (default, coerce) in entry.fields.items()
+    }
+    if entry.scalar_only and d != 1:
+        raise ConfigError(f"{experiment} supports d = 1 only ({entry.scalar_only})")
+    if entry.cross is not None:
+        entry.cross(mc, scheme, d)
 
     output = raw.get("output", "results")
     if not isinstance(output, str) or not output:
         raise ConfigError("output must be a nonempty path string")
 
-    cfg = {
-        "experiment": experiment,
-        "scheme": scheme,
-        "potential": dict(potential),
-        "d": d,
-        "seed": seed,
-        "monte_carlo": mc,
-        "output": output,
-    }
-    _check_schemes(cfg)
+    cfg = {"experiment": experiment, "scheme": scheme, "potential": potential, "d": d,
+           "seed": seed, "monte_carlo": mc, "output": output}
+    entry.check_schemes(cfg, _gammas(cfg, entry))
     return cfg
 
 
-def _check_schemes(cfg: dict) -> None:
-    """ConfigError unless the scheme builds at every gamma the experiment
-    steps with, so that parameters whose derived coefficients overflow or
-    leave the family's range are refused before anything runs. For
-    drift-check the gamma must also lie below the energy ceiling, and
-    order-check needs the quadratic well its moment targets are exact on."""
-    experiment = cfg["experiment"]
-    gammas = _gammas(cfg)
-    if experiment == "covariance-check":
-        _check_covariance(cfg, gammas)
-        return  # works from kappa and sigma alone, never builds the scheme
+def _gammas(cfg: dict, entry) -> list[float]:
+    """The gammas an experiment steps with, as its entry declares: the one
+    scheme gamma, the scheme's gamma grid, or ``monte_carlo.gamma_pair``.
+    Every experiment but a grid one takes exactly one scheme gamma."""
+    scheme = cfg["scheme"]
+    grid = scheme["gamma_grid"] if "gamma_grid" in scheme else [scheme["gamma"]]
+    if entry.gammas != "grid" and len(grid) != 1:
+        raise ConfigError(f"{cfg['experiment']} needs a single scheme.gamma, got {grid}")
+    return cfg["monte_carlo"]["gamma_pair"] if entry.gammas == "pair" else grid
+
+
+def _build_schemes(cfg: dict, gammas, check=None) -> None:
+    """ConfigError unless the scheme builds at every gamma, so that parameters
+    whose derived coefficients overflow or leave the family's range are
+    refused before anything runs, and ``check(cfg, params, scheme)`` raises
+    no ContractViolation there."""
     for gamma in gammas:
         try:
             kind, params = _scheme_params(cfg, gamma)
             scheme = as_general_scheme(kind, params)
-            if experiment == "drift-check":
-                check_energy_ceiling(scheme)
-                _check_log_weights(cfg, scheme)
-            elif experiment == "order-check":
-                _quadratic_curvature(params)
+            if check is not None:
+                check(cfg, params, scheme)
         except ContractViolation as exc:
             raise ConfigError(f"scheme at gamma = {gamma:g}: {exc}")
 
@@ -280,7 +300,8 @@ def _check_covariance(cfg: dict, gammas) -> None:
     exp(-kappa gamma) lies in (0, 1), gamma lies below t0, and the step count
     floor(t0 / gamma) + 1 stays within ``_MAX_COVARIANCE_STEPS``; and the
     O(1) part, the continuous covariance at t0 with its sandwich, evaluates
-    without a floating-point error that ``run`` would warn about."""
+    without a floating-point error that ``run`` would warn about. It works
+    from kappa and sigma alone and never builds the scheme."""
     t0 = cfg["monte_carlo"]["t0"]
     kappa, sigma = cfg["scheme"]["kappa"], cfg["scheme"]["sigma"]
     for gamma in gammas:
@@ -307,9 +328,11 @@ def _check_covariance(cfg: dict, gammas) -> None:
         )
 
 
-def _check_log_weights(cfg: dict, scheme) -> None:
-    """ConfigError unless varpi * phi, the exponent of the drift weight, is a
+def _check_drift_scheme(cfg: dict, params, scheme) -> None:
+    """ContractViolation unless gamma lies below the energy ceiling;
+    ConfigError unless varpi * phi, the exponent of the drift weight, is a
     finite float at every state drift-check probes."""
+    check_energy_ceiling(scheme)
     mc = cfg["monte_carlo"]
     with np.errstate(over="ignore", invalid="ignore"):
         for st in _drift_grid(cfg["d"], mc["radii"]):
@@ -320,112 +343,48 @@ def _check_log_weights(cfg: dict, scheme) -> None:
                 )
 
 
-def _validate_mc(experiment, mc, scheme, d):
-    pre = "monte_carlo"
-    if experiment == "simulate":
-        mc["steps"] = _require_int(mc["steps"], f"{pre}.steps")
-        mc["ensemble"] = _require_int(mc["ensemble"], f"{pre}.ensemble")
-        mc["record_every"] = _require_int(mc["record_every"], f"{pre}.record_every")
-        _check_init(mc["init"], pre)
-    elif experiment == "covariance-check":
-        mc["t0"] = _require_positive(mc["t0"], f"{pre}.t0")
-    elif experiment == "drift-check":
-        mc["varpi"] = _require_positive(mc["varpi"], f"{pre}.varpi")
-        mc["samples"] = _require_int(mc["samples"], f"{pre}.samples", minimum=2)
-        radii = mc["radii"]
-        if not isinstance(radii, list) or not radii:
-            raise ConfigError(f"{pre}.radii must be a nonempty list")
-        mc["radii"] = [_require_positive(r, f"{pre}.radii[{i}]") for i, r in enumerate(radii)]
-        states = len(_drift_grid(d, mc["radii"]))
-        work = mc["samples"] * d * states
-        if work > _MAX_DRIFT_WORK:
-            raise ConfigError(
-                f"{pre}.samples = {mc['samples']} at d = {d} over {states} states "
-                f"is {work} sample coordinates of work, more than {_MAX_DRIFT_WORK}"
-            )
-    elif experiment == "tv-decay":
-        mc["samples"] = _require_int(mc["samples"], f"{pre}.samples", minimum=2)
-        mc["horizon"] = _require_positive(mc["horizon"], f"{pre}.horizon")
-        _check_init(mc["init"], pre)
-        if d != 1:
-            raise ConfigError("tv-decay supports d = 1 only (scalar reference run)")
-        if scheme["kind"] == SchemeKind.SG_EULER_MARUYAMA.value:
-            raise ConfigError(
-                "tv-decay has no scalar reference run for SgEulerMaruyama "
-                "(its estimator draws a sample per step)"
-            )
-    elif experiment == "minorization":
-        mc["t0"] = _require_positive(mc["t0"], f"{pre}.t0")
-        mc["m_radius"] = _require_positive(mc["m_radius"], f"{pre}.m_radius")
-        try:
-            minorization_partition(mc["m_radius"], d)
-        except ContractViolation as exc:
-            raise ConfigError(str(exc))
-        mc["pairs"] = _require_int(mc["pairs"], f"{pre}.pairs")
-        mc["samples"] = _require_int(mc["samples"], f"{pre}.samples", minimum=2)
-    elif experiment == "poisson":
-        mc["truncation_k"] = _require_int(mc["truncation_k"], f"{pre}.truncation_k")
-        mc["samples"] = _require_int(mc["samples"], f"{pre}.samples", minimum=2)
-        if mc["observable"] not in ("x", "v"):
-            raise ConfigError(f"{pre}.observable must be 'x' or 'v'")
-        pts = mc["eval_points"]
-        if not isinstance(pts, list) or not pts:
-            raise ConfigError(f"{pre}.eval_points must be a nonempty list of [x.., v..] rows")
-        for i, p in enumerate(pts):
-            if not isinstance(p, list) or len(p) != 2 * d:
-                raise ConfigError(f"{pre}.eval_points[{i}] must have 2*d = {2 * d} numbers")
-            for j, val in enumerate(p):
-                _finite(val, f"{pre}.eval_points[{i}][{j}]")
-    elif experiment == "order-check":
-        pair = mc["gamma_pair"]
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{pre}.gamma_pair must be [coarse, fine]")
-        coarse = _require_positive(pair[0], f"{pre}.gamma_pair[0]")
-        fine = _require_positive(pair[1], f"{pre}.gamma_pair[1]")
-        if not fine < coarse:
-            raise ConfigError(f"{pre}.gamma_pair must satisfy fine < coarse")
-        mc["gamma_pair"] = [coarse, fine]
-        mc["samples"] = _require_int(mc["samples"], f"{pre}.samples", minimum=2)
-        if d != 1:
-            raise ConfigError("order-check supports d = 1 only (scalar moment targets)")
-    elif experiment == "stability-check":
-        mc["k"] = _require_int(mc["k"], f"{pre}.k")
-        mc["lambda"] = _require_positive(mc["lambda"], f"{pre}.lambda")
-        mc["trials"] = _require_int(mc["trials"], f"{pre}.trials")
+def _check_drift_work(mc, scheme, d) -> None:
+    states = len(_drift_grid(d, mc["radii"]))
+    work = mc["samples"] * d * states
+    if work > _MAX_DRIFT_WORK:
+        raise ConfigError(
+            f"monte_carlo.samples = {mc['samples']} at d = {d} over {states} states "
+            f"is {work} sample coordinates of work, more than {_MAX_DRIFT_WORK}"
+        )
 
 
-def _check_init(init, pre):
-    if not isinstance(init, list) or len(init) != 2:
-        raise ConfigError(f"{pre}.init must be [x0, v0]")
-    for i, val in enumerate(init):
-        _finite(val, f"{pre}.init[{i}]")
+def _refuse_stochastic_gradient(mc, scheme, d) -> None:
+    if scheme["kind"] == SchemeKind.SG_EULER_MARUYAMA.value:
+        raise ConfigError(
+            "tv-decay has no scalar reference run for SgEulerMaruyama "
+            "(its estimator draws a sample per step)"
+        )
 
 
-def _gammas(cfg: dict) -> list[float]:
-    """The gammas the experiment steps with: order-check's gamma_pair, the
-    gamma grid for minorization and covariance-check, and exactly one gamma
-    for every other experiment."""
-    if cfg["experiment"] == "order-check":
-        return cfg["monte_carlo"]["gamma_pair"]
-    scheme = cfg["scheme"]
-    grid = scheme["gamma_grid"] if "gamma_grid" in scheme else [scheme["gamma"]]
-    if cfg["experiment"] not in ("minorization", "covariance-check") and len(grid) != 1:
-        raise ConfigError(f"{cfg['experiment']} needs a single scheme.gamma, got {grid}")
-    return grid
+def _check_partition(mc, scheme, d) -> None:
+    try:
+        minorization_partition(mc["m_radius"], d)
+    except ContractViolation as exc:
+        raise ConfigError(str(exc))
+
+
+def _check_eval_points(mc, scheme, d) -> None:
+    for i, p in enumerate(mc["eval_points"]):
+        if not isinstance(p, list) or len(p) != 2 * d:
+            raise ConfigError(f"monte_carlo.eval_points[{i}] must have 2*d = {2 * d} numbers")
+        for j, val in enumerate(p):
+            _finite(val, f"monte_carlo.eval_points[{i}][{j}]")
 
 
 def _scheme_params(cfg: dict, gamma: float) -> tuple[SchemeKind, SchemeParams]:
-    kind = SchemeKind(cfg["scheme"]["kind"])
+    scheme = cfg["scheme"]
+    kind = SchemeKind(scheme["kind"])
     force = make_potential(cfg["potential"])
     sg = None
     if kind is SchemeKind.SG_EULER_MARUYAMA:
-        sg = gaussian_perturbation_estimator(force, cfg["scheme"]["sg_noise_scale"], cfg["d"])
+        sg = gaussian_perturbation_estimator(force, scheme["sg_noise_scale"], cfg["d"])
     return kind, SchemeParams(
-        kappa=cfg["scheme"]["kappa"],
-        sigma=cfg["scheme"]["sigma"],
-        gamma=gamma,
-        force=force,
-        sg_estimator=sg,
+        kappa=scheme["kappa"], sigma=scheme["sigma"], gamma=gamma, force=force, sg_estimator=sg
     )
 
 
@@ -434,10 +393,8 @@ def _scheme_params(cfg: dict, gamma: float) -> tuple[SchemeKind, SchemeParams]:
 
 
 def _axis_state(d: int, a: float, b: float) -> State:
-    x = np.zeros(d)
-    v = np.zeros(d)
-    x[0] = a
-    v[0] = b
+    x, v = np.zeros(d), np.zeros(d)
+    x[0], v[0] = a, b
     return State(x, v)
 
 
@@ -450,17 +407,15 @@ def _drift_grid(d: int, radii) -> list[State]:
     ]
 
 
-def _run_simulate(cfg):
+def _run_simulate(cfg, gammas):
     mc = cfg["monte_carlo"]
-    (gamma,) = _gammas(cfg)
+    (gamma,) = gammas
     kind, params = _scheme_params(cfg, gamma)
     scheme = as_general_scheme(kind, params)
     d = cfg["d"]
     init = State(np.full(d, float(mc["init"][0])), np.full(d, float(mc["init"][1])))
     config = TrajectoryConfig(
-        n_steps=mc["steps"],
-        seed=cfg["seed"],
-        ensemble=mc["ensemble"],
+        n_steps=mc["steps"], seed=cfg["seed"], ensemble=mc["ensemble"],
         record_every=mc["record_every"],
     )
     rows = []
@@ -478,11 +433,10 @@ def _run_simulate(cfg):
     return rows, []
 
 
-def _run_covariance_check(cfg):
+def _run_covariance_check(cfg, gammas):
     mc = cfg["monte_carlo"]
-    grid = _gammas(cfg)
     table = covariance_consistency(
-        mc["t0"], np.array(grid), cfg["scheme"]["kappa"], cfg["scheme"]["sigma"]
+        mc["t0"], np.array(gammas), cfg["scheme"]["kappa"], cfg["scheme"]["sigma"]
     )
     point = f"t0={mc['t0']:.10g}"
     rows = [(r.gamma, point, "max_abs_error", r.max_error, 0.0) for r in table.rows]
@@ -501,20 +455,14 @@ def _run_covariance_check(cfg):
     return rows, failures
 
 
-def _run_drift_check(cfg):
+def _run_drift_check(cfg, gammas):
     mc = cfg["monte_carlo"]
-    (gamma,) = _gammas(cfg)
+    (gamma,) = gammas
     kind, params = _scheme_params(cfg, gamma)
     grid = _drift_grid(cfg["d"], mc["radii"])
     report = estimate_drift(kind, params, mc["varpi"], grid, mc["samples"], seed=cfg["seed"])
     rows = [
-        (
-            gamma,
-            f"x={row.x[0]:.10g};v={row.v[0]:.10g}",
-            "log_ratio",
-            row.log_ratio,
-            row.se_log,
-        )
+        (gamma, f"x={row.x[0]:.10g};v={row.v[0]:.10g}", "log_ratio", row.log_ratio, row.se_log)
         for row in report.rows
     ]
     rows.append((gamma, "summary", "lambda_hat", report.lambda_hat, 0.0))
@@ -524,9 +472,9 @@ def _run_drift_check(cfg):
     return rows, failures
 
 
-def _run_tv_decay(cfg):
+def _run_tv_decay(cfg, gammas):
     mc = cfg["monte_carlo"]
-    (gamma,) = _gammas(cfg)
+    (gamma,) = gammas
     kind, params = _scheme_params(cfg, gamma)
     init = State(np.array([float(mc["init"][0])]), np.array([float(mc["init"][1])]))
     estimate = fit_geometric_rate(
@@ -545,20 +493,12 @@ def _run_tv_decay(cfg):
     return rows, failures
 
 
-def _run_minorization(cfg):
+def _run_minorization(cfg, gammas):
     mc = cfg["monte_carlo"]
-    grid = _gammas(cfg)
-    kind, params = _scheme_params(cfg, grid[0])
+    kind, params = _scheme_params(cfg, gammas[0])
     estimates = minorization_probe(
-        kind,
-        params,
-        mc["t0"],
-        mc["m_radius"],
-        grid,
-        mc["pairs"],
-        mc["samples"],
-        seed=cfg["seed"],
-        d=cfg["d"],
+        kind, params, mc["t0"], mc["m_radius"], gammas, mc["pairs"], mc["samples"],
+        seed=cfg["seed"], d=cfg["d"],
     )
     point = f"t0={mc['t0']:.10g};M={mc['m_radius']:.10g}"
     rows = []
@@ -576,9 +516,9 @@ def _run_minorization(cfg):
     return rows, failures
 
 
-def _run_poisson(cfg):
+def _run_poisson(cfg, gammas):
     mc = cfg["monte_carlo"]
-    (gamma,) = _gammas(cfg)
+    (gamma,) = gammas
     kind, params = _scheme_params(cfg, gamma)
     column = 0 if mc["observable"] == "x" else 1
 
@@ -608,9 +548,9 @@ def _run_poisson(cfg):
     return rows, failures
 
 
-def _run_order_check(cfg):
+def _run_order_check(cfg, gammas):
     mc = cfg["monte_carlo"]
-    coarse, fine = _gammas(cfg)
+    coarse, fine = gammas
     kind, params = _scheme_params(cfg, coarse)
     biases = stationary_moment_bias(kind, params, (coarse, fine), mc["samples"], seed=cfg["seed"])
     rows = []
@@ -625,9 +565,9 @@ def _run_order_check(cfg):
     return rows, failures
 
 
-def _run_stability_check(cfg):
+def _run_stability_check(cfg, gammas):
     mc = cfg["monte_carlo"]
-    (gamma,) = _gammas(cfg)
+    (gamma,) = gammas
     kind, params = _scheme_params(cfg, gamma)
     report = verify_contraction(
         kind, params, mc["k"], mc["lambda"], mc["trials"], seed=cfg["seed"], d=cfg["d"]
@@ -643,16 +583,79 @@ def _run_stability_check(cfg):
     return rows, [f"stability: {w}" for w in report.witnesses]
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "covariance-check": _run_covariance_check,
-    "drift-check": _run_drift_check,
-    "tv-decay": _run_tv_decay,
-    "minorization": _run_minorization,
-    "poisson": _run_poisson,
-    "order-check": _run_order_check,
-    "stability-check": _run_stability_check,
+# ---------------------------------------------------------------------------
+# The experiments: each entry is all that validate and run know of one
+
+
+class _Experiment:
+    """What one experiment accepts, checks and runs.
+
+    ``fields`` maps each ``monte_carlo`` field, in the order they resolve, to
+    (default, coercer); ``coerce(value, "monte_carlo.<field>")`` raises
+    ConfigError. ``gammas`` names what it steps: the "one" scheme gamma, the
+    scheme's gamma "grid", or ``monte_carlo.gamma_pair`` ("pair", with one
+    scheme gamma that it never steps). ``scalar_only`` says why it supports
+    d = 1 only. ``cross(mc, scheme, d)`` checks fields against each other
+    and d. ``check_schemes(cfg, gammas)`` refuses gammas it cannot step at.
+    ``runner(cfg, gammas)`` returns (rows, failures).
+    """
+
+    def __init__(self, fields, runner, *, gammas="one", scalar_only="", cross=None,
+                 check_schemes=_build_schemes):
+        self.fields, self.runner, self.gammas = fields, runner, gammas
+        self.scalar_only, self.cross, self.check_schemes = scalar_only, cross, check_schemes
+
+
+_TABLE = {
+    "simulate": _Experiment(
+        {"steps": (100, _require_int), "ensemble": (1000, _require_int),
+         "record_every": (10, _require_int), "init": ([0.0, 0.0], _require_init)},
+        _run_simulate,
+    ),
+    "covariance-check": _Experiment(
+        {"t0": (0.5, _require_positive)},
+        _run_covariance_check, gammas="grid", check_schemes=_check_covariance,
+    ),
+    "drift-check": _Experiment(
+        {"varpi": (0.1, _require_positive), "samples": (100_000, _require_samples),
+         "radii": ([5.0, 10.0, 15.0, 20.0], _require_radii)},
+        _run_drift_check, cross=_check_drift_work,
+        check_schemes=lambda cfg, gammas: _build_schemes(cfg, gammas, _check_drift_scheme),
+    ),
+    "tv-decay": _Experiment(
+        {"samples": (200_000, _require_samples), "horizon": (12.0, _require_positive),
+         "init": ([5.0, 0.0], _require_init)},
+        _run_tv_decay, scalar_only="scalar reference run", cross=_refuse_stochastic_gradient,
+    ),
+    "minorization": _Experiment(
+        {"t0": (0.5, _require_positive), "m_radius": (1.0, _require_positive),
+         "pairs": (16, _require_int), "samples": (1_000_000, _require_samples)},
+        _run_minorization, gammas="grid", cross=_check_partition,
+    ),
+    "poisson": _Experiment(
+        {"truncation_k": (150, _require_int), "samples": (200_000, _require_samples),
+         "observable": ("x", _require_observable),
+         "eval_points": ([[-2.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                         _require_rows)},
+        _run_poisson, cross=_check_eval_points,
+    ),
+    "order-check": _Experiment(
+        {"gamma_pair": ([0.2, 0.1], _require_gamma_pair),
+         "samples": (1_000_000, _require_samples)},
+        _run_order_check, gammas="pair", scalar_only="scalar moment targets",
+        # the moment targets are exact on a quadratic well only
+        check_schemes=lambda cfg, gammas: _build_schemes(
+            cfg, gammas, lambda _cfg, params, _scheme: _quadratic_curvature(params)
+        ),
+    ),
+    "stability-check": _Experiment(
+        {"k": (20, _require_int), "lambda": (1.0, _require_positive),
+         "trials": (10_000, _require_int)},
+        _run_stability_check,
+    ),
 }
+
+EXPERIMENTS = tuple(_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -695,13 +698,10 @@ def _load_config(path: str) -> dict:
 def run(config_path: str, seed: int | None = None, out: str | None = None) -> int:
     """Execute one experiment; returns the process exit status."""
     try:
-        cfg = validate_config(_load_config(config_path))
-        if seed is not None:
-            if seed < 0:
-                raise ConfigError("--seed must be nonnegative")
-            cfg["seed"] = seed
-        if out is not None:
-            cfg["output"] = out
+        raw = _load_config(config_path)
+        if isinstance(raw, dict):  # validate_config refuses anything else
+            raw.update((k, v) for k, v in (("seed", seed), ("output", out)) if v is not None)
+        cfg = validate_config(raw)
         out_dir = Path(cfg["output"])
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -714,12 +714,10 @@ def run(config_path: str, seed: int | None = None, out: str | None = None) -> in
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    entry = _TABLE[cfg["experiment"]]
     start = time.perf_counter()
     try:
-        rows, failures = _RUNNERS[cfg["experiment"]](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        rows, failures = entry.runner(cfg, _gammas(cfg, entry))
     except ContractViolation as exc:
         print(f"config error: invalid numerics: {exc}", file=sys.stderr)
         return 2

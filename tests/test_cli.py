@@ -120,6 +120,34 @@ def test_validate_config_resolves_defaults():
     assert "bogus" not in cfg
 
 
+# Each experiment's monte_carlo defaults, written out literally.
+_DEFAULTS = {
+    "simulate": {"steps": 100, "ensemble": 1000, "record_every": 10, "init": [0.0, 0.0]},
+    "covariance-check": {"t0": 0.5},
+    "drift-check": {"varpi": 0.1, "samples": 100_000, "radii": [5.0, 10.0, 15.0, 20.0]},
+    "tv-decay": {"samples": 200_000, "horizon": 12.0, "init": [5.0, 0.0]},
+    "minorization": {"t0": 0.5, "m_radius": 1.0, "pairs": 16, "samples": 1_000_000},
+    "poisson": {
+        "truncation_k": 150,
+        "samples": 200_000,
+        "observable": "x",
+        "eval_points": [[-2.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+    },
+    "order-check": {"gamma_pair": [0.2, 0.1], "samples": 1_000_000},
+    "stability-check": {"k": 20, "lambda": 1.0, "trials": 10_000},
+}
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_minimal_config_resolves_the_monte_carlo_defaults(experiment):
+    # gamma 0.01 lies below drift-check's energy ceiling and covariance-check's t0.
+    cfg = validate_config(
+        {"experiment": experiment, "scheme": {"kind": "EulerMaruyama", "gamma": 0.01}}
+    )
+    assert cfg["monte_carlo"] == _DEFAULTS[experiment]
+    assert list(_DEFAULTS) == list(cli.EXPERIMENTS)
+
+
 def test_validate_config_errors_name_the_field():
     base = {"experiment": "simulate", "scheme": {"kind": "EulerMaruyama", "gamma": 0.1}}
     with pytest.raises(ConfigError, match="experiment must be one of"):
@@ -368,6 +396,13 @@ _TWO_GAMMAS = {"kind": "EulerMaruyama", "gamma_grid": [0.01, 0.005]}
         ("tv-decay", _TWO_GAMMAS, None, "tv-decay needs a single scheme.gamma"),
         ("poisson", _TWO_GAMMAS, None, "poisson needs a single scheme.gamma"),
         ("stability-check", _TWO_GAMMAS, None, "stability-check needs a single scheme.gamma"),
+        # order-check steps monte_carlo.gamma_pair, and takes one scheme gamma
+        (
+            "order-check",
+            {"kind": "EulerMaruyama", "gamma_grid": [7.0, 1e9, 3.0]},
+            None,
+            "order-check needs a single scheme.gamma",
+        ),
         # order-check's moment targets are exact on a quadratic well only
         (
             "order-check",
@@ -719,6 +754,31 @@ def test_run_seed_override(tmp_path):
     path = write_config(tmp_path, "sim.json", simulate_config(tmp_path))
     assert main(["run", path, "--seed", "7", "--out", str(tmp_path / "s7")]) == 0
     assert json.loads((tmp_path / "s7" / "meta.json").read_text())["seed"] == 7
+
+
+@pytest.mark.parametrize("seed, code", [(2**64 + 3, 2), (2**64 - 1, 0)])
+def test_seed_stays_below_2_to_the_64(tmp_path, capsys, seed, code):
+    # The generators key on the seed modulo 2^64: 2^64 + 3 would repeat seed
+    # 3's numbers under another content hash.
+    path = write_config(tmp_path, "sim.json", simulate_config(tmp_path, seed=seed))
+    assert main(["validate", path]) == code
+    path = write_config(tmp_path, "base.json", simulate_config(tmp_path))
+    assert main(["run", path, "--seed", str(seed), "--out", str(tmp_path / "s")]) == code
+    assert capsys.readouterr().err.count("seed must be below 2^64") == (2 if code else 0)
+    if code == 0:
+        assert json.loads((tmp_path / "s" / "meta.json").read_text())["seed"] == seed
+
+
+def test_unknown_potential_keys_are_dropped(tmp_path):
+    junk = {"kind": "quadratic", "bogus": [1, 2], "box_radius": "abc"}
+    metas = []
+    for name, potential in (("clean", {"kind": "quadratic"}), ("junk", junk)):
+        cfg = simulate_config(tmp_path, potential=potential)
+        path = write_config(tmp_path, f"{name}.json", cfg)
+        assert main(["run", path, "--out", str(tmp_path / name)]) == 0
+        metas.append(json.loads((tmp_path / name / "meta.json").read_text()))
+    assert metas[1]["potential"] == {"kind": "quadratic"}
+    assert metas[0]["content_hash"] == metas[1]["content_hash"]
 
 
 def test_run_covariance_check_halving(tmp_path):
