@@ -10,6 +10,9 @@ samplers would not.
 Layout: steps are grouped in blocks of 256 per Philox key (seed, block index);
 within a block the counter space is laid out as
 (step offset, chain row, component).
+
+The module also holds what the probes' worker pools share: the thread cap
+and the malloc thresholds under which workers reuse their temporaries.
 """
 
 from __future__ import annotations
@@ -18,7 +21,13 @@ import os
 
 import numpy as np
 
-__all__ = ["normal_block", "NoiseSource", "chain_normals", "worker_threads"]
+__all__ = [
+    "normal_block",
+    "NoiseSource",
+    "chain_normals",
+    "worker_threads",
+    "raise_malloc_thresholds",
+]
 
 STEPS_PER_KEY = 256
 _INV_2_53 = 2.0 ** -53
@@ -94,20 +103,26 @@ class NoiseSource:
         self._key_index: int | None = None
         self._block: np.ndarray | None = None
 
-    def block_at(self, step: int) -> np.ndarray:
+    def block_at(self, step: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Rows [lo, hi) of the step's (n_chains, width) block, hi defaulting
+        to n_chains; equal to ``normal_block(...)[lo:hi]``. Large ensembles
+        draw only the window's words, skipping to its first one."""
+        hi = self.n_chains if hi is None else hi
+        if not 0 <= lo <= hi <= self.n_chains:
+            raise ValueError(f"rows [{lo}, {hi}) are outside the {self.n_chains} chains")
         if self.width == 0:
-            return np.empty((self.n_chains, 0))
+            return np.empty((hi - lo, 0))
         key_index, offset = divmod(step, STEPS_PER_KEY)
         if not self._cached:
-            raw = _raw(self.seed, key_index, offset * self.n_chains * self.width,
-                       (self.n_chains, self.width))
+            raw = _raw(self.seed, key_index, (offset * self.n_chains + lo) * self.width,
+                       (hi - lo, self.width))
             return _to_normals(raw)
         if key_index != self._key_index:
             raw = _raw(self.seed, key_index, 0,
                        (STEPS_PER_KEY, self.n_chains, self.width))
             self._block = _to_normals(raw)
             self._key_index = key_index
-        return self._block[offset]
+        return self._block[offset, lo:hi]
 
 
 def chain_normals(seed: int, n_steps: int, width: int) -> np.ndarray:
@@ -140,3 +155,19 @@ def worker_threads() -> int:
         except ValueError:
             return 1
     return os.cpu_count() or 1
+
+
+def raise_malloc_thresholds() -> None:
+    """Let worker threads reuse freed blocks of up to 16 MiB.
+
+    glibc's malloc serves a block above its mmap threshold (128 KiB at
+    start) by mmap; freeing such a block raises the threshold to its size
+    and the trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).
+    When more than the trim threshold lies free at the top of a thread's
+    arena, it goes back to the system, so a worker whose step frees more
+    than that in temporaries faults their pages in again at the next step.
+    Allocating and freeing one untouched 16 MiB array raises both
+    thresholds for the process. It costs no pages; other allocators ignore
+    it.
+    """
+    np.empty(2**21)

@@ -2,8 +2,8 @@
 
 Every ensemble run in this module goes through one loop, ``_ensemble_path``:
 ``simulate_chain`` streams its recorded states from it, and each probe below
-consumes its states as they are made. The minorization probe steps the two
-ensembles of a pair on one noise stream.
+consumes its states as they are made. The minorization probe steps every
+kernel of a gamma on one noise stream, in row blocks of the chains.
 
 Four experiments drive the probes: a minorization check (pairwise kernel
 overlap at a fixed physical horizon, stable in gamma), a geometric-rate fit
@@ -18,6 +18,7 @@ the declared binning.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterator
@@ -70,6 +71,10 @@ _REFERENCE_STEPS = 10_000_000
 _REFERENCE_BURN_IN = 100_000
 # Steps of the reference run held and histogrammed at a time.
 _REFERENCE_CHUNK = 1 << 20
+
+# Floats of chain state per row block of minorization_probe: a block holds
+# max(1, _BLOCK_FLOATS // (2 pairs d)) rows of each of its 2 pairs kernels.
+_BLOCK_FLOATS = 2**17
 
 
 class EstimationError(RuntimeError):
@@ -195,35 +200,75 @@ def _seed_ints(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _ensemble_path(scheme, ensembles, n_steps, seed):
+def _ensemble_path(scheme, ensembles, n_steps, seed, lo=0, n_chains=None):
     """Advance equal-size batches of states n_steps on one noise stream,
     yielding (k, (x, v), ...) with every batch's state after each step
     k = 1..n_steps.
 
-    Each step draws one noise block from the counter-based stream keyed by
-    ``seed`` and drives every batch with it, one ``step_ensemble`` call per
-    batch. A batch's path is therefore the one it would follow alone with the
-    same seed; batches stepped together share their noise, chain by chain
-    (the synchronous coupling). This is the library's only loop that steps
-    an ensemble; ``simulate_chain`` and every probe in this module run on it.
-    A consumer reads each yielded state and must not write into it; one that
-    consumes the states as they are made holds a single state per batch at a
-    time. A DivergedError carries the step and the index of the batch.
+    Each batch of m chains holds rows [lo, lo + m) of the ``n_chains`` chains
+    (by default m) of the counter-based stream keyed by ``seed``. Each step
+    draws those rows of one noise block and drives every batch with them. A
+    batch's path is therefore the one its rows follow in a run of the whole
+    stream alone; batches stepped together share their noise, chain by
+    chain (the synchronous coupling). Several batches are stepped as one
+    stacked state: each step copies the block once per batch into a buffer
+    that is reused across steps and makes one ``step_ensemble`` call, and
+    each batch is yielded as a view of its rows. The step is row-wise, so
+    every batch's values are those of stepping it alone. This is the
+    library's only loop that steps an ensemble; ``simulate_chain`` and
+    every probe in this module run on it. A consumer reads each yielded
+    state and must not write into it; one that consumes the states as they
+    are made holds a single state per batch at a time. A DivergedError
+    carries the step and the index of the first batch that diverges in it.
     """
-    # A new list, so that no reference to the caller's initial states stays
-    # here once they are stepped.
+    # Only x and v hold states below, so that no reference to the caller's
+    # initial states stays here once they are stepped.
     ensembles = list(ensembles)
-    n, d = ensembles[0][0].shape
+    count = len(ensembles)
+    m, d = ensembles[0][0].shape
     spec = scheme.noise_spec
-    src = _rng.NoiseSource(seed, n, spec.width(d))
+    width = spec.width(d)
+    src = _rng.NoiseSource(seed, m if n_chains is None else n_chains, width)
+    if count == 1:
+        ((x, v),) = ensembles
+        stacked = None
+    else:
+        x, v = (np.concatenate(parts) for parts in zip(*ensembles))
+        # The stacked state's noise: the block once per batch.
+        stacked = np.empty((count, m, width))
+    del ensembles
     for step in range(n_steps):
-        noise = NoiseDraw(*spec.split(src.block_at(step), d))
-        for i in range(len(ensembles)):
-            try:
-                ensembles[i] = step_ensemble(scheme, *ensembles[i], noise)
-            except DivergedError as exc:
-                raise DivergedError(exc.component, step + 1, ensemble=i) from None
-        yield (step + 1, *ensembles)
+        block = src.block_at(step, lo, lo + m)
+        rows = block
+        if stacked is not None:
+            stacked[...] = block
+            rows = stacked.reshape(-1, width)
+        noise = NoiseDraw(*spec.split(rows, d))
+        try:
+            x, v = step_ensemble(scheme, x, v, noise)
+        except DivergedError as exc:
+            batch, component = 0, exc.component
+            if count > 1:
+                batch, component = _first_diverged(scheme, x, v, block, count)
+            raise DivergedError(component, step + 1, ensemble=batch) from None
+        yield (step + 1, *((x[i * m : (i + 1) * m], v[i * m : (i + 1) * m]) for i in range(count)))
+
+
+def _first_diverged(scheme, x, v, block, count):
+    """(index, component) of the first of ``count`` stacked batches whose
+    rows of (x, v) diverge when stepped alone with the noise ``block``.
+
+    Called after a stacked step diverged; the step is row-wise, so one of
+    the batches does.
+    """
+    m, d = x.shape[0] // count, x.shape[1]
+    noise = NoiseDraw(*scheme.noise_spec.split(block, d))
+    for i in range(count):
+        try:
+            step_ensemble(scheme, x[i * m : (i + 1) * m], v[i * m : (i + 1) * m], noise)
+        except DivergedError as alone:
+            return i, alone.component
+    raise RuntimeError("a stacked step diverged, but none of its batches does alone")
 
 
 @dataclass(frozen=True)
@@ -303,13 +348,21 @@ def minorization_probe(
     radius ``m_radius`` (mc chains per kernel) and reports
     epsilon_hat = 1 - max_pair TV/2 on a deliberately coarse partition.
 
-    The two ensembles of a pair share one noise stream, seeded per (gamma,
-    pair): chain i of both kernels sees the same Gaussian increments (the
+    All 2 * pairs kernels of a gamma share one noise stream, seeded per
+    gamma: chain i of every kernel sees the same Gaussian increments (the
     synchronous coupling). Each kernel's histogram is still that of mc
     i.i.d. chains from its own start, so the TV estimand is unchanged; only
-    the joint law of the two histograms differs from independent runs, so
-    a standard error that assumes independent histograms would not hold,
-    and the probe reports none.
+    the joint law of the histograms differs from independent runs, so a
+    standard error that assumes independent histograms would not hold, and
+    the probe reports none.
+
+    The chains are split into row blocks of max(1, ``_BLOCK_FLOATS`` //
+    (2 pairs d)) rows, and the thread pool's tasks are blocks: a block steps
+    its rows of every kernel through the horizon on its rows of the stream
+    and adds each kernel's histogram counts into the gamma's totals. Counts
+    are integers in float64, so the totals, and the results, depend on
+    neither the block size nor the thread count, and the memory held does
+    not grow with mc.
 
     A uniform-in-gamma lower bound on kernel overlap is a necessary
     consequence of minorization at horizon t0; the partition
@@ -325,29 +378,42 @@ def minorization_probe(
     rng = np.random.default_rng(seed)
     starts = _ball_points(rng, 2 * pairs, 2 * d, m_radius)
     gamma_grid = [float(g) for g in gamma_grid]
-    all_seeds = _seed_ints(seed + 1, len(gamma_grid) * pairs)
+    gamma_seeds = _seed_ints(seed + 1, len(gamma_grid))
+    rows = max(1, _BLOCK_FLOATS // (2 * pairs * d))
+    # A block's step temporaries, a few times _BLOCK_FLOATS floats, are
+    # reused from step to step.
+    _rng.raise_malloc_thresholds()
 
     results = []
-    for gi, gamma in enumerate(gamma_grid):
+    for gamma, stream in zip(gamma_grid, gamma_seeds):
         scheme = as_general_scheme(kind, replace(params, gamma=gamma))
         n_steps = math.ceil(t0 / gamma) + 1
-        pair_seeds = all_seeds[gi * pairs : (gi + 1) * pairs]
+        totals = np.zeros((2 * pairs, bins.bins_per_axis ** (2 * d)))
+        lock = threading.Lock()
 
-        def one_pair(pair, gamma=gamma, scheme=scheme, n_steps=n_steps, seeds=pair_seeds):
-            ends = starts[2 * pair : 2 * pair + 2]
-            ensembles = [(np.tile(p[:d], (mc, 1)), np.tile(p[d:], (mc, 1))) for p in ends]
+        def one_block(lo, gamma=gamma, scheme=scheme, n_steps=n_steps, stream=stream,
+                      totals=totals, lock=lock):
+            m = min(rows, mc - lo)
+            ensembles = [(np.tile(p[:d], (m, 1)), np.tile(p[d:], (m, 1))) for p in starts]
             try:
-                for _, *ensembles in _ensemble_path(scheme, ensembles, n_steps, seeds[pair]):
+                for _, *ensembles in _ensemble_path(scheme, ensembles, n_steps, stream, lo, mc):
                     pass
             except DivergedError as exc:
+                k = exc.ensemble
                 raise EstimationError(
-                    f"chain diverged at gamma={gamma} from pair {pair} "
-                    f"(point {exc.ensemble}, start {ends[exc.ensemble]})"
+                    f"chain diverged at gamma={gamma} from pair {k // 2} "
+                    f"(point {k % 2}, start {starts[k]})"
                 ) from exc
-            counts_p, counts_q = (_histogram_counts(np.hstack(s), bins) for s in ensembles)
-            return _tv_from_counts(counts_p, mc, counts_q, mc)
+            for total, state in zip(totals, ensembles):
+                counts = _histogram_counts(np.hstack(state), bins)
+                with lock:
+                    total += counts
 
-        max_tv = max(_parallel_map(one_pair, range(pairs)))
+        _parallel_map(one_block, range(0, mc, rows))
+        max_tv = max(
+            _tv_from_counts(totals[2 * pair], mc, totals[2 * pair + 1], mc)
+            for pair in range(pairs)
+        )
         results.append(
             MinorizationEstimate(epsilon=1.0 - max_tv / 2.0, gamma=float(gamma), max_tv=max_tv)
         )
@@ -471,8 +537,11 @@ def fit_geometric_rate(
 
 def _quadratic_curvature(params: SchemeParams) -> float:
     b = params.force.b
-    b1 = float(b(np.array([1.0]))[0])
-    b2 = float(b(np.array([2.0]))[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        b1 = float(b(np.array([1.0]))[0])
+        b2 = float(b(np.array([2.0]))[0])
+    if not (math.isfinite(b1) and math.isfinite(b2)):
+        raise ContractViolation(f"the force at x = 1 and 2 must be finite, got {b1:g} and {b2:g}")
     if abs(b2 - 2.0 * b1) > 1e-9 * max(1.0, abs(b1)) or b1 > 0:
         raise ContractViolation("stationary moment targets require a quadratic well")
     return -b1

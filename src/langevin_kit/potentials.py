@@ -81,6 +81,12 @@ def flat_tail_potential(radius: float = 5.0) -> ForceModel:
     big_r = float(radius)
     if not 0.0 < big_r < math.inf:
         raise ContractViolation(f"radius must be finite and positive, got {radius!r}")
+    try:
+        plateau = 7.0 * big_r**2 / 6.0
+    except OverflowError:
+        plateau = math.inf
+    if not math.isfinite(plateau):
+        raise ContractViolation(f"radius = {big_r:g} overflows the plateau 7 radius^2 / 6")
 
     def slope_over_r(r):
         # U'(r)/r, piecewise: 1 in the core, 2 - r/R on the ramp, 0 outside.
@@ -94,7 +100,7 @@ def flat_tail_potential(radius: float = 5.0) -> ForceModel:
         r = np.linalg.norm(x, axis=-1)
         core = 0.5 * r**2
         ramp = 0.5 * big_r**2 + r**2 - r**3 / (3 * big_r) - 2 * big_r**2 / 3
-        flat = np.full_like(r, 7.0 * big_r**2 / 6.0)
+        flat = np.full_like(r, plateau)
         return np.where(r <= big_r, core, np.where(r <= 2 * big_r, ramp, flat))
 
     return ForceModel(

@@ -416,6 +416,21 @@ _TWO_GAMMAS = {"kind": "EulerMaruyama", "gamma_grid": [0.01, 0.005]}
             {"kind": "flat-tail-counterexample", "radius": 1.5},
             "require a quadratic well",
         ),
+        # a curvature whose force overflows at x = 2 (a RuntimeWarning from
+        # validate, then a divergence at step 1 from run)
+        (
+            "order-check",
+            {"kind": "SplitCABAC", "gamma": 0.01},
+            {"kind": "quadratic", "curvature": 1e308},
+            "the force at x = 1 and 2 must be finite",
+        ),
+        # a flat-tail radius whose plateau overflows (an OverflowError traceback)
+        (
+            "drift-check",
+            {"kind": "EulerMaruyama", "gamma": 0.01},
+            {"kind": "flat-tail-counterexample", "radius": 1e200},
+            "potential.radius = 1e+200 overflows",
+        ),
     ],
 )
 def test_validate_refuses_what_run_refuses(

@@ -1,6 +1,8 @@
 """Total-variation estimation and the four empirical convergence probes."""
 
 import math
+import platform
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -21,6 +23,7 @@ from langevin_kit.convergence import (
     stationary_moment_bias,
 )
 import langevin_kit.convergence as convergence
+from conftest import minor_faults_of_a_repeat
 from langevin_kit._rng import NoiseSource
 from langevin_kit.core import (
     ContractViolation,
@@ -186,44 +189,103 @@ def test_minorization_divergence_names_the_pair():
 
 
 def test_each_kernel_of_a_pair_is_its_own_single_ensemble_run(quadratic, monkeypatch):
-    # Both kernels of a pair run on the pair's noise stream; each one's counts
-    # are those of its start run alone on that stream.
+    # Every kernel of a gamma runs on the gamma's noise stream; each one's
+    # counts are those of its start run alone on that stream, whatever the
+    # row blocks (here 5 rows of each of the 6 kernels at d = 2: 100 blocks).
     monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
-    histogram = convergence._histogram_counts
-    counted = []
+    monkeypatch.setattr(convergence, "_BLOCK_FLOATS", 60)
+    tv_from_counts = convergence._tv_from_counts
+    compared = []
 
-    def recording(samples, bins):
-        counted.append(histogram(samples, bins))
-        return counted[-1]
+    def recording(counts_a, n_a, counts_b, n_b):
+        compared.append((counts_a.copy(), n_a, counts_b.copy(), n_b))
+        return tv_from_counts(counts_a, n_a, counts_b, n_b)
 
-    monkeypatch.setattr(convergence, "_histogram_counts", recording)
+    monkeypatch.setattr(convergence, "_tv_from_counts", recording)
     kind = SchemeKind.EULER_MARUYAMA
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=quadratic)
     grid, pairs, mc, seed, d = [0.1, 0.05], 3, 500, 4, 2
     res = minorization_probe(kind, params, 0.5, 1.0, grid, pairs=pairs, mc=mc, seed=seed, d=d)
 
     starts = convergence._ball_points(np.random.default_rng(seed), 2 * pairs, 2 * d, 1.0)
-    seeds = convergence._seed_ints(seed + 1, len(grid) * pairs)
+    seeds = convergence._seed_ints(seed + 1, len(grid))
     bins = minorization_partition(1.0, d)
     expected = []
     for gi, gamma in enumerate(grid):
         scheme = as_general_scheme(kind, replace(params, gamma=gamma))
         n_steps = math.ceil(0.5 / gamma) + 1
+        counts = []
+        for p in starts:
+            x, v = np.tile(p[:d], (mc, 1)), np.tile(p[d:], (mc, 1))
+            for _, (x, v) in convergence._ensemble_path(scheme, [(x, v)], n_steps, seeds[gi]):
+                pass
+            counts.append(convergence._histogram_counts(np.hstack([x, v]), bins))
         pair_tvs = []
         for pair in range(pairs):
-            counts = []
-            for p in starts[2 * pair : 2 * pair + 2]:
-                x, v = np.tile(p[:d], (mc, 1)), np.tile(p[d:], (mc, 1))
-                path = convergence._ensemble_path(scheme, [(x, v)], n_steps, seeds[gi * pairs + pair])
-                for _, (x, v) in path:
-                    pass
-                counts.append(histogram(np.hstack([x, v]), bins))
-            expected += counts
-            pair_tvs.append(convergence._tv_from_counts(counts[0], mc, counts[1], mc))
+            expected.append((counts[2 * pair], mc, counts[2 * pair + 1], mc))
+            pair_tvs.append(tv_from_counts(*expected[-1]))
         assert res[gi].max_tv == max(pair_tvs)
-    assert len(counted) == len(expected)
-    for got, want in zip(counted, expected):
-        assert np.array_equal(got, want)
+    assert len(compared) == len(expected) == len(grid) * pairs
+    for got, want in zip(compared, expected):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+        assert (got[1], got[3]) == (want[1], want[3])
+
+
+def _probe_at_mc(quadratic, mc, grid=(0.1, 0.05)):
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=quadratic)
+    return minorization_probe(
+        SchemeKind.EULER_MARUYAMA, params, 0.5, 1.0, grid, pairs=16, mc=mc, seed=3
+    )
+
+
+def test_minorization_does_not_depend_on_threads_or_blocks(quadratic, monkeypatch):
+    # 10000 rows at 4096 rows a block (pairs 16, d = 1) make a ragged last
+    # block; a 2^14-float block constant makes 512 rows a block, ragged too.
+    monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
+    serial = _probe_at_mc(quadratic, 10_000)
+    monkeypatch.setenv("LANGEVIN_KIT_THREADS", "2")
+    assert _probe_at_mc(quadratic, 10_000) == serial
+    monkeypatch.setattr(convergence, "_BLOCK_FLOATS", 2**14)
+    assert _probe_at_mc(quadratic, 10_000) == serial
+    # More workers than cores, switching threads often: a lost update to a
+    # gamma's shared counts would change the results.
+    monkeypatch.setenv("LANGEVIN_KIT_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _probe_at_mc(quadratic, 10_000) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_minorization_memory_does_not_grow_with_mc(quadratic, monkeypatch):
+    # Row blocks bound what a run holds. A first untraced run loads what the
+    # first Philox normal imports.
+    monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
+    _probe_at_mc(quadratic, 100, grid=(0.1,))
+    peaks = []
+    for mc in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            _probe_at_mc(quadratic, mc, grid=(0.1,))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_minorization_steps_reuse_their_temporaries_pages():
+    # 25 blocks of 6 steps at mc = 1e5 took about 1e5 minor page faults
+    # when every step's temporaries went back to the system.
+    faults = minor_faults_of_a_repeat(
+        "from langevin_kit.convergence import minorization_probe\n"
+        "from langevin_kit.potentials import quadratic_potential\n"
+        "from langevin_kit.schemes import SchemeKind, SchemeParams\n"
+        "params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic_potential())",
+        "minorization_probe(SchemeKind.EULER_MARUYAMA, params, 0.5, 1.0, [0.1], 16, 100_000)",
+    )
+    assert faults < 10_000
 
 
 def test_exponential_fit_exact_recovery():

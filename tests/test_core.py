@@ -255,6 +255,30 @@ def test_noise_blocks_are_positionally_stable():
         npt.assert_array_equal(rows, np.array(stacked))
 
 
+# (n_chains, width): cached (n_chains * width <= 4096: the first two) and
+# uncached, with windows whose first word lo * width is not on a 4-word
+# Philox state.
+@pytest.mark.parametrize(
+    "n_chains, width", [(5, 3), (1000, 3), (1500, 3), (5000, 1), (2100, 2), (700, 0)]
+)
+def test_a_row_window_is_its_rows_of_the_block(n_chains, width):
+    src = NoiseSource(7, n_chains, width)
+    windows = [(0, n_chains), (1, 2), (3, n_chains), (n_chains // 2, n_chains // 2 + 3),
+               (n_chains, n_chains)]
+    # Steps on both sides of the key boundary at 256, in both directions.
+    for step in (254, 255, 256, 257, 255, 0):
+        block = normal_block(7, step, n_chains, width)
+        npt.assert_array_equal(src.block_at(step), block)
+        for lo, hi in windows:
+            got = src.block_at(step, lo, hi)
+            assert got.shape == (hi - lo, width)
+            npt.assert_array_equal(got, block[lo:hi])
+    with pytest.raises(ValueError, match="outside"):
+        src.block_at(0, 2, 1)
+    with pytest.raises(ValueError, match="outside"):
+        src.block_at(0, 0, n_chains + 1)
+
+
 @pytest.mark.parametrize("width", [1, 2])
 def test_chain_normals_peak_memory(width):
     # The output is the only full-length array: holding the raw words and
