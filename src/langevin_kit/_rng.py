@@ -10,9 +10,6 @@ samplers would not.
 Layout: steps are grouped in blocks of 256 per Philox key (seed, block index);
 within a block the counter space is laid out as
 (step offset, chain row, component).
-
-The module also holds what the probes' worker pools share: the thread cap
-and the malloc thresholds under which workers reuse their temporaries.
 """
 
 from __future__ import annotations
@@ -21,13 +18,7 @@ import os
 
 import numpy as np
 
-__all__ = [
-    "normal_block",
-    "NoiseSource",
-    "chain_normals",
-    "worker_threads",
-    "raise_malloc_thresholds",
-]
+__all__ = ["normal_block", "NoiseSource", "chain_normals", "worker_threads"]
 
 STEPS_PER_KEY = 256
 _INV_2_53 = 2.0 ** -53
@@ -155,19 +146,3 @@ def worker_threads() -> int:
         except ValueError:
             return 1
     return os.cpu_count() or 1
-
-
-def raise_malloc_thresholds() -> None:
-    """Let worker threads reuse freed blocks of up to 16 MiB.
-
-    glibc's malloc serves a block above its mmap threshold (128 KiB at
-    start) by mmap; freeing such a block raises the threshold to its size
-    and the trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).
-    When more than the trim threshold lies free at the top of a thread's
-    arena, it goes back to the system, so a worker whose step frees more
-    than that in temporaries faults their pages in again at the next step.
-    Allocating and freeing one untouched 16 MiB array raises both
-    thresholds for the process. It costs no pages; other allocators ignore
-    it.
-    """
-    np.empty(2**21)

@@ -72,8 +72,12 @@ _REFERENCE_BURN_IN = 100_000
 # Steps of the reference run held and histogrammed at a time.
 _REFERENCE_CHUNK = 1 << 20
 
+# Floats of histogram counts per group of minorization_probe: a group holds
+# max(1, _GROUP_FLOATS // (2 * 5^(2d))) pairs: 2 at d = 4, 67 at d = 3.
+_GROUP_FLOATS = 2**21
 # Floats of chain state per row block of minorization_probe: a block holds
-# max(1, _BLOCK_FLOATS // (2 pairs d)) rows of each of its 2 pairs kernels.
+# max(1, _BLOCK_FLOATS // (2 g d)) rows of each of the 2 g kernels of a
+# group of g pairs.
 _BLOCK_FLOATS = 2**17
 
 
@@ -166,15 +170,15 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
-def _histogram_counts(samples: np.ndarray, bins: HistogramSpec) -> np.ndarray:
-    """Flat cell counts of a point set in R^m on the shared partition.
+def _cell_index(samples: np.ndarray, bins: HistogramSpec) -> np.ndarray:
+    """Flat cell index of each point of a point set in R^m on the shared
+    partition.
 
     Each coordinate is clipped to inside the box, so mass outside it counts
     in the boundary cell, and located among the edges by ``searchsorted``;
-    the per-axis cells fold row-major into one flat index that ``bincount``
-    counts. The counts equal ``np.histogramdd`` of the clipped points,
-    raveled. ContractViolation on a non-finite sample: a NaN survives the
-    clip and would be counted in some cell.
+    the per-axis cells fold row-major into one flat index. ContractViolation
+    on a non-finite sample: a NaN survives the clip and would be counted in
+    some cell.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n, m = samples.shape
@@ -187,7 +191,27 @@ def _histogram_counts(samples: np.ndarray, bins: HistogramSpec) -> np.ndarray:
     for j in range(m):
         flat *= bins.bins_per_axis
         flat += np.searchsorted(edges, np.clip(samples[:, j], lo, hi), side="right") - 1
-    return np.bincount(flat, minlength=bins.bins_per_axis**m).astype(np.float64)
+    return flat
+
+
+def _histogram_counts(samples: np.ndarray, bins: HistogramSpec) -> np.ndarray:
+    """Flat cell counts of a point set in R^m on the shared partition: the
+    ``bincount`` of its ``_cell_index``, equal to ``np.histogramdd`` of the
+    points clipped to inside the box, raveled."""
+    m = np.atleast_2d(samples).shape[1]
+    counts = np.bincount(_cell_index(samples, bins), minlength=bins.bins_per_axis**m)
+    return counts.astype(np.float64)
+
+
+def _add_counts(totals: np.ndarray, cells: np.ndarray, lock: threading.Lock) -> None:
+    """Add one count per entry of ``cells`` into the flat ``totals`` under
+    ``lock``, at a cost that grows with len(cells), not with totals.size."""
+    if totals.size <= cells.size:
+        where, counts = slice(None), np.bincount(cells, minlength=totals.size)
+    else:
+        where, counts = np.unique(cells, return_counts=True)
+    with lock:
+        totals[where] += counts
 
 
 def _tv_from_counts(counts_a, n_a, counts_b, n_b) -> float:
@@ -330,6 +354,59 @@ def minorization_partition(m_radius: float, d: int) -> HistogramSpec:
     return bins
 
 
+def _raise_malloc_thresholds() -> None:
+    """Let threads reuse freed blocks of up to 16 MiB, for the whole process
+    and for good.
+
+    glibc's malloc serves a block above its mmap threshold (128 KiB at
+    start) by mmap; freeing such a block raises the threshold to its size
+    and the trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).
+    When more than the trim threshold lies free at the top of a thread's
+    arena, it goes back to the system, so a row block whose step frees more
+    than that in temporaries faults their pages in again at the next step.
+    Allocating and freeing one untouched 16 MiB array raises both
+    thresholds. It costs no pages, but from then on every allocation of the
+    process between 128 KiB and 16 MiB, whoever makes it, is served from
+    arenas that may each keep up to 32 MiB free. Other allocators ignore it.
+    """
+    np.empty(2**21)
+
+
+def _pair_tvs(scheme, starts, n_steps, stream, mc, rows, bins) -> list[float]:
+    """The TV between the histograms of starts 2i and 2i + 1, for each pair
+    i of the (2k, 2d) ``starts``, of mc chains from each start run n_steps
+    on the noise stream ``stream``.
+
+    The chains are split into row blocks of ``rows`` chains, and the thread
+    pool's tasks are blocks: a block steps its rows of every start as one
+    stacked ensemble on its rows of the stream, then adds its counts into
+    the totals with the start's index folded into each chain's cell index.
+    Counts are integers in float64, so the totals depend on neither the
+    block size nor the thread count. A DivergedError names the index of the
+    start.
+    """
+    d = starts.shape[1] // 2
+    n_cells = bins.bins_per_axis ** (2 * d)
+    totals = np.zeros(len(starts) * n_cells)
+    lock = threading.Lock()
+
+    def one_block(lo):
+        m = min(rows, mc - lo)
+        ensembles = [(np.tile(p[:d], (m, 1)), np.tile(p[d:], (m, 1))) for p in starts]
+        for _, *ensembles in _ensemble_path(scheme, ensembles, n_steps, stream, lo, mc):
+            pass
+        samples = np.empty((len(starts), m, 2 * d))
+        for k, (x, v) in enumerate(ensembles):
+            samples[k, :, :d], samples[k, :, d:] = x, v
+        cells = _cell_index(samples.reshape(-1, 2 * d), bins).reshape(len(starts), m)
+        cells += np.arange(len(starts))[:, None] * n_cells
+        _add_counts(totals, cells.ravel(), lock)
+
+    _parallel_map(one_block, range(0, mc, rows))
+    totals = totals.reshape(len(starts), n_cells)
+    return [_tv_from_counts(p, mc, q, mc) for p, q in zip(totals[::2], totals[1::2])]
+
+
 def minorization_probe(
     kind: SchemeKind,
     params: SchemeParams,
@@ -356,13 +433,14 @@ def minorization_probe(
     standard error that assumes independent histograms would not hold, and
     the probe reports none.
 
-    The chains are split into row blocks of max(1, ``_BLOCK_FLOATS`` //
-    (2 pairs d)) rows, and the thread pool's tasks are blocks: a block steps
-    its rows of every kernel through the horizon on its rows of the stream
-    and adds each kernel's histogram counts into the gamma's totals. Counts
-    are integers in float64, so the totals, and the results, depend on
-    neither the block size nor the thread count, and the memory held does
-    not grow with mc.
+    The pairs of a gamma run in groups of g = max(1, ``_GROUP_FLOATS`` //
+    (2 cells)) pairs (2 at d = 4, 67 at d = 3), so that a group's counts
+    hold at most that many floats; each group steps in row blocks of max(1,
+    ``_BLOCK_FLOATS`` // (2 g d)) chains of each of its 2 g kernels
+    (``_pair_tvs``). Every kernel's counts are those of its start run
+    alone on the gamma's stream, so the results depend on neither the group
+    nor the block size nor the thread count, and the memory held grows with
+    neither mc nor pairs.
 
     A uniform-in-gamma lower bound on kernel overlap is a necessary
     consequence of minorization at horizon t0; the partition
@@ -379,41 +457,26 @@ def minorization_probe(
     starts = _ball_points(rng, 2 * pairs, 2 * d, m_radius)
     gamma_grid = [float(g) for g in gamma_grid]
     gamma_seeds = _seed_ints(seed + 1, len(gamma_grid))
-    rows = max(1, _BLOCK_FLOATS // (2 * pairs * d))
-    # A block's step temporaries, a few times _BLOCK_FLOATS floats, are
-    # reused from step to step.
-    _rng.raise_malloc_thresholds()
+    group = max(1, min(pairs, _GROUP_FLOATS // (2 * bins.bins_per_axis ** (2 * d))))
+    rows = max(1, _BLOCK_FLOATS // (2 * group * d))
+    _raise_malloc_thresholds()
 
     results = []
     for gamma, stream in zip(gamma_grid, gamma_seeds):
         scheme = as_general_scheme(kind, replace(params, gamma=gamma))
         n_steps = math.ceil(t0 / gamma) + 1
-        totals = np.zeros((2 * pairs, bins.bins_per_axis ** (2 * d)))
-        lock = threading.Lock()
-
-        def one_block(lo, gamma=gamma, scheme=scheme, n_steps=n_steps, stream=stream,
-                      totals=totals, lock=lock):
-            m = min(rows, mc - lo)
-            ensembles = [(np.tile(p[:d], (m, 1)), np.tile(p[d:], (m, 1))) for p in starts]
+        tvs = []
+        for first in range(0, 2 * pairs, 2 * group):
+            kernels = starts[first : first + 2 * group]
             try:
-                for _, *ensembles in _ensemble_path(scheme, ensembles, n_steps, stream, lo, mc):
-                    pass
+                tvs += _pair_tvs(scheme, kernels, n_steps, stream, mc, rows, bins)
             except DivergedError as exc:
-                k = exc.ensemble
+                k = first + exc.ensemble
                 raise EstimationError(
                     f"chain diverged at gamma={gamma} from pair {k // 2} "
                     f"(point {k % 2}, start {starts[k]})"
                 ) from exc
-            for total, state in zip(totals, ensembles):
-                counts = _histogram_counts(np.hstack(state), bins)
-                with lock:
-                    total += counts
-
-        _parallel_map(one_block, range(0, mc, rows))
-        max_tv = max(
-            _tv_from_counts(totals[2 * pair], mc, totals[2 * pair + 1], mc)
-            for pair in range(pairs)
-        )
+        max_tv = max(tvs)
         results.append(
             MinorizationEstimate(epsilon=1.0 - max_tv / 2.0, gamma=float(gamma), max_tv=max_tv)
         )

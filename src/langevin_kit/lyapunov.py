@@ -653,8 +653,6 @@ def estimate_drift(
             ratio = math.inf
         return DriftRow(st.x, st.v, radius, log_ratio, ratio, se_log)
 
-    # A tile's step and energy temporaries are reused from tile to tile.
-    _rng.raise_malloc_thresholds()
     n_threads = min(_rng.worker_threads(), len(states))
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         rows = list(pool.map(one_state, range(len(states))))

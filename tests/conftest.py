@@ -1,12 +1,8 @@
-import os
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import langevin_kit
 from langevin_kit.core import ForceModel
 from langevin_kit.potentials import quadratic_potential
 
@@ -35,29 +31,6 @@ def split_corrections(monkeypatch, module):
         return replace(scheme, corrections=lambda *a: (scheme.f(*a), scheme.g(*a)))
 
     monkeypatch.setattr(module, "as_general_scheme", two_calls)
-
-
-_MINOR_FAULTS = """
-import os, resource
-os.environ["LANGEVIN_KIT_THREADS"] = "1"
-{setup}
-{call}
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-{call}
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-def minor_faults_of_a_repeat(setup: str, call: str) -> int:
-    """Minor page faults of the second of two ``call``s on one thread, in a
-    fresh interpreter whose malloc thresholds no earlier test has raised."""
-    src = os.path.dirname(os.path.dirname(langevin_kit.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", _MINOR_FAULTS.format(setup=setup, call=call)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
-        timeout=120,
-    )
-    return int(out.stdout)
 
 
 @pytest.fixture

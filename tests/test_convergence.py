@@ -1,8 +1,11 @@
 """Total-variation estimation and the four empirical convergence probes."""
 
 import math
+import os
 import platform
+import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -23,7 +26,6 @@ from langevin_kit.convergence import (
     stationary_moment_bias,
 )
 import langevin_kit.convergence as convergence
-from conftest import minor_faults_of_a_repeat
 from langevin_kit._rng import NoiseSource
 from langevin_kit.core import (
     ContractViolation,
@@ -247,6 +249,9 @@ def test_minorization_does_not_depend_on_threads_or_blocks(quadratic, monkeypatc
     assert _probe_at_mc(quadratic, 10_000) == serial
     monkeypatch.setattr(convergence, "_BLOCK_FLOATS", 2**14)
     assert _probe_at_mc(quadratic, 10_000) == serial
+    # Groups of 5 pairs (25 cells at d = 1), the last of them 1 pair.
+    monkeypatch.setattr(convergence, "_GROUP_FLOATS", 250)
+    assert _probe_at_mc(quadratic, 10_000) == serial
     # More workers than cores, switching threads often: a lost update to a
     # gamma's shared counts would change the results.
     monkeypatch.setenv("LANGEVIN_KIT_THREADS", "8")
@@ -256,6 +261,53 @@ def test_minorization_does_not_depend_on_threads_or_blocks(quadratic, monkeypatc
         assert _probe_at_mc(quadratic, 10_000) == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_minorization_divergence_names_the_pair_of_a_later_group(quadratic, monkeypatch):
+    # Groups of 2 pairs at d = 1; kernel 1 of the second group is pair 2's
+    # point 1.
+    monkeypatch.setattr(convergence, "_GROUP_FLOATS", 100)
+    pair_tvs = convergence._pair_tvs
+    calls = []
+
+    def diverging_second(scheme, starts, *args):
+        calls.append(starts)
+        if len(calls) == 2:
+            raise DivergedError("x", 3, ensemble=1)
+        return pair_tvs(scheme, starts, *args)
+
+    monkeypatch.setattr(convergence, "_pair_tvs", diverging_second)
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic)
+    with pytest.raises(EstimationError, match=r"from pair 2 \(point 1, start") as err:
+        minorization_probe(SchemeKind.EULER_MARUYAMA, params, 0.5, 1.0, [0.1], pairs=5, mc=50)
+    assert str(calls[1][1]) in str(err.value)
+
+
+@pytest.mark.parametrize("n_cells", [10, 10_000])
+def test_added_counts_are_the_bincount(n_cells):
+    # Fewer cells than entries add a dense bincount, more add unique counts.
+    cells = np.random.default_rng(5).integers(0, n_cells, 1000)
+    totals = np.full(n_cells, 2.0)
+    convergence._add_counts(totals, cells, threading.Lock())
+    np.testing.assert_array_equal(totals, 2.0 + np.bincount(cells, minlength=n_cells))
+
+
+def test_minorization_memory_does_not_grow_with_pairs(quadratic, monkeypatch):
+    # At d = 4 a kernel's counts take 5^8 floats (3 MiB); groups of 2 pairs
+    # bound what a run holds.
+    monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic)
+    peaks = []
+    for pairs in (5, 20):
+        tracemalloc.start()
+        try:
+            minorization_probe(
+                SchemeKind.EULER_MARUYAMA, params, 0.2, 1.0, [0.1], pairs=pairs, mc=100, d=4
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 def test_minorization_memory_does_not_grow_with_mc(quadratic, monkeypatch):
@@ -274,18 +326,34 @@ def test_minorization_memory_does_not_grow_with_mc(quadratic, monkeypatch):
     assert abs(peaks[1] - peaks[0]) < 2**20
 
 
+_MINOR_FAULTS_OF_A_REPEAT = """
+import os, resource
+os.environ["LANGEVIN_KIT_THREADS"] = "1"
+from langevin_kit.convergence import minorization_probe
+from langevin_kit.potentials import quadratic_potential
+from langevin_kit.schemes import SchemeKind, SchemeParams
+params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic_potential())
+def probe():
+    minorization_probe(SchemeKind.EULER_MARUYAMA, params, 0.5, 1.0, [0.1], 16, 100_000)
+probe()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+probe()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
 def test_minorization_steps_reuse_their_temporaries_pages():
     # 25 blocks of 6 steps at mc = 1e5 took about 1e5 minor page faults
-    # when every step's temporaries went back to the system.
-    faults = minor_faults_of_a_repeat(
-        "from langevin_kit.convergence import minorization_probe\n"
-        "from langevin_kit.potentials import quadratic_potential\n"
-        "from langevin_kit.schemes import SchemeKind, SchemeParams\n"
-        "params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic_potential())",
-        "minorization_probe(SchemeKind.EULER_MARUYAMA, params, 0.5, 1.0, [0.1], 16, 100_000)",
+    # when every step's temporaries went back to the system. A fresh
+    # interpreter, so that no earlier test has raised the thresholds.
+    src = os.path.dirname(os.path.dirname(convergence.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _MINOR_FAULTS_OF_A_REPEAT],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        timeout=120,
     )
-    assert faults < 10_000
+    assert int(out.stdout) < 10_000
 
 
 def test_exponential_fit_exact_recovery():

@@ -1,7 +1,6 @@
 """Energy functions, their bounding constants, and the drift machinery."""
 
 import math
-import platform
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 import langevin_kit.lyapunov as lyapunov
-from conftest import counting_force, minor_faults_of_a_repeat, split_corrections
+from conftest import counting_force, split_corrections
 from langevin_kit.core import ContractViolation, ForceModel, NoiseDraw, State, step_ensemble
 from langevin_kit.lyapunov import (
     ALPHA_U,
@@ -446,24 +445,6 @@ def test_drift_state_peak_memory_does_not_grow_with_samples(monkeypatch, d):
     small = drift_peak_bytes(d, 10**4)
     large = drift_peak_bytes(d, 10**6)
     assert abs(large - small) <= 2**20
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
-def test_drift_tiles_reuse_their_temporaries_pages():
-    # 2 states of 13 tiles each took about 1e4 minor page faults, or none,
-    # depending on the process's allocation history, when freed temporaries
-    # could go back to the system.
-    faults = minor_faults_of_a_repeat(
-        "import numpy as np\n"
-        "from langevin_kit.core import State\n"
-        "from langevin_kit.lyapunov import estimate_drift\n"
-        "from langevin_kit.potentials import quartic_well_potential\n"
-        "from langevin_kit.schemes import SchemeKind, SchemeParams\n"
-        "params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.01, force=quartic_well_potential())\n"
-        "grid = [State(np.array([r, 0.0]), np.zeros(2)) for r in (5.0, 10.0)]",
-        "estimate_drift(SchemeKind.SPLIT_CABAC, params, 0.1, grid, 200_000)",
-    )
-    assert faults < 2_000
 
 
 def lse_cases():
