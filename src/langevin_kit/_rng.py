@@ -15,6 +15,7 @@ within a block the counter space is laid out as
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -26,8 +27,9 @@ _U_MAX = 1.0 - 2.0 ** -53  # the largest double below 1
 _CACHE_ELEMENT_LIMIT = 4096  # n_chains*width above this: draw per step, no cache
 
 
-def _bitgen(seed: int, key_index: int) -> np.random.Philox:
-    return np.random.Philox(key=(np.uint64(seed & (2**64 - 1)), np.uint64(key_index)))
+# Each thread's Philox, set to a new key and counter for every draw.
+_local = threading.local()
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
 
 def _to_normals(raw: np.ndarray) -> np.ndarray:
@@ -51,16 +53,33 @@ def _to_normals(raw: np.ndarray) -> np.ndarray:
 
 
 def _raw(seed: int, key_index: int, skip: int, shape: tuple[int, ...]) -> np.ndarray:
-    # ``skip`` counts 64-bit words; Philox.advance moves whole 4-word counter
-    # states, so split the skip into states plus a discarded remainder.
-    bg = _bitgen(seed, key_index)
+    """64-bit words of the Philox stream keyed by (seed, key_index), from
+    word ``skip`` on, in the given shape.
+
+    A Philox counter state makes 4 words, so the skip is split into whole
+    states, set as the counter (where ``advance`` would move it), plus a
+    remainder that is drawn and discarded. Each thread sets the key and
+    counter of one reused Philox: building a Philox costs several times
+    more, because it seeds itself from the OS first.
+    """
+    bg = getattr(_local, "philox", None)
+    if bg is None:
+        bg = _local.philox = np.random.Philox(key=(0, 0))
     states, rem = divmod(skip, 4)
-    if states:
-        bg.advance(states)
-    gen = np.random.Generator(bg)
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([states, 0, 0, 0], dtype=np.uint64),
+            "key": np.array([seed & (2**64 - 1), key_index], dtype=np.uint64),
+        },
+        "buffer": _EMPTY_BUFFER,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     if rem:
-        gen.integers(0, 2**64, size=rem, dtype=np.uint64, endpoint=False)
-    return gen.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+        bg.random_raw(rem)
+    return bg.random_raw(shape)
 
 
 def normal_block(seed: int, step: int, n_chains: int, width: int) -> np.ndarray:
@@ -82,14 +101,17 @@ class NoiseSource:
     """Sequential per-step access to the stream of an ensemble.
 
     Returns exactly what ``normal_block`` would, but amortizes bit-generator
-    setup: small ensembles cache a whole 256-step key block, large ones use a
-    counter jump per step.
+    setup: small ensembles cache a 256-step key block, large ones use a
+    counter jump per step. ``n_steps`` is the number of steps the run
+    takes; a cached key block holds only the steps below it, the prefix of
+    the block's words.
     """
 
-    def __init__(self, seed: int, n_chains: int, width: int):
+    def __init__(self, seed: int, n_chains: int, width: int, n_steps: int):
         self.seed = seed
         self.n_chains = n_chains
         self.width = width
+        self.n_steps = n_steps
         self._cached = n_chains * width <= _CACHE_ELEMENT_LIMIT
         self._key_index: int | None = None
         self._block: np.ndarray | None = None
@@ -101,6 +123,8 @@ class NoiseSource:
         hi = self.n_chains if hi is None else hi
         if not 0 <= lo <= hi <= self.n_chains:
             raise ValueError(f"rows [{lo}, {hi}) are outside the {self.n_chains} chains")
+        if step >= self.n_steps:
+            raise ValueError(f"step {step} is past the {self.n_steps} steps")
         if self.width == 0:
             return np.empty((hi - lo, 0))
         key_index, offset = divmod(step, STEPS_PER_KEY)
@@ -109,8 +133,8 @@ class NoiseSource:
                        (hi - lo, self.width))
             return _to_normals(raw)
         if key_index != self._key_index:
-            raw = _raw(self.seed, key_index, 0,
-                       (STEPS_PER_KEY, self.n_chains, self.width))
+            steps = min(STEPS_PER_KEY, self.n_steps - key_index * STEPS_PER_KEY)
+            raw = _raw(self.seed, key_index, 0, (steps, self.n_chains, self.width))
             self._block = _to_normals(raw)
             self._key_index = key_index
         return self._block[offset, lo:hi]

@@ -3,7 +3,9 @@
 Every ensemble run in this module goes through one loop, ``_ensemble_path``:
 ``simulate_chain`` streams its recorded states from it, and each probe below
 consumes its states as they are made. The minorization probe steps every
-kernel of a gamma on one noise stream, in row blocks of the chains.
+kernel of a gamma on one noise stream, in row blocks of the chains: a
+block's kernels step as one stacked state, and each step's noise block
+broadcasts over them.
 
 Four experiments drive the probes: a minorization check (pairwise kernel
 overlap at a fixed physical horizon, stable in gamma), a geometric-rate fit
@@ -32,6 +34,7 @@ from .core import (
     GeneralScheme,
     NoiseDraw,
     State,
+    _raise_malloc_thresholds,
     step_ensemble,
 )
 from .schemes import SchemeKind, SchemeParams, as_general_scheme, scalar_step_closure
@@ -234,65 +237,50 @@ def _ensemble_path(scheme, ensembles, n_steps, seed, lo=0, n_chains=None):
     draws those rows of one noise block and drives every batch with them. A
     batch's path is therefore the one its rows follow in a run of the whole
     stream alone; batches stepped together share their noise, chain by
-    chain (the synchronous coupling). Several batches are stepped as one
-    stacked state: each step copies the block once per batch into a buffer
-    that is reused across steps and makes one ``step_ensemble`` call, and
-    each batch is yielded as a view of its rows. The step is row-wise, so
-    every batch's values are those of stepping it alone. This is the
-    library's only loop that steps an ensemble; ``simulate_chain`` and
-    every probe in this module run on it. A consumer reads each yielded
-    state and must not write into it; one that consumes the states as they
-    are made holds a single state per batch at a time. A DivergedError
-    carries the step and the index of the first batch that diverges in it.
+    chain (the synchronous coupling). The batches are stepped as one
+    (count, m, d) state, and each step hands ``step_ensemble`` the (m, width)
+    block as it is: the step acts on each chain's row alone, so the block
+    broadcasts over the batches, every noise term is computed once per
+    chain row, and every batch's values are those of stepping it alone.
+    Each batch is yielded as a view of its slice. This is the library's only
+    loop that steps an ensemble; ``simulate_chain`` and every probe in this
+    module run on it. A consumer reads each yielded state and must not write
+    into it; one that consumes the states as they are made holds a single
+    state per batch at a time. A DivergedError carries the step and the
+    index of the first batch that diverges in it.
     """
     # Only x and v hold states below, so that no reference to the caller's
     # initial states stays here once they are stepped.
     ensembles = list(ensembles)
-    count = len(ensembles)
     m, d = ensembles[0][0].shape
     spec = scheme.noise_spec
-    width = spec.width(d)
-    src = _rng.NoiseSource(seed, m if n_chains is None else n_chains, width)
-    if count == 1:
-        ((x, v),) = ensembles
-        stacked = None
-    else:
-        x, v = (np.concatenate(parts) for parts in zip(*ensembles))
-        # The stacked state's noise: the block once per batch.
-        stacked = np.empty((count, m, width))
+    src = _rng.NoiseSource(seed, m if n_chains is None else n_chains, spec.width(d), n_steps)
+    x, v = (np.stack(parts) for parts in zip(*ensembles))
     del ensembles
     for step in range(n_steps):
         block = src.block_at(step, lo, lo + m)
-        rows = block
-        if stacked is not None:
-            stacked[...] = block
-            rows = stacked.reshape(-1, width)
-        noise = NoiseDraw(*spec.split(rows, d))
         try:
-            x, v = step_ensemble(scheme, x, v, noise)
-        except DivergedError as exc:
-            batch, component = 0, exc.component
-            if count > 1:
-                batch, component = _first_diverged(scheme, x, v, block, count)
+            x, v = step_ensemble(scheme, x, v, NoiseDraw(*spec.split(block, d)))
+        except DivergedError:
+            batch, component = _first_diverged(scheme, x, v, block)
             raise DivergedError(component, step + 1, ensemble=batch) from None
-        yield (step + 1, *((x[i * m : (i + 1) * m], v[i * m : (i + 1) * m]) for i in range(count)))
+        yield (step + 1, *zip(x, v))
 
 
-def _first_diverged(scheme, x, v, block, count):
-    """(index, component) of the first of ``count`` stacked batches whose
-    rows of (x, v) diverge when stepped alone with the noise ``block``.
+def _first_diverged(scheme, x, v, block):
+    """(index, component) of the first batch of the (count, m, d) state
+    (x, v) that diverges when stepped alone with the noise ``block``.
 
-    Called after a stacked step diverged; the step is row-wise, so one of
-    the batches does.
+    Called after a step of the whole state diverged; the step acts on each
+    row alone, so one of the batches does.
     """
-    m, d = x.shape[0] // count, x.shape[1]
-    noise = NoiseDraw(*scheme.noise_spec.split(block, d))
-    for i in range(count):
+    noise = NoiseDraw(*scheme.noise_spec.split(block, x.shape[-1]))
+    for i, (xi, vi) in enumerate(zip(x, v)):
         try:
-            step_ensemble(scheme, x[i * m : (i + 1) * m], v[i * m : (i + 1) * m], noise)
+            step_ensemble(scheme, xi, vi, noise)
         except DivergedError as alone:
             return i, alone.component
-    raise RuntimeError("a stacked step diverged, but none of its batches does alone")
+    raise RuntimeError("a step diverged, but none of its batches does alone")
 
 
 @dataclass(frozen=True)
@@ -352,24 +340,6 @@ def minorization_partition(m_radius: float, d: int) -> HistogramSpec:
             f"cells, above the cap of 2^24 (d <= 4)"
         )
     return bins
-
-
-def _raise_malloc_thresholds() -> None:
-    """Let threads reuse freed blocks of up to 16 MiB, for the whole process
-    and for good.
-
-    glibc's malloc serves a block above its mmap threshold (128 KiB at
-    start) by mmap; freeing such a block raises the threshold to its size
-    and the trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).
-    When more than the trim threshold lies free at the top of a thread's
-    arena, it goes back to the system, so a row block whose step frees more
-    than that in temporaries faults their pages in again at the next step.
-    Allocating and freeing one untouched 16 MiB array raises both
-    thresholds. It costs no pages, but from then on every allocation of the
-    process between 128 KiB and 16 MiB, whoever makes it, is served from
-    arenas that may each keep up to 32 MiB free. Other allocators ignore it.
-    """
-    np.empty(2**21)
 
 
 def _pair_tvs(scheme, starts, n_steps, stream, mc, rows, bins) -> list[float]:

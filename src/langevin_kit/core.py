@@ -439,3 +439,24 @@ def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[N
     )
     v_out = tau ** (k + 1) * init.v + sum_gv
     return State(x_out, v_out)
+
+
+def _raise_malloc_thresholds() -> None:
+    """Let threads reuse freed blocks of up to 16 MiB, for the whole process
+    and for good.
+
+    glibc's malloc serves a block above its mmap threshold (128 KiB at
+    start) by mmap; freeing such a block raises the threshold to its size
+    and the trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).
+    When more than the trim threshold lies free at the top of a thread's
+    arena, it goes back to the system, so a task whose step frees more than
+    that in temporaries faults their pages in again at the next step.
+    Allocating and freeing one untouched 16 MiB array raises both
+    thresholds. It costs no pages, but from then on every allocation of the
+    process between 128 KiB and 16 MiB, whoever makes it, is served from
+    arenas that may each keep up to 32 MiB free. Other allocators ignore it.
+    ``convergence.minorization_probe`` and ``lyapunov.estimate_drift`` call
+    it before their pools start: the row blocks of the one and the tiles of
+    the other each free more than the default trim threshold per step.
+    """
+    np.empty(2**21)

@@ -36,6 +36,7 @@ from .core import (
     ForceModel,
     GeneralScheme,
     NoiseDraw,
+    _raise_malloc_thresholds,
     row_dot,
     step_ensemble,
     validate_d1,
@@ -654,6 +655,7 @@ def estimate_drift(
         return DriftRow(st.x, st.v, radius, log_ratio, ratio, se_log)
 
     n_threads = min(_rng.worker_threads(), len(states))
+    _raise_malloc_thresholds()
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         rows = list(pool.map(one_state, range(len(states))))
 

@@ -25,6 +25,7 @@ from langevin_kit.convergence import (
     solve_poisson,
     stationary_moment_bias,
 )
+import langevin_kit._rng as _rng
 import langevin_kit.convergence as convergence
 from langevin_kit._rng import NoiseSource
 from langevin_kit.core import (
@@ -35,8 +36,13 @@ from langevin_kit.core import (
     State,
     step_ensemble,
 )
-from langevin_kit.potentials import quadratic_potential
-from langevin_kit.schemes import SchemeKind, SchemeParams, as_general_scheme
+from langevin_kit.potentials import quadratic_potential, quartic_well_potential
+from langevin_kit.schemes import (
+    SchemeKind,
+    SchemeParams,
+    as_general_scheme,
+    gaussian_perturbation_estimator,
+)
 
 
 def test_histogram_spec_defaults_and_validation():
@@ -283,6 +289,25 @@ def test_minorization_divergence_names_the_pair_of_a_later_group(quadratic, monk
     assert str(calls[1][1]) in str(err.value)
 
 
+def test_minorization_draws_only_the_steps_it_takes(quadratic, monkeypatch):
+    # 64 pairs at d = 1 make row blocks of 1024 rows; mc = 4096 chains of
+    # width 1 take the cached path, and each of the 4 blocks draws the 11
+    # steps the run takes for all 4096 chains, not the 256-step key block.
+    monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
+    raw = _rng._raw
+    words = []
+
+    def counting(seed, key_index, skip, shape):
+        words.append(math.prod(shape))
+        return raw(seed, key_index, skip, shape)
+
+    monkeypatch.setattr(_rng, "_raw", counting)
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=quadratic)
+    minorization_probe(SchemeKind.EULER_MARUYAMA, params, 0.5, 1.0, [0.05], pairs=64, mc=4096)
+    assert convergence._BLOCK_FLOATS // (2 * 64) == 1024
+    assert words == [11 * 4096] * 4
+
+
 @pytest.mark.parametrize("n_cells", [10, 10_000])
 def test_added_counts_are_the_bincount(n_cells):
     # Fewer cells than entries add a dense bincount, more add unique counts.
@@ -419,19 +444,30 @@ def test_reference_counts_do_not_depend_on_the_chunk(quadratic, monkeypatch, kin
     assert np.array_equal(chunked, whole)
 
 
-def test_ensemble_path_yields_every_step_of_the_noise_stream(quadratic):
-    # Both batches are driven by the same block at each step.
-    scheme = as_general_scheme(
-        SchemeKind.SPLIT_CABAC, SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic)
-    )
-    batches = [(np.full((5, 2), 1.5), np.zeros((5, 2))), (np.zeros((5, 2)), np.ones((5, 2)))]
-    path = list(convergence._ensemble_path(scheme, batches, 3, 9))
-    assert [k for k, _, _ in path] == [1, 2, 3]
-    src = NoiseSource(9, 5, scheme.noise_spec.width(2))
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(SchemeKind), ids=[k.value for k in SchemeKind])
+def test_ensemble_path_yields_every_step_of_the_noise_stream(kind, d):
+    # Three batches stepped together, on rows [2, 7) of a 9-chain stream:
+    # each yielded batch is that batch stepped alone with the same rows of
+    # each step's block, bit for bit. The quartic well's force reads each
+    # row's norm; the stochastic-gradient scheme transforms its w2 columns,
+    # and CABAC and ExpEuler read their w1 columns.
+    force = quartic_well_potential()
+    est = None
+    if kind is SchemeKind.SG_EULER_MARUYAMA:
+        est = gaussian_perturbation_estimator(force, 0.5, d)
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=force, sg_estimator=est)
+    scheme = as_general_scheme(kind, params)
+    rng = np.random.default_rng(d)
+    batches = [(rng.standard_normal((5, d)), rng.standard_normal((5, d))) for _ in range(3)]
+    path = list(convergence._ensemble_path(scheme, batches, 3, 9, lo=2, n_chains=9))
+    assert [k for k, *_ in path] == [1, 2, 3]
+    src = NoiseSource(9, 9, scheme.noise_spec.width(d), 3)
     for k, *yielded in path:
-        noise = NoiseDraw(*scheme.noise_spec.split(src.block_at(k - 1), 2))
+        noise = NoiseDraw(*scheme.noise_spec.split(src.block_at(k - 1, 2, 7), d))
         batches = [step_ensemble(scheme, x, v, noise) for x, v in batches]
         for (xk, vk), (x, v) in zip(yielded, batches, strict=True):
+            assert xk.shape == x.shape == (5, d)
             assert np.array_equal(xk, x) and np.array_equal(vk, v)
 
 
@@ -456,7 +492,7 @@ def test_ensemble_path_divergence_names_the_step():
     )
     x = np.full((4, 1), 1.0)
     v = np.zeros((4, 1))
-    src = NoiseSource(3, 4, scheme.noise_spec.width(1))
+    src = NoiseSource(3, 4, scheme.noise_spec.width(1), 100)
     diverged_at = None
     for k in range(1, 100):
         z, w1, w2 = scheme.noise_spec.split(src.block_at(k - 1), 1)
@@ -478,6 +514,22 @@ def test_ensemble_path_divergence_names_the_step():
     with pytest.raises(DivergedError) as err:
         next(convergence._ensemble_path(scheme, batches, 100, 3))
     assert (err.value.step, err.value.ensemble) == (1, 1)
+
+
+def test_stacked_divergence_names_the_middle_batch():
+    # Three batches of 4 chains at d = 2; only row 2, coordinate 1 of the
+    # middle batch leaves the range, through v, in the first step. A batch
+    # read along the wrong axis of the (3, 4, 2) state would be named 0 or
+    # 2, or none at all.
+    scheme = as_general_scheme(
+        SchemeKind.EULER_MARUYAMA,
+        SchemeParams(kappa=1.0, sigma=1.0, gamma=0.4, force=quadratic_potential(100.0)),
+    )
+    batches = [(np.zeros((4, 2)), np.zeros((4, 2))) for _ in range(3)]
+    batches[1][0][2, 1] = 1e11
+    with pytest.raises(DivergedError) as err:
+        next(convergence._ensemble_path(scheme, batches, 100, 3))
+    assert (err.value.step, err.value.ensemble, err.value.component) == (1, 1, "v")
 
 
 def test_rate_fit_holds_one_ensemble_state(quadratic, monkeypatch):

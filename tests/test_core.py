@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from scipy.special import ndtri
 
-from langevin_kit._rng import NoiseSource, _to_normals, chain_normals, normal_block
+from langevin_kit._rng import NoiseSource, _raw, _to_normals, chain_normals, normal_block
 from langevin_kit.core import (
     ContractViolation,
     DivergedError,
@@ -243,10 +243,10 @@ def test_noise_blocks_are_positionally_stable():
     npt.assert_array_equal(blk, normal_block(7, 300, 5, 3))
     # Sequential access through NoiseSource agrees with direct addressing,
     # cached (small) and uncached (large) alike.
-    small = NoiseSource(7, 5, 3)
+    small = NoiseSource(7, 5, 3, 301)
     npt.assert_array_equal(small.block_at(300), blk)
     npt.assert_array_equal(small.block_at(12), normal_block(7, 12, 5, 3))
-    wide = NoiseSource(7, 600, 3)
+    wide = NoiseSource(7, 600, 3, 301)
     npt.assert_array_equal(wide.block_at(300), normal_block(7, 300, 600, 3))
     # Step counts that end inside a 256-step key block, at widths 1 to 3.
     for n_steps, width in ((520, 3), (300, 1), (257, 2)):
@@ -255,17 +255,35 @@ def test_noise_blocks_are_positionally_stable():
         npt.assert_array_equal(rows, np.array(stacked))
 
 
+@pytest.mark.parametrize("skip", [0, 1, 2, 3, 5, 4097, 4098, 4099, 10**6 + 3])
+def test_raw_words_are_the_keyed_philox_stream(skip):
+    # The stream keyed by (seed, key index) from word ``skip`` on, as a new
+    # Philox advanced by whole 4-word states and a discarded remainder gives
+    # it. Seeds at and above 2**63 exercise the key's top bit.
+    for seed, key_index in ((7, 0), (2**64 - 1, 3), (2**63 + 5, 2)):
+        bg = np.random.Philox(key=(np.uint64(seed), np.uint64(key_index)))
+        bg.advance(skip // 4)
+        gen = np.random.Generator(bg)
+        gen.integers(0, 2**64, size=skip % 4, dtype=np.uint64)
+        want = gen.integers(0, 2**64, size=(700, 3), dtype=np.uint64)
+        got = _raw(seed, key_index, skip, (700, 3))
+        assert got.dtype == np.uint64
+        npt.assert_array_equal(got, want)
+
+
 # (n_chains, width): cached (n_chains * width <= 4096: the first two) and
 # uncached, with windows whose first word lo * width is not on a 4-word
-# Philox state.
+# Philox state: at (1500, 3) the windows from rows 3, 750 and 1 leave
+# remainders of 1, 2 and 3 words.
 @pytest.mark.parametrize(
     "n_chains, width", [(5, 3), (1000, 3), (1500, 3), (5000, 1), (2100, 2), (700, 0)]
 )
 def test_a_row_window_is_its_rows_of_the_block(n_chains, width):
-    src = NoiseSource(7, n_chains, width)
+    src = NoiseSource(7, n_chains, width, 258)
     windows = [(0, n_chains), (1, 2), (3, n_chains), (n_chains // 2, n_chains // 2 + 3),
                (n_chains, n_chains)]
-    # Steps on both sides of the key boundary at 256, in both directions.
+    # Steps on both sides of the key boundary at 256, in both directions; a
+    # run of 258 steps caches only 2 steps of the second key block.
     for step in (254, 255, 256, 257, 255, 0):
         block = normal_block(7, step, n_chains, width)
         npt.assert_array_equal(src.block_at(step), block)
@@ -277,6 +295,8 @@ def test_a_row_window_is_its_rows_of_the_block(n_chains, width):
         src.block_at(0, 2, 1)
     with pytest.raises(ValueError, match="outside"):
         src.block_at(0, 0, n_chains + 1)
+    with pytest.raises(ValueError, match="past the 258 steps"):
+        src.block_at(258)
 
 
 @pytest.mark.parametrize("width", [1, 2])
