@@ -15,7 +15,6 @@ within a block the counter space is laid out as
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 
@@ -25,11 +24,6 @@ STEPS_PER_KEY = 256
 _INV_2_53 = 2.0 ** -53
 _U_MAX = 1.0 - 2.0 ** -53  # the largest double below 1
 _CACHE_ELEMENT_LIMIT = 4096  # n_chains*width above this: draw per step, no cache
-
-
-# Each thread's Philox, set to a new key and counter for every draw.
-_local = threading.local()
-_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
 
 def _to_normals(raw: np.ndarray) -> np.ndarray:
@@ -52,19 +46,17 @@ def _to_normals(raw: np.ndarray) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def _raw(seed: int, key_index: int, skip: int, shape: tuple[int, ...]) -> np.ndarray:
+def _raw(bg: np.random.Philox, seed: int, key_index: int, skip: int,
+         shape: tuple[int, ...]) -> np.ndarray:
     """64-bit words of the Philox stream keyed by (seed, key_index), from
-    word ``skip`` on, in the given shape.
+    word ``skip`` on, in the given shape, drawn with ``bg``.
 
     A Philox counter state makes 4 words, so the skip is split into whole
     states, set as the counter (where ``advance`` would move it), plus a
-    remainder that is drawn and discarded. Each thread sets the key and
-    counter of one reused Philox: building a Philox costs several times
-    more, because it seeds itself from the OS first.
+    remainder that is drawn and discarded. Setting the key and counter of
+    a Philox the caller reuses costs several times less than building one,
+    which first seeds itself.
     """
-    bg = getattr(_local, "philox", None)
-    if bg is None:
-        bg = _local.philox = np.random.Philox(key=(0, 0))
     states, rem = divmod(skip, 4)
     bg.state = {
         "bit_generator": "Philox",
@@ -72,7 +64,7 @@ def _raw(seed: int, key_index: int, skip: int, shape: tuple[int, ...]) -> np.nda
             "counter": np.array([states, 0, 0, 0], dtype=np.uint64),
             "key": np.array([seed & (2**64 - 1), key_index], dtype=np.uint64),
         },
-        "buffer": _EMPTY_BUFFER,
+        "buffer": np.zeros(4, dtype=np.uint64),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -93,7 +85,8 @@ def normal_block(seed: int, step: int, n_chains: int, width: int) -> np.ndarray:
     if width == 0:
         return np.empty((n_chains, 0))
     key_index, offset = divmod(step, STEPS_PER_KEY)
-    raw = _raw(seed, key_index, offset * n_chains * width, (n_chains, width))
+    raw = _raw(np.random.Philox(0), seed, key_index, offset * n_chains * width,
+               (n_chains, width))
     return _to_normals(raw)
 
 
@@ -101,8 +94,9 @@ class NoiseSource:
     """Sequential per-step access to the stream of an ensemble.
 
     Returns exactly what ``normal_block`` would, but amortizes bit-generator
-    setup: small ensembles cache a 256-step key block, large ones use a
-    counter jump per step. ``n_steps`` is the number of steps the run
+    setup: it draws with one Philox whose key and counter it sets, small
+    ensembles cache a 256-step key block, and large ones use a counter jump
+    per step. ``n_steps`` is the number of steps the run
     takes; a cached key block holds only the steps below it, the prefix of
     the block's words.
     """
@@ -113,6 +107,7 @@ class NoiseSource:
         self.width = width
         self.n_steps = n_steps
         self._cached = n_chains * width <= _CACHE_ELEMENT_LIMIT
+        self._philox = np.random.Philox(0)
         self._key_index: int | None = None
         self._block: np.ndarray | None = None
 
@@ -129,12 +124,12 @@ class NoiseSource:
             return np.empty((hi - lo, 0))
         key_index, offset = divmod(step, STEPS_PER_KEY)
         if not self._cached:
-            raw = _raw(self.seed, key_index, (offset * self.n_chains + lo) * self.width,
-                       (hi - lo, self.width))
+            raw = _raw(self._philox, self.seed, key_index,
+                       (offset * self.n_chains + lo) * self.width, (hi - lo, self.width))
             return _to_normals(raw)
         if key_index != self._key_index:
             steps = min(STEPS_PER_KEY, self.n_steps - key_index * STEPS_PER_KEY)
-            raw = _raw(self.seed, key_index, 0, (steps, self.n_chains, self.width))
+            raw = _raw(self._philox, self.seed, key_index, 0, (steps, self.n_chains, self.width))
             self._block = _to_normals(raw)
             self._key_index = key_index
         return self._block[offset, lo:hi]
@@ -150,10 +145,11 @@ def chain_normals(seed: int, n_steps: int, width: int) -> np.ndarray:
     if width == 0:
         return np.empty((n_steps, 0))
     out = np.empty(n_steps * width)
+    bg = np.random.Philox(0)
     chunk = STEPS_PER_KEY * width
     for ki, lo in enumerate(range(0, out.size, chunk)):
         hi = min(lo + chunk, out.size)
-        out[lo:hi] = _to_normals(_raw(seed, ki, 0, (hi - lo,)))
+        out[lo:hi] = _to_normals(_raw(bg, seed, ki, 0, (hi - lo,)))
     return out.reshape(n_steps, width)
 
 

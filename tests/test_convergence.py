@@ -297,9 +297,9 @@ def test_minorization_draws_only_the_steps_it_takes(quadratic, monkeypatch):
     raw = _rng._raw
     words = []
 
-    def counting(seed, key_index, skip, shape):
+    def counting(bg, seed, key_index, skip, shape):
         words.append(math.prod(shape))
-        return raw(seed, key_index, skip, shape)
+        return raw(bg, seed, key_index, skip, shape)
 
     monkeypatch.setattr(_rng, "_raw", counting)
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=quadratic)

@@ -259,14 +259,16 @@ def test_noise_blocks_are_positionally_stable():
 def test_raw_words_are_the_keyed_philox_stream(skip):
     # The stream keyed by (seed, key index) from word ``skip`` on, as a new
     # Philox advanced by whole 4-word states and a discarded remainder gives
-    # it. Seeds at and above 2**63 exercise the key's top bit.
+    # it, from one Philox reused for every key. Seeds at and above 2**63
+    # exercise the key's top bit.
+    reused = np.random.Philox(0)
     for seed, key_index in ((7, 0), (2**64 - 1, 3), (2**63 + 5, 2)):
         bg = np.random.Philox(key=(np.uint64(seed), np.uint64(key_index)))
         bg.advance(skip // 4)
         gen = np.random.Generator(bg)
         gen.integers(0, 2**64, size=skip % 4, dtype=np.uint64)
         want = gen.integers(0, 2**64, size=(700, 3), dtype=np.uint64)
-        got = _raw(seed, key_index, skip, (700, 3))
+        got = _raw(reused, seed, key_index, skip, (700, 3))
         assert got.dtype == np.uint64
         npt.assert_array_equal(got, want)
 
