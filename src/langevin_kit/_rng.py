@@ -94,11 +94,12 @@ class NoiseSource:
     """Sequential per-step access to the stream of an ensemble.
 
     Returns exactly what ``normal_block`` would, but amortizes bit-generator
-    setup: it draws with one Philox whose key and counter it sets, small
-    ensembles cache a 256-step key block, and large ones use a counter jump
-    per step. ``n_steps`` is the number of steps the run
-    takes; a cached key block holds only the steps below it, the prefix of
-    the block's words.
+    setup: it draws with one Philox whose key and counter it sets. Small
+    ensembles read whole-ensemble blocks from a cached 256-step key block;
+    large ones, and a row window narrower than the ensemble, use a counter
+    jump per step and draw only the window's words. ``n_steps`` is the
+    number of steps the run takes; a cached key block holds only the steps
+    below it, the prefix of the block's words.
     """
 
     def __init__(self, seed: int, n_chains: int, width: int, n_steps: int):
@@ -114,7 +115,8 @@ class NoiseSource:
     def block_at(self, step: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Rows [lo, hi) of the step's (n_chains, width) block, hi defaulting
         to n_chains; equal to ``normal_block(...)[lo:hi]``. Large ensembles
-        draw only the window's words, skipping to its first one."""
+        and narrower windows draw only the window's words, skipping to its
+        first one."""
         hi = self.n_chains if hi is None else hi
         if not 0 <= lo <= hi <= self.n_chains:
             raise ValueError(f"rows [{lo}, {hi}) are outside the {self.n_chains} chains")
@@ -123,7 +125,7 @@ class NoiseSource:
         if self.width == 0:
             return np.empty((hi - lo, 0))
         key_index, offset = divmod(step, STEPS_PER_KEY)
-        if not self._cached:
+        if not self._cached or hi - lo < self.n_chains:
             raw = _raw(self._philox, self.seed, key_index,
                        (offset * self.n_chains + lo) * self.width, (hi - lo, self.width))
             return _to_normals(raw)
@@ -156,8 +158,10 @@ def chain_normals(seed: int, n_steps: int, width: int) -> np.ndarray:
 def worker_threads() -> int:
     """Worker-thread cap for embarrassingly parallel probes.
 
-    Reads LANGEVIN_KIT_THREADS; defaults to the hardware thread count.
-    Values below 1 or unparsable values are treated as 1.
+    Reads LANGEVIN_KIT_THREADS; defaults to the number of CPUs this
+    process may run on (its affinity mask, where the platform reports one;
+    the hardware thread count elsewhere). Values below 1 or unparsable
+    values are treated as 1.
     """
     raw = os.environ.get("LANGEVIN_KIT_THREADS", "")
     if raw:
@@ -165,4 +169,6 @@ def worker_threads() -> int:
             return max(1, int(raw))
         except ValueError:
             return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

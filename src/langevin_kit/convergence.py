@@ -173,36 +173,36 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
-def _cell_index(samples: np.ndarray, bins: HistogramSpec) -> np.ndarray:
-    """Flat cell index of each point of a point set in R^m on the shared
-    partition.
+def _cell_index(x: np.ndarray, v: np.ndarray, bins: HistogramSpec) -> np.ndarray:
+    """Flat cell index of each point (x, v) of a state on the shared
+    partition of R^(dx + dv), of shape x.shape[:-1].
 
-    Each coordinate is clipped to inside the box, so mass outside it counts
-    in the boundary cell, and located among the edges by ``searchsorted``;
-    the per-axis cells fold row-major into one flat index. ContractViolation
-    on a non-finite sample: a NaN survives the clip and would be counted in
-    some cell.
+    x and v have the same leading shape; the point's coordinates are x's
+    last axis, then v's. Each coordinate is clipped to inside the box, so
+    mass outside it counts in the boundary cell, and located among the edges
+    by ``searchsorted``; the per-axis cells fold row-major into one flat
+    index. ContractViolation on a non-finite sample: a NaN survives the clip
+    and would be counted in some cell.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    n, m = samples.shape
-    if not np.isfinite(samples).all():
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise ContractViolation("histogram samples must be finite")
     edges = bins.edges()
     half_cell = bins.box / bins.bins_per_axis
     lo, hi = -bins.box + 0.5 * half_cell, bins.box - 0.5 * half_cell
-    flat = np.zeros(n, dtype=np.intp)
-    for j in range(m):
-        flat *= bins.bins_per_axis
-        flat += np.searchsorted(edges, np.clip(samples[:, j], lo, hi), side="right") - 1
+    flat = np.zeros(x.shape[:-1], dtype=np.intp)
+    for part in (x, v):
+        for j in range(part.shape[-1]):
+            flat *= bins.bins_per_axis
+            flat += np.searchsorted(edges, np.clip(part[..., j], lo, hi), side="right") - 1
     return flat
 
 
-def _histogram_counts(samples: np.ndarray, bins: HistogramSpec) -> np.ndarray:
-    """Flat cell counts of a point set in R^m on the shared partition: the
-    ``bincount`` of its ``_cell_index``, equal to ``np.histogramdd`` of the
-    points clipped to inside the box, raveled."""
-    m = np.atleast_2d(samples).shape[1]
-    counts = np.bincount(_cell_index(samples, bins), minlength=bins.bins_per_axis**m)
+def _histogram_counts(x: np.ndarray, v: np.ndarray, bins: HistogramSpec) -> np.ndarray:
+    """Flat cell counts of the points (x, v) of a state on the shared
+    partition: the ``bincount`` of its ``_cell_index``, equal to
+    ``np.histogramdd`` of the points clipped to inside the box, raveled."""
+    n_cells = bins.bins_per_axis ** (x.shape[-1] + v.shape[-1])
+    counts = np.bincount(_cell_index(x, v, bins).ravel(), minlength=n_cells)
     return counts.astype(np.float64)
 
 
@@ -227,36 +227,31 @@ def _seed_ints(seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _ensemble_path(scheme, ensembles, n_steps, seed, lo=0, n_chains=None):
-    """Advance equal-size batches of states n_steps on one noise stream,
-    yielding (k, (x, v), ...) with every batch's state after each step
-    k = 1..n_steps.
+def _ensemble_path(scheme, x, v, n_steps, seed, lo=0, n_chains=None):
+    """Advance the state (x, v) n_steps on one noise stream, yielding
+    (k, x, v) with the state after each step k = 1..n_steps.
 
-    Each batch of m chains holds rows [lo, lo + m) of the ``n_chains`` chains
-    (by default m) of the counter-based stream keyed by ``seed``. Each step
-    draws those rows of one noise block and drives every batch with them. A
-    batch's path is therefore the one its rows follow in a run of the whole
-    stream alone; batches stepped together share their noise, chain by
-    chain (the synchronous coupling). The batches are stepped as one
-    (count, m, d) state, and each step hands ``step_ensemble`` the (m, width)
-    block as it is: the step acts on each chain's row alone, so the block
-    broadcasts over the batches, every noise term is computed once per
-    chain row, and every batch's values are those of stepping it alone.
-    Each batch is yielded as a view of its slice. This is the library's only
-    loop that steps an ensemble; ``simulate_chain`` and every probe in this
-    module run on it. A consumer reads each yielded state and must not write
-    into it; one that consumes the states as they are made holds a single
-    state per batch at a time. A DivergedError carries the step and the
-    index of the first batch that diverges in it.
+    The state is one ensemble of shape (m, d) or a stacked state of shape
+    (count, m, d): count batches of m chains each. Its m chain rows are rows
+    [lo, lo + m) of the ``n_chains`` chains (by default m) of the
+    counter-based stream keyed by ``seed``. Each step draws those rows of
+    one noise block and hands ``step_ensemble`` the (m, width) block as it
+    is. A batch's path is therefore the one its rows follow in a run of the
+    whole stream alone; batches stepped together share their noise, chain
+    by chain (the synchronous coupling). The step acts on each chain's row
+    alone, so the block broadcasts over the batches, every noise term is
+    computed once per chain row, and every batch's values are those of
+    stepping it alone. This is the library's only multi-step loop over an
+    ensemble; ``simulate_chain`` and every probe in this module run on it.
+    A consumer reads each yielded state and must not write into it; one
+    that consumes the states as they are made holds a single state at a
+    time, and the caller's initial state is not held once it is stepped. A
+    DivergedError carries the step and the index of the first batch that
+    diverges in it, 0 for an (m, d) state.
     """
-    # Only x and v hold states below, so that no reference to the caller's
-    # initial states stays here once they are stepped.
-    ensembles = list(ensembles)
-    m, d = ensembles[0][0].shape
+    m, d = x.shape[-2:]
     spec = scheme.noise_spec
     src = _rng.NoiseSource(seed, m if n_chains is None else n_chains, spec.width(d), n_steps)
-    x, v = (np.stack(parts) for parts in zip(*ensembles))
-    del ensembles
     for step in range(n_steps):
         block = src.block_at(step, lo, lo + m)
         try:
@@ -264,18 +259,19 @@ def _ensemble_path(scheme, ensembles, n_steps, seed, lo=0, n_chains=None):
         except DivergedError:
             batch, component = _first_diverged(scheme, x, v, block)
             raise DivergedError(component, step + 1, ensemble=batch) from None
-        yield (step + 1, *zip(x, v))
+        yield step + 1, x, v
 
 
 def _first_diverged(scheme, x, v, block):
-    """(index, component) of the first batch of the (count, m, d) state
-    (x, v) that diverges when stepped alone with the noise ``block``.
+    """(index, component) of the first batch of the (m, d) or (count, m, d)
+    state (x, v) that diverges when stepped alone with the noise ``block``.
 
     Called after a step of the whole state diverged; the step acts on each
     row alone, so one of the batches does.
     """
     noise = NoiseDraw(*scheme.noise_spec.split(block, x.shape[-1]))
-    for i, (xi, vi) in enumerate(zip(x, v)):
+    batches = (-1, *x.shape[-2:])
+    for i, (xi, vi) in enumerate(zip(x.reshape(batches), v.reshape(batches))):
         try:
             step_ensemble(scheme, xi, vi, noise)
         except DivergedError as alone:
@@ -311,7 +307,7 @@ def simulate_chain(
     x = np.tile(init.x, (config.ensemble, 1))
     v = np.tile(init.v, (config.ensemble, 1))
     yield 0, x, v
-    for k, (x, v) in _ensemble_path(scheme, [(x, v)], config.n_steps, config.seed):
+    for k, x, v in _ensemble_path(scheme, x, v, config.n_steps, config.seed):
         if k % config.record_every == 0 or k == config.n_steps:
             yield k, x, v
 
@@ -349,11 +345,11 @@ def _pair_tvs(scheme, starts, n_steps, stream, mc, rows, bins) -> list[float]:
 
     The chains are split into row blocks of ``rows`` chains, and the thread
     pool's tasks are blocks: a block steps its rows of every start as one
-    stacked ensemble on its rows of the stream, then adds its counts into
-    the totals with the start's index folded into each chain's cell index.
-    Counts are integers in float64, so the totals depend on neither the
-    block size nor the thread count. A DivergedError names the index of the
-    start.
+    (2k, rows, d) stacked state on its rows of the stream, then adds its
+    counts into the totals with the start's index folded into each chain's
+    cell index. Counts are integers in float64, so the totals depend on
+    neither the block size nor the thread count. A DivergedError names the
+    index of the start.
     """
     d = starts.shape[1] // 2
     n_cells = bins.bins_per_axis ** (2 * d)
@@ -362,13 +358,11 @@ def _pair_tvs(scheme, starts, n_steps, stream, mc, rows, bins) -> list[float]:
 
     def one_block(lo):
         m = min(rows, mc - lo)
-        ensembles = [(np.tile(p[:d], (m, 1)), np.tile(p[d:], (m, 1))) for p in starts]
-        for _, *ensembles in _ensemble_path(scheme, ensembles, n_steps, stream, lo, mc):
+        x = np.repeat(starts[:, None, :d], m, axis=1)
+        v = np.repeat(starts[:, None, d:], m, axis=1)
+        for _, x, v in _ensemble_path(scheme, x, v, n_steps, stream, lo, mc):
             pass
-        samples = np.empty((len(starts), m, 2 * d))
-        for k, (x, v) in enumerate(ensembles):
-            samples[k, :, :d], samples[k, :, d:] = x, v
-        cells = _cell_index(samples.reshape(-1, 2 * d), bins).reshape(len(starts), m)
+        cells = _cell_index(x, v, bins)
         cells += np.arange(len(starts))[:, None] * n_cells
         _add_counts(totals, cells.ravel(), lock)
 
@@ -499,7 +493,7 @@ def _reference_histogram(kind, params, bins, seed):
             raise DivergedError("x", lo)
         first = max(0, _REFERENCE_BURN_IN - lo)  # the first recorded step in the chunk
         if first < hi - lo:
-            counts += _histogram_counts(np.column_stack([xs[first:], vs[first:]]), bins)
+            counts += _histogram_counts(xs[first:, None], vs[first:, None], bins)
     return counts, _REFERENCE_STEPS
 
 
@@ -546,9 +540,9 @@ def fit_geometric_rate(
     # Each wanted epoch is histogrammed when the ensemble reaches it, so only
     # the current state is held.
     tv_by_step = {}
-    for k, (x, v) in _ensemble_path(scheme, [(x, v)], max(wanted), ens_seed):
+    for k, x, v in _ensemble_path(scheme, x, v, max(wanted), ens_seed):
         if k in wanted:
-            counts = _histogram_counts(np.hstack([x, v]), _RATE_BINS)
+            counts = _histogram_counts(x, v, _RATE_BINS)
             tv_by_step[k] = _tv_from_counts(counts, mc, ref_counts, n_ref)
     values = np.array([tv_by_step[s] for s in steps])
 
@@ -593,7 +587,7 @@ def _time_averages(scheme, observables, d, n_chains, burn_time, keep, seed):
     x = np.zeros((n_chains, d))
     v = np.zeros((n_chains, d))
     sums = [np.zeros(n_chains) for _ in observables]
-    for k, (x, v) in _ensemble_path(scheme, [(x, v)], burn + keep, seed):
+    for k, x, v in _ensemble_path(scheme, x, v, burn + keep, seed):
         if k > burn:
             for acc, obs in zip(sums, observables):
                 acc += obs(x, v)
@@ -696,7 +690,7 @@ def solve_poisson(
         x = np.tile(p[:d], (mc, 1))
         v = np.tile(p[d:], (mc, 1))
         series_sums = phi(x, v) - mu_hat
-        for k, (x, v) in _ensemble_path(scheme, [(x, v)], truncation_k + 1, seeds[1 + j]):
+        for k, x, v in _ensemble_path(scheme, x, v, truncation_k + 1, seeds[1 + j]):
             term = phi(x, v) - mu_hat
             if k <= truncation_k:
                 series_sums += term

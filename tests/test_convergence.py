@@ -57,14 +57,16 @@ def test_histogram_spec_defaults_and_validation():
         HistogramSpec(box=0.0)
 
 
+def counts_of(points, bins):
+    """Histogram counts of an (..., m) point set, its first (m + 1) // 2
+    coordinates binned as x and the rest as v."""
+    half = (points.shape[-1] + 1) // 2
+    return convergence._histogram_counts(points[..., :half], points[..., half:], bins)
+
+
 def tv(a, b, bins=HistogramSpec()):
     """Partition TV of two point sets, by the path the probes run."""
-    return convergence._tv_from_counts(
-        convergence._histogram_counts(a, bins),
-        len(a),
-        convergence._histogram_counts(b, bins),
-        len(b),
-    )
+    return convergence._tv_from_counts(counts_of(a, bins), len(a), counts_of(b, bins), len(b))
 
 
 def test_tv_identical_and_disjoint():
@@ -99,32 +101,47 @@ def test_tv_symmetry_and_triangle():
     assert tv(a, c) <= ab + tv(b, c) + 1e-12
 
 
-@pytest.mark.parametrize(
-    "bins", [minorization_partition(1.0, 2), HistogramSpec(bins_per_axis=32, box=6.0)]
+_COARSE_BINS = minorization_partition(1.0, 2)
+_FINE_BINS = HistogramSpec(bins_per_axis=32, box=6.0)
+_HISTOGRAM_CASES = (
+    [(bins, (n, m)) for bins in (_COARSE_BINS, _FINE_BINS) for m in (1, 2, 3, 4) for n in (1, 3000)]
+    # Stacked (3, m, d) states at d = 1..3, binned in R^(2d); 32^6 cells at
+    # d = 3 would not fit.
+    + [(_COARSE_BINS, (3, 1000, 2 * d)) for d in (1, 2, 3)]
+    + [(_FINE_BINS, (3, 1000, 2 * d)) for d in (1, 2)]
 )
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", [1, 3000])
-def test_histogram_counts_equal_histogramdd_of_the_clipped_samples(bins, m, n):
-    rng = np.random.default_rng(10 * m + n)
-    samples = rng.normal(0.0, bins.box, (n, m))
+
+
+@pytest.mark.parametrize(
+    "bins, shape",
+    _HISTOGRAM_CASES,
+    ids=[f"{b.bins_per_axis}bins-{'x'.join(map(str, s))}" for b, s in _HISTOGRAM_CASES],
+)
+def test_histogram_counts_equal_histogramdd_of_the_clipped_samples(bins, shape):
+    m = shape[-1]
+    rng = np.random.default_rng(10 * m + math.prod(shape[:-1]))
+    samples = rng.normal(0.0, bins.box, shape)
+    points = samples.reshape(-1, m)
     edges = bins.edges()
-    samples[::3, 0] = rng.choice(edges[1:-1], size=samples[::3, 0].size)
-    samples[1::7, -1] = 1e300
-    samples[2::7, -1] = -1e300
+    points[::3, 0] = rng.choice(edges[1:-1], size=points[::3, 0].size)
+    points[1::7, -1] = 1e300
+    points[2::7, -1] = -1e300
     half_cell = bins.box / bins.bins_per_axis
-    clipped = np.clip(samples, -bins.box + 0.5 * half_cell, bins.box - 0.5 * half_cell)
+    clipped = np.clip(points, -bins.box + 0.5 * half_cell, bins.box - 0.5 * half_cell)
     expected, _ = np.histogramdd(clipped, bins=[edges] * m)
-    counts = convergence._histogram_counts(samples, bins)
+    counts = counts_of(samples, bins)
     assert counts.dtype == np.float64
     assert np.array_equal(counts, expected.ravel())
 
 
+@pytest.mark.parametrize("column", [0, 1])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_histogram_counts_refuse_non_finite_samples(bad):
+def test_histogram_counts_refuse_non_finite_samples(bad, column):
+    # A bad coordinate is refused in x (column 0) and in v (column 1).
     samples = np.zeros((10, 2))
-    samples[4, 1] = bad
+    samples[4, column] = bad
     with pytest.raises(ContractViolation, match="finite"):
-        convergence._histogram_counts(samples, HistogramSpec())
+        counts_of(samples, HistogramSpec())
 
 
 def test_minorization_same_point_overlap():
@@ -225,9 +242,9 @@ def test_each_kernel_of_a_pair_is_its_own_single_ensemble_run(quadratic, monkeyp
         counts = []
         for p in starts:
             x, v = np.tile(p[:d], (mc, 1)), np.tile(p[d:], (mc, 1))
-            for _, (x, v) in convergence._ensemble_path(scheme, [(x, v)], n_steps, seeds[gi]):
+            for _, x, v in convergence._ensemble_path(scheme, x, v, n_steps, seeds[gi]):
                 pass
-            counts.append(convergence._histogram_counts(np.hstack([x, v]), bins))
+            counts.append(convergence._histogram_counts(x, v, bins))
         pair_tvs = []
         for pair in range(pairs):
             expected.append((counts[2 * pair], mc, counts[2 * pair + 1], mc))
@@ -291,8 +308,9 @@ def test_minorization_divergence_names_the_pair_of_a_later_group(quadratic, monk
 
 def test_minorization_draws_only_the_steps_it_takes(quadratic, monkeypatch):
     # 64 pairs at d = 1 make row blocks of 1024 rows; mc = 4096 chains of
-    # width 1 take the cached path, and each of the 4 blocks draws the 11
-    # steps the run takes for all 4096 chains, not the 256-step key block.
+    # width 1 would take the cached path, but a block's window is narrower
+    # than the chains, so each of the 4 blocks draws its 1024 rows of each
+    # of the 11 steps the run takes, not every row of a 256-step key block.
     monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
     raw = _rng._raw
     words = []
@@ -305,7 +323,7 @@ def test_minorization_draws_only_the_steps_it_takes(quadratic, monkeypatch):
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=quadratic)
     minorization_probe(SchemeKind.EULER_MARUYAMA, params, 0.5, 1.0, [0.05], pairs=64, mc=4096)
     assert convergence._BLOCK_FLOATS // (2 * 64) == 1024
-    assert words == [11 * 4096] * 4
+    assert words == [1024] * 44
 
 
 @pytest.mark.parametrize("n_cells", [10, 10_000])
@@ -447,11 +465,12 @@ def test_reference_counts_do_not_depend_on_the_chunk(quadratic, monkeypatch, kin
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", list(SchemeKind), ids=[k.value for k in SchemeKind])
 def test_ensemble_path_yields_every_step_of_the_noise_stream(kind, d):
-    # Three batches stepped together, on rows [2, 7) of a 9-chain stream:
-    # each yielded batch is that batch stepped alone with the same rows of
-    # each step's block, bit for bit. The quartic well's force reads each
-    # row's norm; the stochastic-gradient scheme transforms its w2 columns,
-    # and CABAC and ExpEuler read their w1 columns.
+    # A (3, 5, d) state of three batches stepped together, on rows [2, 7)
+    # of a 9-chain stream: each batch of each yielded state is that batch
+    # stepped alone with the same rows of each step's block, bit for bit.
+    # The quartic well's force reads each row's norm; the stochastic-gradient
+    # scheme transforms its w2 columns, and CABAC and ExpEuler read their w1
+    # columns.
     force = quartic_well_potential()
     est = None
     if kind is SchemeKind.SG_EULER_MARUYAMA:
@@ -459,26 +478,29 @@ def test_ensemble_path_yields_every_step_of_the_noise_stream(kind, d):
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=force, sg_estimator=est)
     scheme = as_general_scheme(kind, params)
     rng = np.random.default_rng(d)
-    batches = [(rng.standard_normal((5, d)), rng.standard_normal((5, d))) for _ in range(3)]
-    path = list(convergence._ensemble_path(scheme, batches, 3, 9, lo=2, n_chains=9))
+    x0, v0 = rng.standard_normal((2, 3, 5, d))
+    batches = list(zip(x0, v0))
+    path = list(convergence._ensemble_path(scheme, x0, v0, 3, 9, lo=2, n_chains=9))
     assert [k for k, *_ in path] == [1, 2, 3]
     src = NoiseSource(9, 9, scheme.noise_spec.width(d), 3)
-    for k, *yielded in path:
+    for k, xk, vk in path:
+        assert xk.shape == vk.shape == (3, 5, d)
         noise = NoiseDraw(*scheme.noise_spec.split(src.block_at(k - 1, 2, 7), d))
         batches = [step_ensemble(scheme, x, v, noise) for x, v in batches]
-        for (xk, vk), (x, v) in zip(yielded, batches, strict=True):
-            assert xk.shape == x.shape == (5, d)
-            assert np.array_equal(xk, x) and np.array_equal(vk, v)
+        for i, (x, v) in enumerate(batches):
+            assert np.array_equal(xk[i], x) and np.array_equal(vk[i], v)
 
 
-def test_ensemble_path_releases_the_initial_states(quadratic):
-    # Once stepped, a batch's initial state is no longer held by the loop.
+@pytest.mark.parametrize("shape", [(8, 1), (2, 8, 1)])
+def test_ensemble_path_releases_the_initial_states(quadratic, shape):
+    # Once stepped, the initial state, one ensemble or a stacked one, is no
+    # longer held by the loop.
     scheme = as_general_scheme(
         SchemeKind.EULER_MARUYAMA, SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic)
     )
-    x, v = np.zeros((8, 1)), np.zeros((8, 1))
+    x, v = np.zeros(shape), np.zeros(shape)
     initial = weakref.ref(x)
-    path = convergence._ensemble_path(scheme, [(x, v)], 3, 1)
+    path = convergence._ensemble_path(scheme, x, v, 3, 1)
     del x, v
     next(path)
     assert initial() is None
@@ -502,17 +524,19 @@ def test_ensemble_path_divergence_names_the_step():
             diverged_at = k
             break
     assert diverged_at is not None and diverged_at > 1
-    path = convergence._ensemble_path(scheme, [(np.full((4, 1), 1.0), np.zeros((4, 1)))], 100, 3)
+    # One (4, 1) ensemble is batch 0.
+    path = convergence._ensemble_path(scheme, np.full((4, 1), 1.0), np.zeros((4, 1)), 100, 3)
     with pytest.raises(DivergedError) as err:
         for _ in path:
             pass
     assert err.value.step == diverged_at
     assert err.value.ensemble == 0
     assert f"at step {diverged_at}" in str(err.value)
-    # A batch that leaves the range in its first step, behind one that does not.
-    batches = [(np.zeros((4, 1)), np.zeros((4, 1))), (np.full((4, 1), 1e11), np.zeros((4, 1)))]
+    # A (2, 4, 1) state: a batch that leaves the range in its first step,
+    # behind one that does not.
+    x = np.stack([np.zeros((4, 1)), np.full((4, 1), 1e11)])
     with pytest.raises(DivergedError) as err:
-        next(convergence._ensemble_path(scheme, batches, 100, 3))
+        next(convergence._ensemble_path(scheme, x, np.zeros_like(x), 100, 3))
     assert (err.value.step, err.value.ensemble) == (1, 1)
 
 
@@ -525,10 +549,10 @@ def test_stacked_divergence_names_the_middle_batch():
         SchemeKind.EULER_MARUYAMA,
         SchemeParams(kappa=1.0, sigma=1.0, gamma=0.4, force=quadratic_potential(100.0)),
     )
-    batches = [(np.zeros((4, 2)), np.zeros((4, 2))) for _ in range(3)]
-    batches[1][0][2, 1] = 1e11
+    x, v = np.zeros((3, 4, 2)), np.zeros((3, 4, 2))
+    x[1, 2, 1] = 1e11
     with pytest.raises(DivergedError) as err:
-        next(convergence._ensemble_path(scheme, batches, 100, 3))
+        next(convergence._ensemble_path(scheme, x, v, 100, 3))
     assert (err.value.step, err.value.ensemble, err.value.component) == (1, 1, "v")
 
 
@@ -536,7 +560,7 @@ def test_rate_fit_holds_one_ensemble_state(quadratic, monkeypatch):
     """The ensemble side of the fit keeps only the current state: 48 epochs
     of 2e5 chains would take about 150 MB if every epoch were kept."""
     stationary = np.random.default_rng(0).normal(0.0, math.sqrt(0.5), (10**6, 2))
-    ref_counts = convergence._histogram_counts(stationary, convergence._RATE_BINS)
+    ref_counts = counts_of(stationary, convergence._RATE_BINS)
     monkeypatch.setattr(
         convergence, "_reference_histogram", lambda *args: (ref_counts, 10**6)
     )

@@ -1,6 +1,7 @@
 """Tests for the general one-step recursion, noise plumbing and trajectories."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 from scipy.special import ndtri
 
-from langevin_kit._rng import NoiseSource, _raw, _to_normals, chain_normals, normal_block
+from langevin_kit._rng import (
+    NoiseSource,
+    _raw,
+    _to_normals,
+    chain_normals,
+    normal_block,
+    worker_threads,
+)
 from langevin_kit.core import (
     ContractViolation,
     DivergedError,
@@ -299,6 +307,21 @@ def test_a_row_window_is_its_rows_of_the_block(n_chains, width):
         src.block_at(0, 0, n_chains + 1)
     with pytest.raises(ValueError, match="past the 258 steps"):
         src.block_at(258)
+
+
+def test_worker_threads_default_to_the_cpus_the_process_may_use(monkeypatch):
+    # Under an affinity mask or a cpuset the process runs on fewer CPUs than
+    # the machine has; the pools take that many threads, not the CPU count.
+    monkeypatch.delenv("LANGEVIN_KIT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert worker_threads() == 3
+    # Platforms without affinity masks fall back to the CPU count.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_threads() == 64
+    for raw, threads in (("2", 2), ("0", 1), ("two", 1)):
+        monkeypatch.setenv("LANGEVIN_KIT_THREADS", raw)
+        assert worker_threads() == threads
 
 
 @pytest.mark.parametrize("width", [1, 2])
