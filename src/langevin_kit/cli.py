@@ -74,10 +74,12 @@ _MAX_D = 2**16
 _MAX_COVARIANCE_STEPS = 2**24
 
 # drift-check's memory does not grow with its budget: a state holds one tile
-# and one block of pending weights at any sample count, so only its work is
-# capped. The work is samples x d at each probed state. One thread takes
-# about 50 ns per unit at d = 2^16 (3.1 ms a sample), so 2^32 units take a
-# few minutes; the drift-check-wide config (1e6 x 2 x 16) is 3.2e7.
+# and one block of pending pairs at any sample count, so only its work is
+# capped. The work is weight evaluations x d at each probed state, with the
+# samples rounded up to whole antithetic pairs. One thread of a 2-vCPU Xeon
+# takes about 40 ns per unit at d = 2^16 (2.6 ms a sample), so 2^32 units
+# take about three minutes; the drift-check-wide config (1e6 x 2 x 16) is
+# 3.2e7.
 _MAX_DRIFT_WORK = 2**32
 
 
@@ -344,8 +346,9 @@ def _check_drift_scheme(cfg: dict, params, scheme) -> None:
 
 
 def _check_drift_work(mc, scheme, d) -> None:
+    # The estimator draws antithetic pairs, so an odd count is rounded up.
     states = len(_drift_grid(d, mc["radii"]))
-    work = mc["samples"] * d * states
+    work = 2 * ((mc["samples"] + 1) // 2) * d * states
     if work > _MAX_DRIFT_WORK:
         raise ConfigError(
             f"monte_carlo.samples = {mc['samples']} at d = {d} over {states} states "

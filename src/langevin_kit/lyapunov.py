@@ -69,13 +69,14 @@ __all__ = [
 # The weight of the potential in W: the drift condition is stated for 1.
 ALPHA_U = 1.0
 _OVERFLOW_EXPONENT = 700.0
-# Floats per tile in estimate_drift: a tile has max(1, _TILE_FLOATS // d)
-# rows, so a (rows, d) float64 intermediate takes 256 KiB in any d and a
-# tile's working set stays within an L2 cache (16384 rows at d = 2).
+# Floats per tile in estimate_drift: a tile holds max(1, _TILE_FLOATS // (2d))
+# antithetic pairs, twice as many rows, so a (rows, d) float64 intermediate
+# takes 256 KiB in any d and a tile's working set stays within an L2 cache
+# (8192 pairs, 16384 rows at d = 2).
 _TILE_FLOATS = 32768
-# Samples per block of the weights' running summary in estimate_drift: the
-# blocks, not the tiles, fix the order of the reduction.
-_FOLD_ROWS = 65536
+# Pairs per block of the weights' running summary in estimate_drift, 65536
+# log-weights: the blocks, not the tiles, fix the order of the reduction.
+_FOLD_ROWS = 32768
 
 
 @dataclass(frozen=True)
@@ -475,83 +476,95 @@ class DriftReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _tile_rows(d: int) -> int:
-    return max(1, _TILE_FLOATS // d)
+def _tile_pairs(d: int) -> int:
+    return max(1, _TILE_FLOATS // (2 * d))
 
 
 class _WeightFold:
-    """A running summary of exp(a) over the log-weights a pushed so far.
+    """A running summary of exp(a) over antithetic pairs of log-weights.
 
-    It holds the shift (the largest log-weight seen), the count, the mean of
-    exp(a - shift) and the centred sum of squares M2 of the same values: the
-    online normalizer of Milakov & Gimelshein (2018) combined with the
+    A pair is the log-weight a+ one step on with a noise row and a- with its
+    negation; its mean is (exp(a+) + exp(a-)) / 2. The summary holds the
+    shift (the largest log-weight seen), the count of pairs, the mean of the
+    pair means taken against the shift and their centred sum of squares M2:
+    the online normalizer of Milakov & Gimelshein (2018) combined with the
     pairwise variance update of Chan, Golub & LeVeque (1983). When the shift
     rises, the mean is rescaled by r = exp(old - new) and M2 by r^2.
 
-    Log-weights are summarized in blocks of ``_FOLD_ROWS``, in the order they
-    were pushed, and the blocks are merged one at a time; a block waits in a
+    Pairs are summarized in blocks of ``_FOLD_ROWS``, in the order they were
+    pushed, and the blocks are merged one at a time; a block waits in a
     buffer until it is whole. The summary therefore depends only on the
-    log-weights, not on how they were split into pushes.
+    pairs, not on how they were split into pushes.
     """
 
-    def __init__(self, push_rows: int):
+    def __init__(self, push_pairs: int):
         self._rows = _FOLD_ROWS
-        # Fewer than _rows wait after each push of at most push_rows.
-        self._pending = np.empty(self._rows + push_rows - 1)
+        # Fewer than _rows wait after each push of at most push_pairs; row 0
+        # holds the a+ of each pair and row 1 its a-.
+        self._pending = np.empty((2, self._rows + push_pairs - 1))
         self._fill = 0
         self._finite = True
         self._shift, self._count, self._mean, self._m2 = -math.inf, 0, 0.0, 0.0
 
     def push(self, a: np.ndarray) -> bool:
-        """Add the next log-weights (a 1-d array of at most push_rows).
-        False once a log-weight is not finite: the mean weight then has no
-        finite logarithm, and later pushes may be skipped."""
-        rows, fill = self._rows, self._fill + a.size
-        self._pending[self._fill : fill] = a
+        """Add the next pairs: a (2, n) array of log-weights, n at most
+        push_pairs, with a[0, i] and a[1, i] the two halves of pair i. False
+        once a log-weight is not finite: the mean weight then has no finite
+        logarithm, and later pushes may be skipped."""
+        rows, fill = self._rows, self._fill + a.shape[1]
+        self._pending[:, self._fill : fill] = a
         if fill >= rows:
             # Once per whole block, not per push: with two worker threads,
             # every numpy call costs more than its own work.
             full = fill - fill % rows
-            self._fold(self._pending[:full].reshape(-1, rows))
+            self._fold(self._pending[:, :full].reshape(2, -1, rows))
             fill -= full
-            self._pending[:fill] = self._pending[full : full + fill]
+            self._pending[:, :fill] = self._pending[:, full : full + fill]
         self._fill = fill
         return self._finite
 
     def finish(self) -> tuple[float, float] | None:
         """The log of the mean of exp(a), and its standard error: the sample
-        standard deviation of exp(a) over its mean, over sqrt(count). None
-        when a log-weight is not finite."""
+        standard deviation of the pair means over their mean, over
+        sqrt(pairs), and inf for a single pair. None when a log-weight is not
+        finite."""
         if self._fill:
-            self._fold(self._pending[: self._fill].reshape(1, -1))
+            self._fold(self._pending[:, : self._fill].reshape(2, 1, -1))
             self._fill = 0
         if not self._finite:
             return None
         log_mean = self._shift + math.log(self._mean)
-        se_log = math.sqrt(self._m2 / (self._count - 1)) / self._mean / math.sqrt(self._count)
+        count = self._count
+        if count < 2:
+            return log_mean, math.inf
+        se_log = math.sqrt(self._m2 / (count - 1)) / self._mean / math.sqrt(count)
         return log_mean, se_log
 
     def _fold(self, blocks: np.ndarray) -> None:
-        # blocks: k rows of n log-weights, overwritten. A fixed number of
-        # numpy calls whatever k is, and no BLAS reduction, so the sums do
-        # not depend on the BLAS thread count.
+        # blocks: the a+ and a- halves of k blocks of n pairs, shape (2, k, n),
+        # overwritten. A fixed number of numpy calls whatever k is, and no
+        # BLAS reduction, so the sums do not depend on the BLAS thread count.
         if not self._finite:
             return
-        n = blocks.shape[1]
-        shifts = np.maximum.accumulate(blocks.max(axis=1))
+        n = blocks.shape[2]
+        shifts = np.maximum.accumulate(blocks.max(axis=(0, 2)))
         np.maximum(shifts, self._shift, out=shifts)
         # NaN propagates through the maxima, and +inf is the last shift.
         if not math.isfinite(shifts[-1]):
             self._finite = False
             return
-        # Each block is exponentiated against the shift after it, and its
-        # squares are centred on its own mean.
+        # Both halves of a block are exponentiated against the shift after
+        # it and averaged into pair means, whose squares are centred on the
+        # block's own mean.
         np.subtract(blocks, shifts[:, None], out=blocks)
         np.exp(blocks, out=blocks)
-        means = np.sum(blocks, axis=1) / n
-        np.subtract(blocks, means[:, None], out=blocks)
-        np.square(blocks, out=blocks)
-        m2s = np.sum(blocks, axis=1)
+        pairs = blocks[0]
+        np.add(pairs, blocks[1], out=pairs)
+        pairs *= 0.5
+        means = np.sum(pairs, axis=1) / n
+        np.subtract(pairs, means[:, None], out=pairs)
+        np.square(pairs, out=pairs)
+        m2s = np.sum(pairs, axis=1)
         shift, count, mean, m2 = self._shift, self._count, self._mean, self._m2
         for s, mean_b, m2_b in zip(shifts.tolist(), means.tolist(), m2s.tolist()):
             if s > shift:
@@ -580,6 +593,11 @@ def estimate_drift(
 
     For each grid state, estimates E[exp(varpi phi(X1, V1))] over ``mc``
     one-step samples and reports its log-ratio against the starting weight.
+    The samples are antithetic pairs (Hammersley & Morton, 1956): each noise
+    row xi = (z, w1, w2) is stepped once as drawn and once negated, and the
+    two weights are averaged, which cancels the first-order term of the
+    weight in the noise. An odd ``mc`` rounds up to whole pairs. The
+    standard error comes from the pair means.
     The report fits the smallest radius k_hat beyond which every state
     contracts with 95% confidence, the per-unit-time factor lambda_hat over
     those states, and the additive constant b_hat inside. States use
@@ -589,16 +607,19 @@ def estimate_drift(
     Each noise block has its own stream: z comes from the state's
     ``default_rng`` and w1, w2 from the two children its seed sequence
     spawns. Every block is drawn tile by tile, and each tile continues its
-    block's stream, so the values do not depend on the tile size. Tiles have
-    max(1, ``_TILE_FLOATS`` // d) rows; the step and the energy run over one
-    tile at a time from a contiguous copy of the state. Each tile's
-    log-weights are folded into a running summary of the state's weights
-    (``_WeightFold``) in blocks of ``_FOLD_ROWS`` samples, in sample order,
-    so the result depends on neither the tile size nor the thread count. A
-    state holds one tile and one block of pending log-weights, in any d and
-    at any sample count.
+    block's stream, so the values do not depend on the tile size. A tile
+    holds max(1, ``_TILE_FLOATS`` // (2d)) pairs: it draws that many rows
+    of each block, negates them into the rows after them, and steps both
+    halves and evaluates their energy in one pass from a contiguous copy of
+    the state. The base normals are negated before ``w2_transform``, so a
+    transform that is not odd keeps its law. Each tile's pairs are folded
+    into a running summary of the state's weights (``_WeightFold``) in
+    blocks of ``_FOLD_ROWS`` pairs, in pair order, so the result depends on
+    neither the tile size nor the thread count. A state holds one tile and
+    one block of pending pairs, in any d and at any sample count.
     A ratio too large for a float is reported as inf, and so is a state
     whose log-weight varpi * phi overflows, with an infinite standard error.
+    A single pair (``mc`` of 2) has an infinite standard error.
     """
     scheme = as_general_scheme(kind, params)
     check_energy_ceiling(scheme)
@@ -609,37 +630,42 @@ def estimate_drift(
     d = states[0].d
     widths = (d, *scheme.noise_spec.dims(d))
     w2_transform = scheme.noise_spec.w2_transform if widths[2] else None
-    tile_rows = _tile_rows(d)
+    pairs = (mc + 1) // 2
+    tile_pairs = min(pairs, _tile_pairs(d))
     children = np.random.SeedSequence(seed).spawn(len(states))
 
-    def log_weights(rngs, x, v) -> np.ndarray:
-        # varpi * phi one step on from each row of (x, v), with the next rows
-        # of each noise block. The step's arrays are freed on return, so
-        # they are not held while the next tile steps.
-        n = len(x)
-        z, w1, w2 = (rng.standard_normal((n, w)) for rng, w in zip(rngs, widths))
+    def log_weights(rngs, noise, x, v) -> np.ndarray:
+        # varpi * phi one step on from each row of (x, v), as a (2, n) array
+        # of pairs: the first n rows step on the next n rows of each noise
+        # block, the last n on their negations. The step's arrays are freed
+        # on return, so they are not held while the next tile steps.
+        n = len(x) // 2
+        for rng, block in zip(rngs, noise):
+            rng.standard_normal(out=block[:n])
+            np.negative(block[:n], out=block[n : 2 * n])
+        z, w1, w2 = (block[: 2 * n] for block in noise)
         if w2_transform is not None:
             w2 = w2_transform(w2)
         x1, v1 = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
         with np.errstate(over="ignore"):
-            return log_w_bar(x1, v1, scheme, varpi)
+            return log_w_bar(x1, v1, scheme, varpi).reshape(2, n)
 
     def one_state(idx: int) -> DriftRow:
         st = states[idx]
         radius = float(np.linalg.norm(st.x) + np.linalg.norm(st.v))
         rngs = [np.random.default_rng(s) for s in (children[idx], *children[idx].spawn(2))]
-        n_tile = min(mc, tile_rows)
-        x_tile = np.tile(st.x, (n_tile, 1))
-        v_tile = np.tile(st.v, (n_tile, 1))
+        x_tile = np.tile(st.x, (2 * tile_pairs, 1))
+        v_tile = np.tile(st.v, (2 * tile_pairs, 1))
         # Every tile reuses them, so the step must not write into them.
         x_tile.flags.writeable = v_tile.flags.writeable = False
-        fold = _WeightFold(tile_rows)
+        noise = [np.empty((2 * tile_pairs, w)) for w in widths]
+        fold = _WeightFold(tile_pairs)
         # Step and energy are row-wise, so evaluating them one tile of rows
         # at a time gives the same values as one whole-ensemble pass while
         # the intermediates stay cache-sized.
-        for lo in range(0, mc, tile_rows):
-            n = min(tile_rows, mc - lo)
-            if not fold.push(log_weights(rngs, x_tile[:n], v_tile[:n])):
+        for lo in range(0, pairs, tile_pairs):
+            n = min(tile_pairs, pairs - lo)
+            if not fold.push(log_weights(rngs, noise, x_tile[: 2 * n], v_tile[: 2 * n])):
                 break
         summary = fold.finish()
         if summary is None:

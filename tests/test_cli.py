@@ -492,6 +492,20 @@ def test_drift_samples_are_limited_only_by_the_work_cap(tmp_path, capsys, sample
     assert ("more than 4294967296" in capsys.readouterr().err) == (code == 2)
 
 
+@pytest.mark.parametrize("samples, code", [(357_913_940, 0), (357_913_941, 2)])
+def test_drift_work_counts_whole_pairs(tmp_path, capsys, samples, code):
+    # At d = 1 over the twelve states of three radii, 357,913,941 samples
+    # are 4,294,967,292 units, just inside 2^32, but they round up to
+    # 178,956,971 pairs: 4,294,967,304 weight evaluations, past the cap.
+    cfg = {
+        "experiment": "drift-check",
+        "scheme": {"kind": "SplitCABAC", "gamma": 0.01},
+        "monte_carlo": {"samples": samples, "radii": [1.0, 2.0, 3.0]},
+    }
+    assert main(["validate", write_config(tmp_path, "drift.json", cfg)]) == code
+    assert ("is 4294967304 sample coordinates" in capsys.readouterr().err) == (code == 2)
+
+
 @pytest.mark.parametrize("samples, code", [(16_384, 0), (16_385, 2)])
 def test_drift_work_is_capped(tmp_path, capsys, samples, code):
     # At d = 2^16 over the four states of one radius, 2^14 samples are exactly
@@ -649,6 +663,29 @@ def test_huge_varpi_ends_with_an_exit_status(tmp_path, capsys, varpi, samples):
             row[1] for row in rows if row[2] == "log_ratio" and not np.isfinite(float(row[3]))
         }
         assert overflowed == ({"x=20;v=0", "x=-20;v=0"} if varpi == 7.33e306 else set())
+
+
+def test_drift_check_fails_on_the_flat_tail(tmp_path, capsys):
+    # Negative control of the drift claim: beyond twice its radius the flat
+    # tail exerts no force, so the weight grows there and no radius
+    # contracts. The antithetic pairs resolve the growth at every flat-region
+    # state: +3.8e-5 with a standard error of 7.4e-7 at x = 20. Independent
+    # samples at the same budget read -4.4e-5 +- 5.7e-5 at x = -15, which
+    # could not tell growth from contraction.
+    cfg = drift_config(tmp_path, radii=[5.0, 10.0, 15.0, 20.0], samples=10_000)
+    cfg["potential"] = {"kind": "flat-tail-counterexample", "radius": 5.0}
+    path = write_config(tmp_path, "flat.json", cfg)
+    assert main(["run", path]) == 1
+    assert "no radius with uniformly contracting tail" in capsys.readouterr().err
+    _, rows = read_rows(tmp_path / "out")
+    flat = {
+        row[1]: (float(row[3]), float(row[4]))
+        for row in rows
+        if row[2] == "log_ratio" and row[1] in {f"x={a};v=0" for a in (15, -15, 20, -20)}
+    }
+    assert len(flat) == 4
+    for log_ratio, se_log in flat.values():
+        assert log_ratio > 3.0 * se_log
 
 
 def test_far_radius_on_the_flat_tail_is_a_config_error(tmp_path, capsys):
@@ -869,10 +906,11 @@ def test_run_exit_codes(tmp_path, capsys):
 
 
 def test_drift_check_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
-    # The drift-check-wide benchmark config at 70,000 samples: one whole
-    # block of the weights' fold and a partial one, each long enough that a
-    # BLAS reduction would split its work across threads. Each run is a fresh
-    # process, since OpenBLAS reads its thread count once, at load.
+    # The drift-check-wide benchmark config at 70,000 samples (35,000
+    # pairs): one whole block of the weights' fold and a partial one, each
+    # long enough that a BLAS reduction would split its work across threads.
+    # Each run is a fresh process, since OpenBLAS reads its thread count
+    # once, at load.
     cfg = {
         "experiment": "drift-check",
         "d": 2,

@@ -352,12 +352,13 @@ def tiled_drift(kind, force, d, seed=11):
 )
 @pytest.mark.parametrize("kind", [SchemeKind.SPLIT_CABAC, SchemeKind.SG_EULER_MARUYAMA])
 def test_drift_report_does_not_depend_on_the_tile_size(monkeypatch, kind, force, d, fold_rows):
-    # mc = 1000 rows: tiles of 7 rows leave an uneven last tile of 6; one
-    # tile of 4096 rows holds them all. Every noise block is drawn tile by
-    # tile: z and w1 for CABAC, z and a transformed w2 for SG-EM. Blocks of
-    # 64 rows straddle the 7-row tiles, and the last block has 40 rows.
+    # mc = 1000 samples are 500 pairs: tiles of 7 pairs (14 rows) leave an
+    # uneven last tile of 3 pairs; one tile of 2048 pairs holds them all.
+    # Every noise block is drawn tile by tile: z and w1 for CABAC, z and a
+    # transformed w2 for SG-EM. Blocks of 64 pairs straddle the 7-pair
+    # tiles, and the last block has 52 pairs.
     monkeypatch.setattr(lyapunov, "_FOLD_ROWS", fold_rows)
-    monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 7 * d)
+    monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 14 * d)
     small = tiled_drift(kind, force, d)
     monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 4096 * d)
     whole = tiled_drift(kind, force, d)
@@ -377,33 +378,39 @@ def test_tiled_drift_report_does_not_depend_on_the_thread_count(monkeypatch):
 
 
 def fold_all(a):
-    """The estimator's summary of a whole array of log-weights at once."""
-    fold = lyapunov._WeightFold(a.size)
-    fold.push(a)
+    """The estimator's summary of a whole array of log-weights at once: the
+    first half of ``a`` and the second are the two halves of its pairs."""
+    pairs = a.reshape(2, -1)
+    fold = lyapunov._WeightFold(pairs.shape[1])
+    fold.push(pairs)
     return fold.finish()
 
 
 def one_pass_drift_rows(kind, params, grid, mc, seed, varpi=0.1):
     """(log_ratio, se_log) per state from whole noise blocks and one
     whole-ensemble step, with the whole array of log-weights reduced by the
-    estimator's fold. z comes from the state's stream, w1 and w2 from the two
-    children it spawns."""
+    estimator's fold. mc rounds up to (mc + 1) // 2 pairs: z comes from the
+    state's stream, w1 and w2 from the two children it spawns, and each
+    block's base normals are stacked on their negations before w2's
+    transform."""
     scheme = as_general_scheme(kind, params)
     children = np.random.SeedSequence(seed).spawn(len(grid))
+    half = (mc + 1) // 2
     rows = []
     for st, child in zip(grid, children):
         d = st.d
         m1, m2 = scheme.noise_spec.dims(d)
-        w1_seed, w2_seed = child.spawn(2)
-        z = np.random.default_rng(child).standard_normal((mc, d))
-        w1 = np.random.default_rng(w1_seed).standard_normal((mc, m1))
-        w2 = np.random.default_rng(w2_seed).standard_normal((mc, m2))
+        blocks = []
+        for stream, width in zip((child, *child.spawn(2)), (d, m1, m2)):
+            base = np.random.default_rng(stream).standard_normal((half, width))
+            blocks.append(np.concatenate([base, -base]))
+        z, w1, w2 = blocks
         if scheme.noise_spec.w2_transform is not None and m2:
             w2 = scheme.noise_spec.w2_transform(w2)
         x1, v1 = step_ensemble(
             scheme,
-            np.broadcast_to(st.x, (mc, d)),
-            np.broadcast_to(st.v, (mc, d)),
+            np.broadcast_to(st.x, (2 * half, d)),
+            np.broadcast_to(st.v, (2 * half, d)),
             NoiseDraw(z, w1, w2),
         )
         a = varpi * phi_gamma(x1, v1, scheme)
@@ -414,8 +421,8 @@ def one_pass_drift_rows(kind, params, grid, mc, seed, varpi=0.1):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
 def test_tiled_drift_rows_equal_the_one_pass_reference(monkeypatch, kind):
-    # Tiles of 7 rows at d = 2 stream every noise block; blocks of 64 rows
-    # are folded as they fill.
+    # Tiles of 3 pairs (6 rows) at d = 2 stream every noise block; blocks of
+    # 64 pairs are folded as they fill.
     monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 14)
     monkeypatch.setattr(lyapunov, "_FOLD_ROWS", 64)
     force = quartic_well_potential()
@@ -424,6 +431,17 @@ def test_tiled_drift_rows_equal_the_one_pass_reference(monkeypatch, kind):
     report = estimate_drift(kind, params, 0.1, grid, mc=1000, seed=11)
     expected = one_pass_drift_rows(kind, params, grid, mc=1000, seed=11)
     assert [(row.log_ratio, row.se_log) for row in report.rows] == expected
+
+
+def test_odd_drift_samples_round_up_to_whole_pairs():
+    _, params = scheme_for(SchemeKind.SPLIT_CABAC, gamma=0.01, force=quartic_well_potential(), d=2)
+    grid = [State(np.full(2, 6.0), np.zeros(2))]
+    odd, even = (
+        drift_columns(estimate_drift(SchemeKind.SPLIT_CABAC, params, 0.1, grid, mc=mc, seed=11))
+        for mc in (999, 1000)
+    )
+    for a, b in zip(odd, even):
+        assert np.array_equal(a, b)
 
 
 def drift_peak_bytes(d, mc):
@@ -440,11 +458,14 @@ def drift_peak_bytes(d, mc):
 
 @pytest.mark.parametrize("d", [2, 8])
 def test_drift_state_peak_memory_does_not_grow_with_samples(monkeypatch, d):
-    # One state holds one tile and one block of pending log-weights at any
-    # sample count. Measured 2.9 MiB at 1e6 samples in d = 2 and 2.8 MiB in
-    # d = 8; keeping every log-weight took 18.3 MiB. At 1e4 samples in d = 2
-    # the tile is cut to 1e4 of its 16384 rows, 0.7 MiB less.
+    # One state holds one tile and one block of pending pairs at any sample
+    # count. Measured 2.9 MiB at 1e6 samples in d = 2 and 2.8 MiB in d = 8;
+    # keeping every log-weight took 18.3 MiB. At 1e4 samples in d = 2 the
+    # tile is cut to 5000 of its 8192 pairs, 0.77 MiB less. The untouched
+    # 16 MiB array that raises malloc's thresholds would otherwise be the
+    # peak of every run.
     monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
+    monkeypatch.setattr(lyapunov, "_raise_malloc_thresholds", lambda: None)
     drift_peak_bytes(d, 1000)
     small = drift_peak_bytes(d, 10**4)
     large = drift_peak_bytes(d, 10**6)
@@ -486,22 +507,24 @@ def test_drift_tiles_reuse_their_temporaries_pages():
 
 
 def lse_cases():
+    # Every case has an even size: its first half and its second are the two
+    # halves of its pairs.
     rng = np.random.default_rng(17)
     ties = rng.standard_normal(1000)
-    ties[[3, 400, 999]] = ties.max() + 0.5
+    ties[[3, 400, 500, 999]] = ties.max() + 0.5
     late = rng.standard_normal(3 * 65536 + 100)
     late[-1] = 40.0
     return {
-        "n=2": np.array([-1.25, 2.5]),
+        "n=4": np.array([-1.25, 0.5, 2.5, -0.75]),
         "n=1e6": rng.standard_normal(10**6) * 3.0,
-        "one-dominant": np.concatenate([[0.0], rng.standard_normal(10**6) - 20.0]),
+        "one-dominant": np.concatenate([[0.0], rng.standard_normal(10**6 - 1) - 20.0]),
         "ties": ties,
-        "all-tied": np.full(5, -2.0),
+        "all-tied": np.full(6, -2.0),
         "rounded": np.round(rng.standard_normal(10**4), 1),
         "offset+700": 700.0 + rng.standard_normal(10**5),
         "offset-700": -700.0 + rng.standard_normal(10**5) * 0.01,
-        "minus-inf": np.array([-np.inf, 1.0, 1.0]),
-        # the maximum arrives in the last, partial block
+        "minus-inf": np.array([-np.inf, 1.0, 1.0, 0.5]),
+        # the maximum arrives in the second half of the last, partial block
         "late-maximum": late,
     }
 
@@ -509,11 +532,15 @@ def lse_cases():
 @pytest.mark.parametrize("fold_rows", [65536, 64])
 @pytest.mark.parametrize("name", list(lse_cases()))
 def test_weight_fold_matches_scipy(monkeypatch, name, fold_rows):
+    # The log mean is over all 2h log-weights; the standard error is that of
+    # the h pair means.
     monkeypatch.setattr(lyapunov, "_FOLD_ROWS", fold_rows)
     a = lse_cases()[name]
-    mc = a.size
-    log_mean = float(logsumexp(a)) - math.log(mc)
-    se_log = float(np.std(np.exp(a - log_mean), ddof=1)) / math.sqrt(mc)
+    half = a.size // 2
+    log_mean = float(logsumexp(a)) - math.log(a.size)
+    weights = np.exp(a - log_mean)
+    pair_means = 0.5 * (weights[:half] + weights[half:])
+    se_log = float(np.std(pair_means, ddof=1)) / math.sqrt(half)
     got_mean, got_se = fold_all(a)
     assert abs(got_mean - log_mean) <= 1e-12
     assert abs(got_se - se_log) <= 1e-10 * se_log
@@ -542,42 +569,69 @@ def test_drift_gamma_ceiling_and_validation():
 
 
 def test_drift_precision_warning_on_tiny_budget():
+    # Two samples are a single antithetic pair, whose spread is unknown: its
+    # standard error is inf, and the warning fires. Four samples (two pairs)
+    # read a relative standard error of 0.015 here, below the 10% bound.
     force = quadratic_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.04, force=force)
-    report = estimate_drift(
-        SchemeKind.EULER_MARUYAMA,
-        params,
-        3.0,
-        [State(np.array([30.0]), np.array([0.0]))],
-        mc=4,
-        seed=2,
-    )
-    assert any("standard error" in text for text in report.warnings)
+
+    def tiny(mc):
+        return estimate_drift(
+            SchemeKind.EULER_MARUYAMA,
+            params,
+            3.0,
+            [State(np.array([30.0]), np.array([0.0]))],
+            mc=mc,
+            seed=2,
+        )
+
+    single = tiny(2)
+    assert single.rows[0].se_log == math.inf
+    assert math.isfinite(single.rows[0].log_ratio)
+    assert any("standard error inf" in text for text in single.warnings)
+    assert not any("standard error" in text for text in tiny(4).warnings)
 
 
 def test_drift_ou_v_marginal_matches_quadrature():
     """With no force the one-step weight mean is a 1-d Gaussian integral.
 
-    The position update is deterministic, so the exact ratio follows from
-    integrating exp(varpi sqrt(1 + W)) against the Gaussian law of V1.
+    The position update is deterministic and V1 = tau v0 + sqrt(gamma) xi,
+    so the exact ratio follows from integrating the weight
+    exp(varpi sqrt(1 + W)) against the law of xi. So does the exact standard
+    error of the antithetic estimator, from the variance of the pair mean
+    (weight(xi) + weight(-xi)) / 2 over mc / 2 pairs, and that of the plain
+    estimator, from the variance of one weight over mc samples.
     """
     free = quadratic_potential(0.0)
     gam, varpi, tau = 0.02, 0.3, 0.98
+    mc = 4 * 10**5
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=gam, force=free)
     grid = [State(np.array([0.0]), np.array([2.0])), State(np.array([0.0]), np.array([-1.0]))]
-    report = estimate_drift(
-        SchemeKind.EULER_MARUYAMA, params, varpi, grid, mc=4 * 10**5, seed=21
-    )
+    report = estimate_drift(SchemeKind.EULER_MARUYAMA, params, varpi, grid, mc=mc, seed=21)
     sd = math.sqrt(gam)
+
+    def expect(f):
+        val, _ = quad(
+            lambda xi: f(xi) * math.exp(-0.5 * xi * xi) / math.sqrt(2.0 * math.pi),
+            -10.0, 10.0, epsabs=0.0, epsrel=1e-12,
+        )
+        return val
+
     for row in report.rows:
         v0 = row.v[0]
         x1 = gam * v0
 
-        def integrand(u):
-            w = 0.5 * x1 * x1 + u * u + x1 * u
-            dens = math.exp(-0.5 * ((u - tau * v0) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-            return math.exp(varpi * math.sqrt(1.0 + w)) * dens
+        def weight(xi):
+            u = tau * v0 + sd * xi
+            return math.exp(varpi * math.sqrt(1.0 + 0.5 * x1 * x1 + u * u + x1 * u))
 
-        val, _ = quad(integrand, tau * v0 - 10.0 * sd, tau * v0 + 10.0 * sd)
-        exact = math.log(val) - varpi * math.sqrt(1.0 + v0 * v0)
+        mean = expect(weight)
+        exact = math.log(mean) - varpi * math.sqrt(1.0 + v0 * v0)
         assert abs(row.log_ratio - exact) < 3.0 * row.se_log
+        # Centred, since E[P^2] - mean^2 would cancel most of its digits.
+        pair_var = expect(lambda xi: (0.5 * (weight(xi) + weight(-xi)) - mean) ** 2)
+        plain_var = expect(lambda xi: (weight(xi) - mean) ** 2)
+        se_pairs = math.sqrt(pair_var / (mc // 2)) / mean
+        se_plain = math.sqrt(plain_var / mc) / mean
+        assert abs(row.se_log - se_pairs) <= 0.05 * se_pairs
+        assert se_plain >= 5.0 * se_pairs
