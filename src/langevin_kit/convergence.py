@@ -101,8 +101,9 @@ class HistogramSpec:
     box: float = 6.0
 
     def __post_init__(self):
-        if self.bins_per_axis < 2 or self.box <= 0:
-            raise ContractViolation("bins_per_axis >= 2 and box > 0 are required")
+        integer = isinstance(self.bins_per_axis, (int, np.integer))
+        if not (integer and self.bins_per_axis >= 2 and np.isfinite(self.box) and self.box > 0):
+            raise ContractViolation("integer bins_per_axis >= 2 and finite box > 0 are required")
 
     def edges(self) -> np.ndarray:
         return np.linspace(-self.box, self.box, self.bins_per_axis + 1)
@@ -175,25 +176,24 @@ def _parallel_map(fn, items):
 
 def _cell_index(x: np.ndarray, v: np.ndarray, bins: HistogramSpec) -> np.ndarray:
     """Flat cell index of each point (x, v) of a state on the shared
-    partition of R^(dx + dv), of shape x.shape[:-1].
+    partition of R^(dx + dv), of shape x.shape[:-1]; x and v have the same
+    leading shape, and the point's coordinates are x's last axis, then v's.
 
-    x and v have the same leading shape; the point's coordinates are x's
-    last axis, then v's. Each coordinate is clipped to inside the box, so
-    mass outside it counts in the boundary cell, and located among the edges
-    by ``searchsorted``; the per-axis cells fold row-major into one flat
-    index. ContractViolation on a non-finite sample: a NaN survives the clip
-    and would be counted in some cell.
-    """
+    A coordinate's cell is the count of interior edges at or below it (one
+    pass per edge: the cost grows with ``bins_per_axis``), so mass outside
+    the box counts in a boundary cell. The cells fold row-major into one
+    flat index. ContractViolation on a non-finite sample: NaN is below no
+    edge and would count in cell 0."""
     if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise ContractViolation("histogram samples must be finite")
-    edges = bins.edges()
-    half_cell = bins.box / bins.bins_per_axis
-    lo, hi = -bins.box + 0.5 * half_cell, bins.box - 0.5 * half_cell
     flat = np.zeros(x.shape[:-1], dtype=np.intp)
     for part in (x, v):
         for j in range(part.shape[-1]):
+            cell = np.zeros(flat.shape, dtype=np.min_scalar_type(bins.bins_per_axis))
+            for edge in bins.edges()[1:-1]:
+                cell += part[..., j] >= edge
             flat *= bins.bins_per_axis
-            flat += np.searchsorted(edges, np.clip(part[..., j], lo, hi), side="right") - 1
+            flat += cell
     return flat
 
 
@@ -241,14 +241,15 @@ def _ensemble_path(scheme, x, v, n_steps, seed, lo=0, n_chains=None):
     by chain (the synchronous coupling). The step acts on each chain's row
     alone, so the block broadcasts over the batches, every noise term is
     computed once per chain row, and every batch's values are those of
-    stepping it alone. This is the library's only multi-step loop over an
-    ensemble; ``simulate_chain`` and every probe in this module run on it.
-    A consumer reads each yielded state and must not write into it; one
-    that consumes the states as they are made holds a single state at a
+    stepping it alone. It is the only multi-step loop over an ensemble, and
+    raises malloc's thresholds first so that steps reuse their temporaries'
+    pages. A consumer reads each yielded state and must not write into it;
+    one that consumes the states as they are made holds a single state at a
     time, and the caller's initial state is not held once it is stepped. A
     DivergedError carries the step and the index of the first batch that
     diverges in it, 0 for an (m, d) state.
     """
+    _raise_malloc_thresholds()
     m, d = x.shape[-2:]
     spec = scheme.noise_spec
     src = _rng.NoiseSource(seed, m if n_chains is None else n_chains, spec.width(d), n_steps)
@@ -423,7 +424,6 @@ def minorization_probe(
     gamma_seeds = _seed_ints(seed + 1, len(gamma_grid))
     group = max(1, min(pairs, _GROUP_FLOATS // (2 * bins.bins_per_axis ** (2 * d))))
     rows = max(1, _BLOCK_FLOATS // (2 * group * d))
-    _raise_malloc_thresholds()
 
     results = []
     for gamma, stream in zip(gamma_grid, gamma_seeds):

@@ -27,6 +27,7 @@ convergence probes run ensembles through time on one shared loop there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -441,9 +442,10 @@ def aggregate_closed_form(scheme: GeneralScheme, init: State, noises: Sequence[N
     return State(x_out, v_out)
 
 
+@functools.cache
 def _raise_malloc_thresholds() -> None:
     """Let threads reuse freed blocks of up to 16 MiB, for the whole process
-    and for good.
+    and for good, so only the first call acts.
 
     glibc's malloc serves a block above its mmap threshold (128 KiB at
     start) by mmap; freeing such a block raises the threshold to its size
@@ -455,8 +457,8 @@ def _raise_malloc_thresholds() -> None:
     thresholds. It costs no pages, but from then on every allocation of the
     process between 128 KiB and 16 MiB, whoever makes it, is served from
     arenas that may each keep up to 32 MiB free. Other allocators ignore it.
-    ``convergence.minorization_probe`` and ``lyapunov.estimate_drift`` call
-    it before their pools start: the row blocks of the one and the tiles of
-    the other each free more than the default trim threshold per step.
+    ``convergence._ensemble_path`` calls it before its first step, and
+    ``lyapunov.estimate_drift`` before its pool starts: a step of 1e5 chains
+    and a drift tile each free more than the default trim threshold.
     """
     np.empty(2**21)

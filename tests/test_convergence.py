@@ -57,6 +57,26 @@ def test_histogram_spec_defaults_and_validation():
         HistogramSpec(box=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"box": math.nan},
+        {"box": math.inf},
+        {"box": -math.inf},
+        {"box": 0.0},
+        {"box": -1.0},
+        {"bins_per_axis": 2.5},
+        {"bins_per_axis": 4.0},
+    ],
+    ids=["box-nan", "box-inf", "box--inf", "box-0", "box-negative", "bins-2.5", "bins-4.0"],
+)
+def test_histogram_spec_refuses_a_partition_it_cannot_bin(kwargs):
+    # NaN or infinite edges would put every point in one cell, and a
+    # non-integer count has no edges at all.
+    with pytest.raises(ContractViolation, match="integer bins_per_axis"):
+        HistogramSpec(**kwargs)
+
+
 def counts_of(points, bins):
     """Histogram counts of an (..., m) point set, its first (m + 1) // 2
     coordinates binned as x and the rest as v."""
@@ -132,6 +152,55 @@ def test_histogram_counts_equal_histogramdd_of_the_clipped_samples(bins, shape):
     counts = counts_of(samples, bins)
     assert counts.dtype == np.float64
     assert np.array_equal(counts, expected.ravel())
+
+
+def _searchsorted_cell_index(x, v, bins):
+    """The former binning, the reference for ``_cell_index``: each coordinate
+    clipped a quarter cell inside the box, then located by ``searchsorted``."""
+    edges = bins.edges()
+    half_cell = bins.box / bins.bins_per_axis
+    lo, hi = -bins.box + 0.5 * half_cell, bins.box - 0.5 * half_cell
+    flat = np.zeros(x.shape[:-1], dtype=np.intp)
+    for part in (x, v):
+        for j in range(part.shape[-1]):
+            flat *= bins.bins_per_axis
+            flat += np.searchsorted(edges, np.clip(part[..., j], lo, hi), side="right") - 1
+    return flat
+
+
+def _binning_probes(bins, rng, n_random):
+    """Every edge and the former clip bounds with their neighbouring floats,
+    the extremes of float64, -0.0 and random points spread past the box."""
+    half_cell = bins.box / bins.bins_per_axis
+    clip_bounds = [-bins.box + 0.5 * half_cell, bins.box - 0.5 * half_cell]
+    marks = np.concatenate([bins.edges(), clip_bounds])
+    near = np.concatenate([marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)])
+    top = np.finfo(float).max
+    extremes = np.array([1e300, -1e300, top, -top, -0.0, 0.0])
+    return np.concatenate([near, extremes, rng.uniform(-1.5 * bins.box, 1.5 * bins.box, n_random)])
+
+
+# 300 bins take a uint16 accumulator.
+_EXACT_BINS = [HistogramSpec(b, box) for b, box in ((5, 2.0), (32, 6.0), (64, 6.0), (300, 3.0))]
+
+
+@pytest.mark.parametrize("bins", _EXACT_BINS, ids=lambda b: f"{b.bins_per_axis}bins")
+@pytest.mark.parametrize("lead, dx, dv", [((), 1, 1), ((), 2, 1), ((3,), 1, 2), ((2,), 2, 2)])
+def test_cell_index_equals_the_clipped_searchsorted_binning(bins, lead, dx, dv):
+    # Every probe value sits in every coordinate of some point; the rest of
+    # the point is random, so each axis and its fold are checked.
+    rng = np.random.default_rng(bins.bins_per_axis + 10 * dx + dv)
+    probes = _binning_probes(bins, rng, 2000)
+    dim = dx + dv
+    m = probes.size * dim
+    points = rng.uniform(-1.5 * bins.box, 1.5 * bins.box, (*lead, m, dim))
+    for j in range(dim):
+        points[..., j * probes.size : (j + 1) * probes.size, j] = probes
+    x, v = points[..., :dx], points[..., dx:]
+    cells = convergence._cell_index(x, v, bins)
+    assert cells.shape == (*lead, m)
+    assert np.array_equal(cells, _searchsorted_cell_index(x, v, bins))
+    assert cells.min() >= 0 and cells.max() == bins.bins_per_axis**dim - 1
 
 
 @pytest.mark.parametrize("column", [0, 1])
@@ -397,6 +466,53 @@ def test_minorization_steps_reuse_their_temporaries_pages():
         timeout=120,
     )
     assert int(out.stdout) < 10_000
+
+
+_MINOR_FAULTS_OF_AN_ENSEMBLE_REPEAT = """
+import os, resource, sys
+os.environ["LANGEVIN_KIT_THREADS"] = "1"
+import numpy as np
+import langevin_kit.convergence as convergence
+from langevin_kit.core import State
+from langevin_kit.potentials import quadratic_potential
+from langevin_kit.schemes import SchemeKind, SchemeParams, as_general_scheme
+kind = SchemeKind.EULER_MARUYAMA
+params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.05, force=quadratic_potential())
+origin = State(np.zeros(1), np.zeros(1))
+# A uniform reference stands in for the 1e7-step stationary run.
+convergence._reference_histogram = lambda *args: (np.ones(32**2), 32**2)
+def simulate():
+    config = convergence.TrajectoryConfig(n_steps=50, seed=1, ensemble=100_000)
+    for _ in convergence.simulate_chain(as_general_scheme(kind, params), origin, config):
+        pass
+def rate_fit():
+    try:
+        convergence.fit_geometric_rate(kind, params, origin, 2.5, 100_000)
+    except convergence.EstimationError:
+        pass
+def poisson():
+    convergence.solve_poisson(kind, params, lambda x, v: x[:, 0], 49, [[1.0, 0.0]], 100_000)
+run = {"simulate": simulate, "rate_fit": rate_fit, "poisson": poisson}[sys.argv[1]]
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+@pytest.mark.parametrize("run", ["simulate", "rate_fit", "poisson"])
+def test_ensemble_steps_reuse_their_temporaries_pages(run):
+    # 50 steps of 1e5 chains took about 2e4 minor page faults when every
+    # step's temporaries went back to the system. A fresh interpreter, so
+    # that no earlier test has raised the thresholds.
+    src = os.path.dirname(os.path.dirname(convergence.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _MINOR_FAULTS_OF_AN_ENSEMBLE_REPEAT, run],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert int(out.stdout) < 2_000
 
 
 def test_exponential_fit_exact_recovery():
