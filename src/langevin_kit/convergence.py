@@ -9,7 +9,7 @@ broadcasts over them.
 
 Four experiments drive the probes: a minorization check (pairwise kernel
 overlap at a fixed physical horizon, stable in gamma), a geometric-rate fit
-from the decay of total variation to a long stationary reference run, a
+from the decay of total variation to a stationary reference ensemble, a
 weak-order probe through stationary moment biases on quadratic wells, and a
 truncated-series solver for the one-step Poisson equation. Total variation
 between empirical laws is measured on a fixed histogram partition, so every
@@ -37,7 +37,8 @@ from .core import (
     _raise_malloc_thresholds,
     step_ensemble,
 )
-from .schemes import SchemeKind, SchemeParams, as_general_scheme, scalar_step_closure
+from .schemes import SchemeKind, SchemeParams, as_general_scheme
+from .schemes import scalar_step_closure  # perfbench pin (ROADMAP item 1): unused here
 
 __all__ = [
     "TrajectoryConfig",
@@ -70,10 +71,10 @@ _MAX_HISTOGRAM_CELLS = 2**24
 # Physical time between the epochs at which fit_geometric_rate measures TV.
 _EPOCH_DT = 0.25
 
+# The stationary reference of fit_geometric_rate bins _REFERENCE_STEPS states,
+# _REFERENCE_STEPS // _REFERENCE_CHAINS from each of its chains.
 _REFERENCE_STEPS = 10_000_000
-_REFERENCE_BURN_IN = 100_000
-# Steps of the reference run held and histogrammed at a time.
-_REFERENCE_CHUNK = 1 << 20
+_REFERENCE_CHAINS = 10_000
 
 # Floats of histogram counts per group of minorization_probe: a group holds
 # max(1, _GROUP_FLOATS // (2 * 5^(2d))) pairs: 2 at d = 4, 67 at d = 3.
@@ -465,36 +466,26 @@ def fit_exponential_decay(times, values) -> tuple[float, float, float]:
 
 
 def _reference_histogram(kind, params, bins, seed):
-    """Histogram of a seed-pinned long single-chain run (the stationary law).
+    """(counts, n) of a seed-pinned stationary ensemble on the d = 1
+    partition ``bins``: the stationary law's reference histogram.
 
-    10^7 recorded steps after 10^5 burn-in, driven by the general step
-    specialized to floats (``scalar_step_closure``), so only d = 1 chains are
-    supported. Each chunk of ``_REFERENCE_CHUNK`` steps is histogrammed as it
-    is made and the counts are summed; they are integers in float64, so the
-    sum does not depend on the chunk size.
+    ``_REFERENCE_CHAINS`` chains start at the origin and step on the noise
+    stream keyed by ``seed``. After a burn-in of ceil(30 / gamma) steps (30
+    time units, as ``solve_poisson``'s centring run), each of the next
+    ``_REFERENCE_STEPS // _REFERENCE_CHAINS`` states is binned as it is
+    made, so n = chains * kept steps states are counted and none is held.
     """
-    step = scalar_step_closure(kind, params)
-    width = as_general_scheme(kind, params).noise_spec.width(1)
-    total = _REFERENCE_BURN_IN + _REFERENCE_STEPS
+    scheme = as_general_scheme(kind, params)
+    chains = _REFERENCE_CHAINS
+    burn = math.ceil(30.0 / scheme.gamma)
+    keep = _REFERENCE_STEPS // chains
     counts = np.zeros(bins.bins_per_axis**2)
-    x = v = 0.0
-    normals = _rng.chain_normals(seed, total, width)
-    for lo in range(0, total, _REFERENCE_CHUNK):
-        hi = min(lo + _REFERENCE_CHUNK, total)
-        zs = normals[lo:hi, 0].tolist()
-        ws = normals[lo:hi, 1].tolist() if width == 2 else [0.0] * (hi - lo)
-        xs = np.empty(hi - lo)
-        vs = np.empty(hi - lo)
-        for i, (z, w) in enumerate(zip(zs, ws)):
-            x, v = step(x, v, z, w)
-            xs[i] = x
-            vs[i] = v
-        if not (math.isfinite(x) and abs(x) + abs(v) < 1e12):
-            raise DivergedError("x", lo)
-        first = max(0, _REFERENCE_BURN_IN - lo)  # the first recorded step in the chunk
-        if first < hi - lo:
-            counts += _histogram_counts(xs[first:, None], vs[first:, None], bins)
-    return counts, _REFERENCE_STEPS
+    x = np.zeros((chains, 1))
+    v = np.zeros((chains, 1))
+    for k, x, v in _ensemble_path(scheme, x, v, burn + keep, seed):
+        if k > burn:
+            counts += _histogram_counts(x, v, bins)
+    return counts, chains * keep
 
 
 def fit_geometric_rate(
@@ -509,16 +500,21 @@ def fit_geometric_rate(
 
     An ensemble of mc chains starts from ``init``; its law at each epoch
     (every 0.25 time units up to ``horizon``) is compared against a
-    stationary reference (one long seed-pinned run) on the declared
-    partition. log TV is fitted against physical time over the epochs that
-    sit between the saturation regime (TV close to 2) and 3x the Monte-Carlo
-    noise floor of the estimator. The decay theorem is stated in a
-    weighted norm; the fitted distance is plain TV, its lower bound.
+    stationary reference on the declared partition: 10^7 states of a
+    seed-pinned ensemble of independent chains past a burn-in
+    (``_reference_histogram``), on a noise stream of its own. log TV is
+    fitted against physical time over the epochs that sit between the
+    saturation regime (TV close to 2) and 3x the Monte-Carlo noise floor of
+    the estimator. The decay theorem is stated in a weighted norm; the
+    fitted distance is plain TV, its lower bound. Every scheme runs, at
+    d = 1 only: the partition has 32 cells per axis, 32^(2d) in all.
     """
     if horizon <= 0 or mc < 2:
         raise ContractViolation("horizon > 0 and mc >= 2 are required")
     if init.d != 1:
-        raise ContractViolation("the stationary reference run supports d = 1 only")
+        raise ContractViolation(
+            "the rate partition has 32 cells per axis, 32^(2d) in all: d = 1 only"
+        )
     n_epochs = int(horizon / _EPOCH_DT + 1e-9)
     if n_epochs < 10:
         raise ContractViolation("horizon must span at least 10 recorded epochs")
