@@ -74,7 +74,7 @@ _MAX_D = 2**16
 _MAX_COVARIANCE_STEPS = 2**24
 
 # drift-check's memory does not grow with its budget: a state holds one tile
-# and one block of pending pairs at any sample count, so only its work is
+# and one block of 32768 pairs at any sample count, so only its work is
 # capped. The work is weight evaluations x d at each probed state, with the
 # samples rounded up to whole antithetic pairs. One thread of a 2-vCPU Xeon
 # takes about 40 ns per unit at d = 2^16 (2.6 ms a sample), so 2^32 units
@@ -259,7 +259,7 @@ def validate_config(raw: dict) -> dict:
     if entry.scalar_only and d != 1:
         raise ConfigError(f"{experiment} supports d = 1 only ({entry.scalar_only})")
     if entry.cross is not None:
-        entry.cross(mc, scheme, d)
+        entry.cross(mc, d)
 
     output = raw.get("output", "results")
     if not isinstance(output, str) or not output:
@@ -345,7 +345,7 @@ def _check_drift_scheme(cfg: dict, params, scheme) -> None:
                 )
 
 
-def _check_drift_work(mc, scheme, d) -> None:
+def _check_drift_work(mc, d) -> None:
     # The estimator draws antithetic pairs, so an odd count is rounded up.
     states = len(_drift_grid(d, mc["radii"]))
     work = 2 * ((mc["samples"] + 1) // 2) * d * states
@@ -356,14 +356,14 @@ def _check_drift_work(mc, scheme, d) -> None:
         )
 
 
-def _check_partition(mc, scheme, d) -> None:
+def _check_partition(mc, d) -> None:
     try:
         minorization_partition(mc["m_radius"], d)
     except ContractViolation as exc:
         raise ConfigError(str(exc))
 
 
-def _check_eval_points(mc, scheme, d) -> None:
+def _check_eval_points(mc, d) -> None:
     for i, p in enumerate(mc["eval_points"]):
         if not isinstance(p, list) or len(p) != 2 * d:
             raise ConfigError(f"monte_carlo.eval_points[{i}] must have 2*d = {2 * d} numbers")
@@ -590,8 +590,8 @@ class _Experiment:
     ConfigError. ``gammas`` names what it steps: the "one" scheme gamma, the
     scheme's gamma "grid", or ``monte_carlo.gamma_pair`` ("pair", with one
     scheme gamma that it never steps). ``scalar_only`` says why it supports
-    d = 1 only. ``cross(mc, scheme, d)`` checks fields against each other
-    and d. ``check_schemes(cfg, gammas)`` refuses gammas it cannot step at.
+    d = 1 only. ``cross(mc, d)`` checks fields against each other and d.
+    ``check_schemes(cfg, gammas)`` refuses gammas it cannot step at.
     ``runner(cfg, gammas)`` returns (rows, failures).
     """
 

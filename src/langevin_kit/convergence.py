@@ -465,27 +465,35 @@ def fit_exponential_decay(times, values) -> tuple[float, float, float]:
     return math.exp(intercept), math.exp(slope), r_squared
 
 
+def _stationary_states(scheme, d, n_chains, burn_time, keep, seed):
+    """Yield the ``keep`` kept states (x, v) of ``n_chains`` chains that
+    start at the origin of R^(2d) and step on the noise stream keyed by
+    ``seed``, each as it is made, after a burn-in of ceil(burn_time / gamma)
+    steps."""
+    burn = math.ceil(burn_time / scheme.gamma)
+    x = np.zeros((n_chains, d))
+    v = np.zeros((n_chains, d))
+    for k, x, v in _ensemble_path(scheme, x, v, burn + keep, seed):
+        if k > burn:
+            yield x, v
+
+
 def _reference_histogram(kind, params, bins, seed):
     """(counts, n) of a seed-pinned stationary ensemble on the d = 1
     partition ``bins``: the stationary law's reference histogram.
 
-    ``_REFERENCE_CHAINS`` chains start at the origin and step on the noise
-    stream keyed by ``seed``. After a burn-in of ceil(30 / gamma) steps (30
-    time units, as ``solve_poisson``'s centring run), each of the next
+    ``_REFERENCE_CHAINS`` chains run from the origin
+    (``_stationary_states``). After a burn-in of 30 time units, as
+    ``solve_poisson``'s centring run, each of the next
     ``_REFERENCE_STEPS // _REFERENCE_CHAINS`` states is binned as it is
     made, so n = chains * kept steps states are counted and none is held.
     """
     scheme = as_general_scheme(kind, params)
-    chains = _REFERENCE_CHAINS
-    burn = math.ceil(30.0 / scheme.gamma)
-    keep = _REFERENCE_STEPS // chains
+    keep = _REFERENCE_STEPS // _REFERENCE_CHAINS
     counts = np.zeros(bins.bins_per_axis**2)
-    x = np.zeros((chains, 1))
-    v = np.zeros((chains, 1))
-    for k, x, v in _ensemble_path(scheme, x, v, burn + keep, seed):
-        if k > burn:
-            counts += _histogram_counts(x, v, bins)
-    return counts, chains * keep
+    for x, v in _stationary_states(scheme, 1, _REFERENCE_CHAINS, 30.0, keep, seed):
+        counts += _histogram_counts(x, v, bins)
+    return counts, _REFERENCE_CHAINS * keep
 
 
 def fit_geometric_rate(
@@ -573,20 +581,15 @@ def _quadratic_curvature(params: SchemeParams) -> float:
 def _time_averages(scheme, observables, d, n_chains, burn_time, keep, seed):
     """Stationary means of observables from per-chain time averages.
 
-    ``n_chains`` chains start at the origin of R^(2d), run ceil(burn_time /
-    gamma) burn-in steps and then ``keep`` more; each observable maps the
-    (x, v) batch to shape (n_chains,) and is averaged over the kept states of
-    every chain. Returns one (mean, standard error) per observable, the error
-    treating the chain averages as independent.
+    Over the kept states of ``_stationary_states``, each observable maps
+    the (x, v) batch to shape (n_chains,) and is averaged per chain. Returns
+    one (mean, standard error) per observable, the error treating the chain
+    averages as independent.
     """
-    burn = math.ceil(burn_time / scheme.gamma)
-    x = np.zeros((n_chains, d))
-    v = np.zeros((n_chains, d))
     sums = [np.zeros(n_chains) for _ in observables]
-    for k, x, v in _ensemble_path(scheme, x, v, burn + keep, seed):
-        if k > burn:
-            for acc, obs in zip(sums, observables):
-                acc += obs(x, v)
+    for x, v in _stationary_states(scheme, d, n_chains, burn_time, keep, seed):
+        for acc, obs in zip(sums, observables):
+            acc += obs(x, v)
     return [
         (float(np.mean(acc / keep)), float(np.std(acc / keep, ddof=1) / math.sqrt(n_chains)))
         for acc in sums

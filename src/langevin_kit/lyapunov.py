@@ -476,10 +476,6 @@ class DriftReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _tile_pairs(d: int) -> int:
-    return max(1, _TILE_FLOATS // (2 * d))
-
-
 class _WeightFold:
     """A running summary of exp(a) over antithetic pairs of log-weights.
 
@@ -491,47 +487,57 @@ class _WeightFold:
     pairwise variance update of Chan, Golub & LeVeque (1983). When the shift
     rises, the mean is rescaled by r = exp(old - new) and M2 by r^2.
 
-    Pairs are summarized in blocks of ``_FOLD_ROWS``, in the order they were
-    pushed, and the blocks are merged one at a time; a block waits in a
-    buffer until it is whole. The summary therefore depends only on the
-    pairs, not on how they were split into pushes.
+    Blocks of pairs are merged one at a time, in the order they are added,
+    so the summary is fixed by the pairs and the block boundaries.
     """
 
-    def __init__(self, push_pairs: int):
-        self._rows = _FOLD_ROWS
-        # Fewer than _rows wait after each push of at most push_pairs; row 0
-        # holds the a+ of each pair and row 1 its a-.
-        self._pending = np.empty((2, self._rows + push_pairs - 1))
-        self._fill = 0
-        self._finite = True
+    def __init__(self):
         self._shift, self._count, self._mean, self._m2 = -math.inf, 0, 0.0, 0.0
 
-    def push(self, a: np.ndarray) -> bool:
-        """Add the next pairs: a (2, n) array of log-weights, n at most
-        push_pairs, with a[0, i] and a[1, i] the two halves of pair i. False
-        once a log-weight is not finite: the mean weight then has no finite
-        logarithm, and later pushes may be skipped."""
-        rows, fill = self._rows, self._fill + a.shape[1]
-        self._pending[:, self._fill : fill] = a
-        if fill >= rows:
-            # Once per whole block, not per push: with two worker threads,
-            # every numpy call costs more than its own work.
-            full = fill - fill % rows
-            self._fold(self._pending[:, :full].reshape(2, -1, rows))
-            fill -= full
-            self._pending[:, :fill] = self._pending[:, full : full + fill]
-        self._fill = fill
-        return self._finite
+    def add(self, block: np.ndarray) -> bool:
+        """Merge the next block of pairs: a (2, n) array of log-weights,
+        overwritten, with block[0, i] and block[1, i] the two halves of pair
+        i. False once a log-weight is not finite: the mean weight then has no
+        finite logarithm, and no further block may be added."""
+        # np.maximum propagates a NaN, which max() would drop; +inf is a
+        # shift too.
+        shift = float(np.maximum(block.max(), self._shift))
+        if not math.isfinite(shift):
+            self._shift = shift
+            return False
+        # Both halves are exponentiated against the shift and averaged into
+        # pair means, whose squares are centred on the block's own mean. No
+        # BLAS reduction, so the sums do not depend on the BLAS thread count.
+        n = block.shape[1]
+        np.subtract(block, shift, out=block)
+        np.exp(block, out=block)
+        pairs = block[0]
+        np.add(pairs, block[1], out=pairs)
+        pairs *= 0.5
+        mean_b = float(np.sum(pairs)) / n
+        np.subtract(pairs, mean_b, out=pairs)
+        np.square(pairs, out=pairs)
+        m2_b = float(np.sum(pairs))
+        if shift > self._shift:
+            r = math.exp(self._shift - shift)
+            self._mean *= r
+            self._m2 *= r * r
+            self._shift = shift
+        count = self._count
+        total = count + n
+        frac = n / total
+        delta = mean_b - self._mean
+        self._mean += delta * frac
+        self._m2 += m2_b + delta * delta * count * frac
+        self._count = total
+        return True
 
     def finish(self) -> tuple[float, float] | None:
         """The log of the mean of exp(a), and its standard error: the sample
         standard deviation of the pair means over their mean, over
         sqrt(pairs), and inf for a single pair. None when a log-weight is not
         finite."""
-        if self._fill:
-            self._fold(self._pending[:, : self._fill].reshape(2, 1, -1))
-            self._fill = 0
-        if not self._finite:
+        if not math.isfinite(self._shift):
             return None
         log_mean = self._shift + math.log(self._mean)
         count = self._count
@@ -539,46 +545,6 @@ class _WeightFold:
             return log_mean, math.inf
         se_log = math.sqrt(self._m2 / (count - 1)) / self._mean / math.sqrt(count)
         return log_mean, se_log
-
-    def _fold(self, blocks: np.ndarray) -> None:
-        # blocks: the a+ and a- halves of k blocks of n pairs, shape (2, k, n),
-        # overwritten. A fixed number of numpy calls whatever k is, and no
-        # BLAS reduction, so the sums do not depend on the BLAS thread count.
-        if not self._finite:
-            return
-        n = blocks.shape[2]
-        shifts = np.maximum.accumulate(blocks.max(axis=(0, 2)))
-        np.maximum(shifts, self._shift, out=shifts)
-        # NaN propagates through the maxima, and +inf is the last shift.
-        if not math.isfinite(shifts[-1]):
-            self._finite = False
-            return
-        # Both halves of a block are exponentiated against the shift after
-        # it and averaged into pair means, whose squares are centred on the
-        # block's own mean.
-        np.subtract(blocks, shifts[:, None], out=blocks)
-        np.exp(blocks, out=blocks)
-        pairs = blocks[0]
-        np.add(pairs, blocks[1], out=pairs)
-        pairs *= 0.5
-        means = np.sum(pairs, axis=1) / n
-        np.subtract(pairs, means[:, None], out=pairs)
-        np.square(pairs, out=pairs)
-        m2s = np.sum(pairs, axis=1)
-        shift, count, mean, m2 = self._shift, self._count, self._mean, self._m2
-        for s, mean_b, m2_b in zip(shifts.tolist(), means.tolist(), m2s.tolist()):
-            if s > shift:
-                r = math.exp(shift - s)
-                mean *= r
-                m2 *= r * r
-                shift = s
-            total = count + n
-            frac = n / total
-            delta = mean_b - mean
-            mean += delta * frac
-            m2 += m2_b + delta * delta * count * frac
-            count = total
-        self._shift, self._count, self._mean, self._m2 = shift, count, mean, m2
 
 
 def estimate_drift(
@@ -612,11 +578,11 @@ def estimate_drift(
     of each block, negates them into the rows after them, and steps both
     halves and evaluates their energy in one pass from a contiguous copy of
     the state. The base normals are negated before ``w2_transform``, so a
-    transform that is not odd keeps its law. Each tile's pairs are folded
-    into a running summary of the state's weights (``_WeightFold``) in
-    blocks of ``_FOLD_ROWS`` pairs, in pair order, so the result depends on
-    neither the tile size nor the thread count. A state holds one tile and
-    one block of pending pairs, in any d and at any sample count.
+    transform that is not odd keeps its law. The state's weights are
+    summarized (``_WeightFold``) in blocks of ``_FOLD_ROWS`` pairs, filled
+    tile by tile and folded when whole, in pair order, so the result depends
+    on neither the tile size nor the thread count. A state holds one tile
+    and one block, in any d and at any sample count.
     A ratio too large for a float is reported as inf, and so is a state
     whose log-weight varpi * phi overflows, with an infinite standard error.
     A single pair (``mc`` of 2) has an infinite standard error.
@@ -631,7 +597,7 @@ def estimate_drift(
     widths = (d, *scheme.noise_spec.dims(d))
     w2_transform = scheme.noise_spec.w2_transform if widths[2] else None
     pairs = (mc + 1) // 2
-    tile_pairs = min(pairs, _tile_pairs(d))
+    tile_pairs = min(pairs, max(1, _TILE_FLOATS // (2 * d)))
     children = np.random.SeedSequence(seed).spawn(len(states))
 
     def log_weights(rngs, noise, x, v) -> np.ndarray:
@@ -659,13 +625,20 @@ def estimate_drift(
         # Every tile reuses them, so the step must not write into them.
         x_tile.flags.writeable = v_tile.flags.writeable = False
         noise = [np.empty((2 * tile_pairs, w)) for w in widths]
-        fold = _WeightFold(tile_pairs)
+        # Row 0 holds the a+ of each pair and row 1 its a-.
+        block = np.empty((2, _FOLD_ROWS))
+        fold = _WeightFold()
         # Step and energy are row-wise, so evaluating them one tile of rows
         # at a time gives the same values as one whole-ensemble pass while
-        # the intermediates stay cache-sized.
-        for lo in range(0, pairs, tile_pairs):
-            n = min(tile_pairs, pairs - lo)
-            if not fold.push(log_weights(rngs, noise, x_tile[: 2 * n], v_tile[: 2 * n])):
+        # the intermediates stay cache-sized. A block is folded once it is
+        # whole, not per tile: with two worker threads, every numpy call
+        # costs more than its own work.
+        for start in range(0, pairs, _FOLD_ROWS):
+            size = min(_FOLD_ROWS, pairs - start)
+            for lo in range(0, size, tile_pairs):
+                n = min(tile_pairs, size - lo)
+                block[:, lo : lo + n] = log_weights(rngs, noise, x_tile[: 2 * n], v_tile[: 2 * n])
+            if not fold.add(block[:, :size]):
                 break
         summary = fold.finish()
         if summary is None:

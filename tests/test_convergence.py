@@ -801,6 +801,23 @@ def test_poisson_well_residual_shrinks_with_truncation(quadratic):
     np.testing.assert_array_equal(long.psi, again.psi)
 
 
+def test_poisson_does_not_depend_on_the_thread_count(quadratic, monkeypatch):
+    # One pool task per eval point, each on its own noise stream.
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic)
+    pts = np.array([[2.0, 0.0], [-1.0, 1.0], [0.0, -0.5]])
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LANGEVIN_KIT_THREADS", threads)
+        reports.append(
+            solve_poisson(
+                SchemeKind.EULER_MARUYAMA, params, lambda x, v: x[:, 0], 20, pts, mc=2000, seed=4
+            )
+        )
+    serial, pooled = reports
+    for name in ("psi", "psi_se", "residual", "residual_se"):
+        assert np.array_equal(getattr(serial, name), getattr(pooled, name))
+
+
 def test_poisson_tail_warning(quadratic):
     rep = solve_poisson(
         SchemeKind.EULER_MARUYAMA,
