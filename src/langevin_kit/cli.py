@@ -73,10 +73,11 @@ _MAX_D = 2**16
 # each gamma; 2^24 entries take 128 MiB per array.
 _MAX_COVARIANCE_STEPS = 2**24
 
-# drift-check's memory does not grow with its budget: a state holds one tile
-# and one block of 32768 pairs at any sample count, so only its work is
-# capped. The work is weight evaluations x d at each probed state, with the
-# samples rounded up to whole antithetic pairs. One thread of a 2-vCPU Xeon
+# drift-check's memory does not grow with its budget: the run holds one
+# block of at most 65536 noise pairs, and each task one tile and one block
+# of log-weights, at any sample count, so only its work is capped. The work
+# is weight evaluations x d at each probed state, with the samples rounded
+# up to whole antithetic pairs. One thread of a 2-vCPU Xeon
 # takes about 40 ns per unit at d = 2^16 (2.6 ms a sample), so 2^32 units
 # take about three minutes; the drift-check-wide config (1e6 x 2 x 16) is
 # 3.2e7.

@@ -68,14 +68,23 @@ class DivergedError(FloatingPointError):
     """A state component left the admissible range during stepping.
 
     ``ensemble`` is the index of the diverged ensemble when several are
-    stepped together on one noise stream.
+    stepped together on one noise stream, and ``start`` describes the state
+    the diverged step left from.
     """
 
-    def __init__(self, component: str, step: int | None = None, ensemble: int | None = None):
+    def __init__(
+        self,
+        component: str,
+        step: int | None = None,
+        ensemble: int | None = None,
+        start: str | None = None,
+    ):
         self.component = component
         self.step = step
         self.ensemble = ensemble
         where = f" at step {step}" if step is not None else ""
+        if start is not None:
+            where += f" from {start}"
         super().__init__(
             f"|{component}| exceeded {DIVERGENCE_LIMIT:g} or became non-finite{where}"
         )

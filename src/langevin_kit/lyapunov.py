@@ -33,6 +33,7 @@ import numpy as np
 from . import _rng
 from .core import (
     ContractViolation,
+    DivergedError,
     ForceModel,
     GeneralScheme,
     NoiseDraw,
@@ -74,9 +75,16 @@ _OVERFLOW_EXPONENT = 700.0
 # takes 256 KiB in any d and a tile's working set stays within an L2 cache
 # (8192 pairs, 16384 rows at d = 2).
 _TILE_FLOATS = 32768
-# Pairs per block of the weights' running summary in estimate_drift, 65536
-# log-weights: the blocks, not the tiles, fix the order of the reduction.
-_FOLD_ROWS = 32768
+# Pairs per block in estimate_drift: a block is drawn once and stepped by
+# every state, and its log-weights are one merge of a state's running
+# summary, so the blocks, not the tiles, fix the noise stream and the order
+# of the reduction. At most _FOLD_ROWS pairs, and at most
+# _BLOCK_FLOATS // (2d), so that a block's base rows (at most 2d + 2 floats
+# a pair) take at most 3 MiB in any d (2 MiB at d = 2). Each block ends in
+# a barrier, and on two threads of a 2-vCPU Xeon blocks of 65536 pairs ran
+# about 5% faster than blocks of 32768.
+_FOLD_ROWS = 65536
+_BLOCK_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
@@ -566,26 +574,31 @@ def estimate_drift(
     standard error comes from the pair means.
     The report fits the smallest radius k_hat beyond which every state
     contracts with 95% confidence, the per-unit-time factor lambda_hat over
-    those states, and the additive constant b_hat inside. States use
-    independent RNG substreams, so the report is reproducible and does not
-    depend on the evaluation order or thread count.
+    those states, and the additive constant b_hat inside.
 
-    Each noise block has its own stream: z comes from the state's
-    ``default_rng`` and w1, w2 from the two children its seed sequence
-    spawns. Every block is drawn tile by tile, and each tile continues its
-    block's stream, so the values do not depend on the tile size. A tile
-    holds max(1, ``_TILE_FLOATS`` // (2d)) pairs: it draws that many rows
-    of each block, negates them into the rows after them, and steps both
-    halves and evaluates their energy in one pass from a contiguous copy of
-    the state. The base normals are negated before ``w2_transform``, so a
-    transform that is not odd keeps its law. The state's weights are
-    summarized (``_WeightFold``) in blocks of ``_FOLD_ROWS`` pairs, filled
-    tile by tile and folded when whole, in pair order, so the result depends
-    on neither the tile size nor the thread count. A state holds one tile
-    and one block, in any d and at any sample count.
+    The noise belongs to the run, not to a state: every state steps on the
+    same rows. The pairs are cut into blocks of min(``_FOLD_ROWS``,
+    ``_BLOCK_FLOATS`` // (2d)) pairs (65536 at d <= 2), and block k's base
+    rows of z, w1 and w2 come from the ``default_rng`` of
+    ``SeedSequence(seed, spawn_key=(k,))`` and of the two children it
+    spawns. The calling thread draws each block once; then one pool task
+    per state steps it tile by tile and folds its log-weights into the
+    state's summary (``_WeightFold``), block after block in order. Each
+    state's rows are still i.i.d. pairs, so its estimand and standard error
+    are those of a stream of its own; only the joint law across states
+    changes, as in common random numbers. A state's row depends on neither
+    the rest of the grid nor its place in it, nor on the tile size or the
+    thread count. A tile holds max(1, ``_TILE_FLOATS`` // (2d)) pairs: it
+    copies that many base rows of the block, negates them into the rows
+    after them, and steps both halves and evaluates their energy in one pass
+    from a contiguous copy of the state. The base normals are negated before
+    ``w2_transform``, so a transform that is not odd keeps its law. The run
+    holds one block of base rows, and each running task one tile and one
+    block of log-weights, in any d and at any sample count.
     A ratio too large for a float is reported as inf, and so is a state
     whose log-weight varpi * phi overflows, with an infinite standard error.
-    A single pair (``mc`` of 2) has an infinite standard error.
+    A single pair (``mc`` of 2) has an infinite standard error. A step that
+    diverges raises DivergedError naming the state it started from.
     """
     scheme = as_general_scheme(kind, params)
     check_energy_ceiling(scheme)
@@ -597,66 +610,80 @@ def estimate_drift(
     widths = (d, *scheme.noise_spec.dims(d))
     w2_transform = scheme.noise_spec.w2_transform if widths[2] else None
     pairs = (mc + 1) // 2
-    tile_pairs = min(pairs, max(1, _TILE_FLOATS // (2 * d)))
-    children = np.random.SeedSequence(seed).spawn(len(states))
+    tile_pairs = max(1, _TILE_FLOATS // (2 * d))
+    block_pairs = max(1, min(_FOLD_ROWS, _BLOCK_FLOATS // (2 * d)))
+    # The current block's base rows of z, w1 and w2, which every task reads.
+    base = [np.empty((block_pairs, w)) for w in widths]
+    folds = [_WeightFold() for _ in states]
 
-    def log_weights(rngs, noise, x, v) -> np.ndarray:
+    def log_weights(noise, x, v) -> np.ndarray:
         # varpi * phi one step on from each row of (x, v), as a (2, n) array
-        # of pairs: the first n rows step on the next n rows of each noise
-        # block, the last n on their negations. The step's arrays are freed
-        # on return, so they are not held while the next tile steps.
+        # of pairs. The step's arrays are freed on return, so they are not
+        # held while the next tile steps.
         n = len(x) // 2
-        for rng, block in zip(rngs, noise):
-            rng.standard_normal(out=block[:n])
-            np.negative(block[:n], out=block[n : 2 * n])
-        z, w1, w2 = (block[: 2 * n] for block in noise)
+        z, w1, w2 = (tile[: 2 * n] for tile in noise)
         if w2_transform is not None:
             w2 = w2_transform(w2)
         x1, v1 = step_ensemble(scheme, x, v, NoiseDraw(z, w1, w2))
         with np.errstate(over="ignore"):
             return log_w_bar(x1, v1, scheme, varpi).reshape(2, n)
 
-    def one_state(idx: int) -> DriftRow:
+    def fold_block(idx: int, size: int) -> bool:
+        # Steps state idx on the block's first `size` pairs and folds them;
+        # False once its log-weights leave the float range.
         st = states[idx]
-        radius = float(np.linalg.norm(st.x) + np.linalg.norm(st.v))
-        rngs = [np.random.default_rng(s) for s in (children[idx], *children[idx].spawn(2))]
         x_tile = np.tile(st.x, (2 * tile_pairs, 1))
         v_tile = np.tile(st.v, (2 * tile_pairs, 1))
         # Every tile reuses them, so the step must not write into them.
         x_tile.flags.writeable = v_tile.flags.writeable = False
         noise = [np.empty((2 * tile_pairs, w)) for w in widths]
         # Row 0 holds the a+ of each pair and row 1 its a-.
-        block = np.empty((2, _FOLD_ROWS))
-        fold = _WeightFold()
+        weights = np.empty((2, block_pairs))
         # Step and energy are row-wise, so evaluating them one tile of rows
-        # at a time gives the same values as one whole-ensemble pass while
-        # the intermediates stay cache-sized. A block is folded once it is
-        # whole, not per tile: with two worker threads, every numpy call
-        # costs more than its own work.
-        for start in range(0, pairs, _FOLD_ROWS):
-            size = min(_FOLD_ROWS, pairs - start)
-            for lo in range(0, size, tile_pairs):
-                n = min(tile_pairs, size - lo)
-                block[:, lo : lo + n] = log_weights(rngs, noise, x_tile[: 2 * n], v_tile[: 2 * n])
-            if not fold.add(block[:, :size]):
-                break
+        # at a time gives the same values as one whole-block pass while the
+        # intermediates stay cache-sized. The block is folded whole, not per
+        # tile: with two worker threads, every numpy call costs more than its
+        # own work.
+        for lo in range(0, size, tile_pairs):
+            n = min(tile_pairs, size - lo)
+            for tile, block in zip(noise, base):
+                tile[:n] = block[lo : lo + n]
+                np.negative(block[lo : lo + n], out=tile[n : 2 * n])
+            try:
+                weights[:, lo : lo + n] = log_weights(noise, x_tile[: 2 * n], v_tile[: 2 * n])
+            except DivergedError as exc:
+                where = f"the drift state x = {st.x.tolist()}, v = {st.v.tolist()}"
+                raise DivergedError(exc.component, start=where) from None
+        return folds[idx].add(weights[:, :size])
+
+    live = list(range(len(states)))
+    n_threads = min(_rng.worker_threads(), len(states))
+    _raise_malloc_thresholds()
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        for k, start in enumerate(range(0, pairs, block_pairs)):
+            size = min(block_pairs, pairs - start)
+            stream = np.random.SeedSequence(seed, spawn_key=(k,))
+            for child, block in zip((stream, *stream.spawn(2)), base):
+                np.random.default_rng(child).standard_normal(out=block[:size])
+            more = pool.map(fold_block, live, [size] * len(live))
+            live = [idx for idx, ok in zip(live, more) if ok]
+
+    rows = []
+    for st, fold, log_start in zip(states, folds, log_starts):
+        radius = float(np.linalg.norm(st.x) + np.linalg.norm(st.v))
         summary = fold.finish()
         if summary is None:
             # varpi * phi left the float range, so the mean weight has no
             # finite logarithm and the state is not contracting.
-            return DriftRow(st.x, st.v, radius, math.inf, math.inf, math.inf)
+            rows.append(DriftRow(st.x, st.v, radius, math.inf, math.inf, math.inf))
+            continue
         log_mean, se_log = summary
-        log_ratio = log_mean - log_starts[idx]
+        log_ratio = log_mean - log_start
         try:
             ratio = math.exp(log_ratio)
         except OverflowError:
             ratio = math.inf
-        return DriftRow(st.x, st.v, radius, log_ratio, ratio, se_log)
-
-    n_threads = min(_rng.worker_threads(), len(states))
-    _raise_malloc_thresholds()
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        rows = list(pool.map(one_state, range(len(states))))
+        rows.append(DriftRow(st.x, st.v, radius, log_ratio, ratio, se_log))
 
     warnings = [
         f"state at radius {row.radius:.3g}: relative standard error {row.se_log:.2g} "

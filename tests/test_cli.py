@@ -690,6 +690,23 @@ def test_drift_check_fails_on_the_flat_tail(tmp_path, capsys):
         assert log_ratio > 3.0 * se_log
 
 
+def test_a_diverging_drift_step_names_its_state(tmp_path, capsys):
+    # The quartic well's force at |x| = 1e9 throws the chain past 1e12 in
+    # one step; the failure names the first state in the grid that diverges.
+    cfg = drift_config(tmp_path, radii=[5.0, 1e9], samples=2000)
+    cfg["scheme"]["kind"] = "SplitCABAC"
+    cfg["potential"] = {"kind": "quartic-well"}
+    cfg["d"] = 2
+    path = write_config(tmp_path, "far.json", cfg)
+    assert main(["validate", path]) == 0
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert (
+        "invariant failure: |x| exceeded 1e+12 or became non-finite "
+        "from the drift state x = [1000000000.0, 0.0], v = [0.0, 0.0]"
+    ) in err
+
+
 def test_far_radius_on_the_flat_tail_is_a_config_error(tmp_path, capsys):
     # |x|^2 and |x|^3 overflow at radius 1e155, so the flat tail's U is
     # inf - inf; both commands refuse the nan log-weight without a warning.
@@ -914,8 +931,8 @@ def test_run_exit_codes(tmp_path, capsys):
 
 
 def test_drift_check_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
-    # The drift-check-wide benchmark config at 70,000 samples (35,000
-    # pairs): one whole block of the weights' fold and a partial one, each
+    # The drift-check-wide benchmark config at 140,000 samples (70,000
+    # pairs): one whole noise block and a partial one, each
     # long enough that a BLAS reduction would split its work across threads.
     # Each run is a fresh process, since OpenBLAS reads its thread count
     # once, at load.
@@ -925,7 +942,7 @@ def test_drift_check_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
         "seed": 3,
         "scheme": {"kind": "SplitCABAC", "kappa": 1.0, "sigma": 1.0, "gamma": 0.01},
         "potential": {"kind": "quartic-well"},
-        "monte_carlo": {"varpi": 0.1, "radii": [5.0, 10.0, 15.0, 20.0], "samples": 70_000},
+        "monte_carlo": {"varpi": 0.1, "radii": [5.0, 10.0, 15.0, 20.0], "samples": 140_000},
     }
     path = write_config(tmp_path, "drift.json", cfg)
     src = str(Path(langevin_kit.__file__).resolve().parents[1])

@@ -354,8 +354,8 @@ def tiled_drift(kind, force, d, seed=11):
 def test_drift_report_does_not_depend_on_the_tile_size(monkeypatch, kind, force, d, fold_rows):
     # mc = 1000 samples are 500 pairs: tiles of 7 pairs (14 rows) leave an
     # uneven last tile of 3 pairs; one tile of 2048 pairs holds them all.
-    # Every noise block is drawn tile by tile: z and w1 for CABAC, z and a
-    # transformed w2 for SG-EM. Blocks of 64 pairs straddle the 7-pair
+    # Every tile copies its rows of each noise block: z and w1 for CABAC, z
+    # and a transformed w2 for SG-EM. Blocks of 64 pairs straddle the 7-pair
     # tiles, and the last block has 52 pairs.
     monkeypatch.setattr(lyapunov, "_FOLD_ROWS", fold_rows)
     monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 14 * d)
@@ -377,12 +377,12 @@ def test_tiled_drift_report_does_not_depend_on_the_thread_count(monkeypatch):
         assert np.array_equal(a, b)
 
 
-def fold_all(a):
+def fold_all(a, rows=None):
     """The estimator's summary of a whole array of log-weights, folded in
-    blocks of ``_FOLD_ROWS`` pairs: the first half of ``a`` and the second
-    are the two halves of its pairs."""
+    blocks of ``rows`` pairs (``_FOLD_ROWS`` by default): the first half of
+    ``a`` and the second are the two halves of its pairs."""
     pairs = a.reshape(2, -1)
-    rows = lyapunov._FOLD_ROWS
+    rows = lyapunov._FOLD_ROWS if rows is None else rows
     fold = lyapunov._WeightFold()
     for lo in range(0, pairs.shape[1], rows):
         if not fold.add(pairs[:, lo : lo + rows].copy()):
@@ -391,26 +391,30 @@ def fold_all(a):
 
 
 def one_pass_drift_rows(kind, params, grid, mc, seed, varpi=0.1):
-    """(log_ratio, se_log) per state from whole noise blocks and one
-    whole-ensemble step, with the whole array of log-weights reduced by the
-    estimator's fold. mc rounds up to (mc + 1) // 2 pairs: z comes from the
-    state's stream, w1 and w2 from the two children it spawns, and each
-    block's base normals are stacked on their negations before w2's
+    """(log_ratio, se_log) per state from whole noise arrays and one
+    whole-ensemble step per state, with its whole array of log-weights
+    reduced by the estimator's fold. mc rounds up to (mc + 1) // 2 pairs,
+    cut into blocks of min(_FOLD_ROWS, _BLOCK_FLOATS // (2d)) pairs. Block
+    k's base rows of z come from SeedSequence(seed, spawn_key=(k,)), and
+    those of w1 and w2 from the two children it spawns. Every state steps on
+    the same rows: the base normals stacked on their negations, before w2's
     transform."""
     scheme = as_general_scheme(kind, params)
-    children = np.random.SeedSequence(seed).spawn(len(grid))
+    d = grid[0].d
+    widths = (d, *scheme.noise_spec.dims(d))
     half = (mc + 1) // 2
+    block = min(lyapunov._FOLD_ROWS, lyapunov._BLOCK_FLOATS // (2 * d))
+    bases = [[] for _ in widths]
+    for k, lo in enumerate(range(0, half, block)):
+        stream = np.random.SeedSequence(seed, spawn_key=(k,))
+        for base, child, width in zip(bases, (stream, *stream.spawn(2)), widths):
+            rng = np.random.default_rng(child)
+            base.append(rng.standard_normal((min(block, half - lo), width)))
+    z, w1, w2 = (np.concatenate([*base, *(-b for b in base)]) for base in bases)
+    if scheme.noise_spec.w2_transform is not None and widths[2]:
+        w2 = scheme.noise_spec.w2_transform(w2)
     rows = []
-    for st, child in zip(grid, children):
-        d = st.d
-        m1, m2 = scheme.noise_spec.dims(d)
-        blocks = []
-        for stream, width in zip((child, *child.spawn(2)), (d, m1, m2)):
-            base = np.random.default_rng(stream).standard_normal((half, width))
-            blocks.append(np.concatenate([base, -base]))
-        z, w1, w2 = blocks
-        if scheme.noise_spec.w2_transform is not None and m2:
-            w2 = scheme.noise_spec.w2_transform(w2)
+    for st in grid:
         x1, v1 = step_ensemble(
             scheme,
             np.broadcast_to(st.x, (2 * half, d)),
@@ -418,15 +422,15 @@ def one_pass_drift_rows(kind, params, grid, mc, seed, varpi=0.1):
             NoiseDraw(z, w1, w2),
         )
         a = varpi * phi_gamma(x1, v1, scheme)
-        log_mean, se_log = fold_all(a)
+        log_mean, se_log = fold_all(a, block)
         rows.append((log_mean - varpi * phi_gamma(st.x, st.v, scheme), se_log))
     return rows
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
 def test_tiled_drift_rows_equal_the_one_pass_reference(monkeypatch, kind):
-    # Tiles of 3 pairs (6 rows) at d = 2 stream every noise block; blocks of
-    # 64 pairs are folded as they fill.
+    # Tiles of 3 pairs (6 rows) at d = 2 step every block; each block of 64
+    # pairs is drawn once, stepped by all three states and folded into each.
     monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 14)
     monkeypatch.setattr(lyapunov, "_FOLD_ROWS", 64)
     force = quartic_well_potential()
@@ -435,6 +439,52 @@ def test_tiled_drift_rows_equal_the_one_pass_reference(monkeypatch, kind):
     report = estimate_drift(kind, params, 0.1, grid, mc=1000, seed=11)
     expected = one_pass_drift_rows(kind, params, grid, mc=1000, seed=11)
     assert [(row.log_ratio, row.se_log) for row in report.rows] == expected
+
+
+def wide_grid():
+    """The 16 states of the drift-check-wide benchmark config, at d = 2."""
+    return [
+        State(np.array([a, 0.0]), np.array([b, 0.0]))
+        for r in (5.0, 10.0, 15.0, 20.0)
+        for a, b in ((r, 0.0), (0.0, r), (-r, 0.0), (r / 2.0, r / 2.0))
+    ]
+
+
+def test_a_drift_row_does_not_depend_on_the_rest_of_the_grid(monkeypatch):
+    # All states step on one noise stream keyed by (seed, block), so a
+    # state reads the same rows alone, in the grid and in the reversed grid.
+    # Blocks of 64 pairs: 500 pairs make 7 whole blocks and a partial one.
+    monkeypatch.setattr(lyapunov, "_TILE_FLOATS", 14)
+    monkeypatch.setattr(lyapunov, "_FOLD_ROWS", 64)
+    _, params = scheme_for(SchemeKind.SPLIT_CABAC, gamma=0.01, force=quartic_well_potential())
+    grid = wide_grid()
+
+    def rows(states):
+        report = estimate_drift(SchemeKind.SPLIT_CABAC, params, 0.1, states, mc=1000, seed=7)
+        return [(row.log_ratio, row.se_log) for row in report.rows]
+
+    in_grid = rows(grid)
+    assert rows(grid[::-1]) == in_grid[::-1]
+    for i in (0, 9, 15):
+        assert rows([grid[i]]) == [in_grid[i]]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+def test_mirrored_drift_states_read_identical_rows_on_an_odd_force(monkeypatch, kind):
+    # The quartic well's force is odd and W is even in (x, v), so with v = 0
+    # the step from -x on a noise row is the mirror of the step from x on its
+    # negation: each antithetic pair of one state is the other's, swapped.
+    # On the shared stream the two rows are equal bit for bit, for every
+    # scheme.
+    monkeypatch.setattr(lyapunov, "_FOLD_ROWS", 64)
+    _, params = scheme_for(kind, gamma=0.01, force=quartic_well_potential())
+    grid = [
+        State(np.array(x), np.zeros(2))
+        for x in ([6.0, 0.0], [-6.0, 0.0], [3.0, -4.0], [-3.0, 4.0])
+    ]
+    report = estimate_drift(kind, params, 0.1, grid, mc=1001, seed=5)
+    rows = [(row.log_ratio, row.se_log) for row in report.rows]
+    assert rows[0] == rows[1] != rows[2] == rows[3]
 
 
 def test_odd_drift_samples_round_up_to_whole_pairs():
@@ -448,10 +498,10 @@ def test_odd_drift_samples_round_up_to_whole_pairs():
         assert np.array_equal(a, b)
 
 
-def drift_peak_bytes(d, mc):
+def drift_peak_bytes(d, mc, grid=None):
     force = quartic_well_potential()
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.01, force=force)
-    grid = [State(np.full(d, 5.0), np.zeros(d))]
+    grid = [State(np.full(d, 5.0), np.zeros(d))] if grid is None else grid
     tracemalloc.start()
     try:
         estimate_drift(SchemeKind.SPLIT_CABAC, params, 0.1, grid, mc=mc)
@@ -462,19 +512,31 @@ def drift_peak_bytes(d, mc):
 
 @pytest.mark.parametrize("d", [2, 8])
 def test_drift_state_peak_memory_does_not_grow_with_samples(monkeypatch, d):
-    # One state holds one tile and one block of 32768 pairs, filled tile by
-    # tile and folded when whole, at any sample count. Measured 2.8 MiB at
-    # 1e6 samples in d = 2 and in d = 8; keeping every log-weight took
-    # 18.3 MiB. At 1e4 samples in d = 2 the tile is cut to 5000 of its 8192
-    # pairs, 0.72 MiB less; the block keeps its 32768 pairs. The untouched
-    # 16 MiB array that raises malloc's thresholds would otherwise be the
-    # peak of every run.
+    # The run holds one block of base noise rows (65536 pairs at d = 2,
+    # 16384 at d = 8), and a task one tile and one block of log-weights, all
+    # allocated at full size whatever the sample count. Measured 4.9 and
+    # 5.3 MiB at 1e4 and 1e6 samples in d = 2 (a partial tile's step makes
+    # smaller temporaries) and 4.5 MiB at both in d = 8; keeping every
+    # log-weight took 18.3 MiB. The untouched 16 MiB array that raises
+    # malloc's thresholds would otherwise be the peak of every run.
     monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
     monkeypatch.setattr(lyapunov, "_raise_malloc_thresholds", lambda: None)
     drift_peak_bytes(d, 1000)
     small = drift_peak_bytes(d, 10**4)
     large = drift_peak_bytes(d, 10**6)
     assert abs(large - small) <= 2**20
+
+
+def test_drift_peak_memory_does_not_grow_with_the_grid(monkeypatch):
+    # States share the run's noise block and each task's buffers are freed
+    # when it returns, so one worker holds the same at 4 states as at 16.
+    monkeypatch.setenv("LANGEVIN_KIT_THREADS", "1")
+    monkeypatch.setattr(lyapunov, "_raise_malloc_thresholds", lambda: None)
+    grid = wide_grid()
+    drift_peak_bytes(2, 1000)
+    four = drift_peak_bytes(2, 10**5, grid[:4])
+    sixteen = drift_peak_bytes(2, 10**5, grid)
+    assert abs(sixteen - four) <= 2**20
 
 
 _MINOR_FAULTS_OF_A_DRIFT_REPEAT = """
