@@ -2,10 +2,10 @@
 
 Every ensemble run in this module goes through one loop, ``_ensemble_path``:
 ``simulate_chain`` streams its recorded states from it, and each probe below
-consumes its states as they are made. The minorization probe steps every
-kernel of a gamma on one noise stream, in row blocks of the chains: a
-block's kernels step as one stacked state, and each step's noise block
-broadcasts over them.
+consumes its states as they are made. The minorization probe and the
+Poisson solver step all their starts on one noise stream, in row blocks of
+the chains (``_start_blocks``): a block's starts step as one stacked state,
+and each step's noise block broadcasts over them.
 
 Four experiments drive the probes: a minorization check (pairwise kernel
 overlap at a fixed physical horizon, stable in gamma), a geometric-rate fit
@@ -79,9 +79,9 @@ _REFERENCE_CHAINS = 10_000
 # Floats of histogram counts per group of minorization_probe: a group holds
 # max(1, _GROUP_FLOATS // (2 * 5^(2d))) pairs: 2 at d = 4, 67 at d = 3.
 _GROUP_FLOATS = 2**21
-# Floats of chain state per row block of minorization_probe: a block holds
-# max(1, _BLOCK_FLOATS // (2 g d)) rows of each of the 2 g kernels of a
-# group of g pairs.
+# Floats of chain state per row block of _start_blocks: a block holds max(1,
+# _BLOCK_FLOATS // (2 g d)) rows of each of the 2 g kernels of a minorization
+# group of g pairs, and max(1, _BLOCK_FLOATS // (P d)) of each of P Poisson points.
 _BLOCK_FLOATS = 2**17
 
 
@@ -340,35 +340,49 @@ def minorization_partition(m_radius: float, d: int) -> HistogramSpec:
     return bins
 
 
-def _pair_tvs(scheme, starts, n_steps, stream, mc, rows, bins) -> list[float]:
-    """The TV between the histograms of starts 2i and 2i + 1, for each pair
-    i of the (2k, 2d) ``starts``, of mc chains from each start run n_steps
-    on the noise stream ``stream``.
-
-    The chains are split into row blocks of ``rows`` chains, and the thread
-    pool's tasks are blocks: a block steps its rows of every start as one
-    (2k, rows, d) stacked state on its rows of the stream, then adds its
-    counts into the totals with the start's index folded into each chain's
-    cell index. Counts are integers in float64, so the totals depend on
-    neither the block size nor the thread count. A DivergedError names the
-    index of the start.
-    """
+def _start_blocks(scheme, starts, n_steps, stream, mc, rows, visit) -> None:
+    """Run mc chains from each of the (k, 2d) ``starts`` n_steps on the
+    noise stream ``stream``, in row blocks of at most ``rows`` chains: the
+    pool's tasks. A block steps rows [lo, lo + m) of every start as one
+    (k, m, d) stacked state and calls visit(slice(lo, lo + m), step, x, v)
+    at step 0 and after each step; a visit writes only its own columns or
+    adds under a lock. A start's chains are those of its run alone on the
+    stream, and a DivergedError names the index of the start."""
     d = starts.shape[1] // 2
-    n_cells = bins.bins_per_axis ** (2 * d)
-    totals = np.zeros(len(starts) * n_cells)
-    lock = threading.Lock()
 
     def one_block(lo):
         m = min(rows, mc - lo)
         x = np.repeat(starts[:, None, :d], m, axis=1)
         v = np.repeat(starts[:, None, d:], m, axis=1)
-        for _, x, v in _ensemble_path(scheme, x, v, n_steps, stream, lo, mc):
-            pass
-        cells = _cell_index(x, v, bins)
-        cells += np.arange(len(starts))[:, None] * n_cells
-        _add_counts(totals, cells.ravel(), lock)
+        visit(slice(lo, lo + m), 0, x, v)
+        for k, x, v in _ensemble_path(scheme, x, v, n_steps, stream, lo, mc):
+            visit(slice(lo, lo + m), k, x, v)
 
     _parallel_map(one_block, range(0, mc, rows))
+
+
+def _pair_tvs(scheme, starts, n_steps, stream, mc, rows, bins) -> list[float]:
+    """The TV between the histograms of starts 2i and 2i + 1, for each pair
+    i of the (2k, 2d) ``starts``, of mc chains from each start run n_steps
+    on the noise stream ``stream``.
+
+    The starts share the stream chain by chain and run in row blocks of
+    ``rows`` chains on ``_start_blocks``; a block adds its final counts into
+    the totals with the start's index folded into each chain's cell index.
+    Counts are integers in float64, so the totals depend on neither the
+    block size nor the thread count. A DivergedError names the start.
+    """
+    n_cells = bins.bins_per_axis ** starts.shape[1]
+    totals = np.zeros(len(starts) * n_cells)
+    lock = threading.Lock()
+
+    def count(cols, k, x, v):
+        if k == n_steps:
+            cells = _cell_index(x, v, bins)
+            cells += np.arange(len(starts))[:, None] * n_cells
+            _add_counts(totals, cells.ravel(), lock)
+
+    _start_blocks(scheme, starts, n_steps, stream, mc, rows, count)
     totals = totals.reshape(len(starts), n_cells)
     return [_tv_from_counts(p, mc, q, mc) for p, q in zip(totals[::2], totals[1::2])]
 
@@ -402,11 +416,11 @@ def minorization_probe(
     The pairs of a gamma run in groups of g = max(1, ``_GROUP_FLOATS`` //
     (2 cells)) pairs (2 at d = 4, 67 at d = 3), so that a group's counts
     hold at most that many floats; each group steps in row blocks of max(1,
-    ``_BLOCK_FLOATS`` // (2 g d)) chains of each of its 2 g kernels
-    (``_pair_tvs``). Every kernel's counts are those of its start run
-    alone on the gamma's stream, so the results depend on neither the group
-    nor the block size nor the thread count, and the memory held grows with
-    neither mc nor pairs.
+    ``_BLOCK_FLOATS`` // (2 g d)) chains of each of its 2 g kernels on the
+    runner it shares with ``solve_poisson`` (``_pair_tvs``, ``_start_blocks``).
+    Every kernel's counts are those of its start run alone on the gamma's
+    stream, so the results depend on neither the group nor the block size
+    nor the thread count, and the memory held grows with neither mc nor pairs.
 
     A uniform-in-gamma lower bound on kernel overlap is a necessary
     consequence of minorization at horizon t0; the partition
@@ -668,6 +682,10 @@ def solve_poisson(
     of the first omitted term, which the same ensemble estimates by running
     one extra step. ``phi`` maps batched (x, v) arrays of shape (n, d) to
     shape (n,).
+
+    The eval points share one noise stream chain by chain on the runner of
+    the minorization probe, ``_start_blocks``: a point's row is that of its
+    run alone, and a DivergedError names the point.
     """
     if truncation_k < 1 or mc < 2:
         raise ContractViolation("truncation_k >= 1 and mc >= 2 are required")
@@ -677,33 +695,35 @@ def solve_poisson(
     d = pts.shape[1] // 2
     scheme = as_general_scheme(kind, params)
     gamma = params.gamma
-    seeds = _seed_ints(seed, 1 + pts.shape[0])
+    ref_seed, stream = _seed_ints(seed, 2)
 
     # Stationary mean of phi for centering, from an independent ensemble.
     n_ref = 512
     keep = max(64, math.ceil(max(mc, 65536) / n_ref))
-    ((mu_hat, se_ref),) = _time_averages(scheme, (phi,), d, n_ref, 30.0, keep, seeds[0])
+    ((mu_hat, se_ref),) = _time_averages(scheme, (phi,), d, n_ref, 30.0, keep, ref_seed)
 
-    def one_point(j):
-        p = pts[j]
-        x = np.tile(p[:d], (mc, 1))
-        v = np.tile(p[d:], (mc, 1))
-        series_sums = phi(x, v) - mu_hat
-        for k, x, v in _ensemble_path(scheme, x, v, truncation_k + 1, seeds[1 + j]):
-            term = phi(x, v) - mu_hat
-            if k <= truncation_k:
-                series_sums += term
-                last_kept = term
-        # The loop ends on the first omitted term, k = truncation_k + 1.
-        psi = gamma * float(np.mean(series_sums))
-        ens_se = gamma * float(np.std(series_sums, ddof=1) / math.sqrt(mc))
-        psi_se = math.sqrt(ens_se**2 + (gamma * (truncation_k + 1) * se_ref) ** 2)
-        residual = abs(float(np.mean(term)))
-        residual_se = math.sqrt(float(np.std(term, ddof=1) / math.sqrt(mc)) ** 2 + se_ref**2)
-        return psi, psi_se, residual, residual_se, gamma * float(np.mean(last_kept))
+    sums, last_kept, first_omitted = (np.zeros((len(pts), mc)) for _ in range(3))
 
-    rows = np.array(_parallel_map(one_point, range(pts.shape[0])))
-    psi, psi_se, residual, residual_se, last_terms = rows.T
+    def add_terms(cols, k, x, v):
+        term = phi(x.reshape(-1, d), v.reshape(-1, d)).reshape(len(pts), -1) - mu_hat
+        if k <= truncation_k:
+            sums[:, cols] += term
+            last_kept[:, cols] = term
+        else:
+            first_omitted[:, cols] = term
+
+    rows = max(1, _BLOCK_FLOATS // (len(pts) * d))
+    try:
+        _start_blocks(scheme, pts, truncation_k + 1, stream, mc, rows, add_terms)
+    except DivergedError as exc:
+        where = f"eval point {pts[exc.ensemble].tolist()}"
+        raise DivergedError(exc.component, exc.step, start=where) from None
+    psi = gamma * np.mean(sums, axis=1)
+    ens_se = gamma * (np.std(sums, axis=1, ddof=1) / math.sqrt(mc))
+    psi_se = np.sqrt(ens_se**2 + (gamma * (truncation_k + 1) * se_ref) ** 2)
+    residual = np.abs(np.mean(first_omitted, axis=1))
+    residual_se = np.sqrt((np.std(first_omitted, axis=1, ddof=1) / math.sqrt(mc)) ** 2 + se_ref**2)
+    last_terms = gamma * np.mean(last_kept, axis=1)
     scale = float(np.max(np.abs(psi)))
     tail = float(np.max(np.abs(last_terms))) / scale if scale > 0 else 0.0
     warnings = []

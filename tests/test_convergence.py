@@ -802,20 +802,74 @@ def test_poisson_well_residual_shrinks_with_truncation(quadratic):
 
 
 def test_poisson_does_not_depend_on_the_thread_count(quadratic, monkeypatch):
-    # One pool task per eval point, each on its own noise stream.
+    # The points step as one stacked state in row blocks, the pool's tasks:
+    # a 2^11-float block constant makes blocks of 682 rows of each of the 3
+    # points, so 2000 chains make three blocks, the last one ragged.
     params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic)
     pts = np.array([[2.0, 0.0], [-1.0, 1.0], [0.0, -0.5]])
-    reports = []
-    for threads in ("1", "2"):
+
+    def run(threads):
         monkeypatch.setenv("LANGEVIN_KIT_THREADS", threads)
-        reports.append(
-            solve_poisson(
-                SchemeKind.EULER_MARUYAMA, params, lambda x, v: x[:, 0], 20, pts, mc=2000, seed=4
-            )
+        return solve_poisson(
+            SchemeKind.EULER_MARUYAMA, params, lambda x, v: x[:, 0], 20, pts, mc=2000, seed=4
         )
-    serial, pooled = reports
+
+    one_block = run("1")
+    monkeypatch.setattr(convergence, "_BLOCK_FLOATS", 2**11)
+    for report in (run("1"), run("2")):
+        for name in ("psi", "psi_se", "residual", "residual_se", "tail_fraction"):
+            assert np.array_equal(getattr(report, name), getattr(one_block, name))
+
+
+def test_a_poisson_point_does_not_depend_on_the_other_points(quadratic):
+    # Every point's chains are rows [0, mc) of the call's one noise stream.
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quadratic)
+
+    def run(pts):
+        return solve_poisson(
+            SchemeKind.EULER_MARUYAMA, params, lambda x, v: x[:, 0], 30, pts, mc=3000, seed=6
+        )
+
+    both = run(np.array([[2.0, 0.0], [-1.0, 1.0]]))
+    alone = run(np.array([[-1.0, 1.0]]))
     for name in ("psi", "psi_se", "residual", "residual_se"):
-        assert np.array_equal(getattr(serial, name), getattr(pooled, name))
+        assert getattr(both, name)[1] == getattr(alone, name)[0]
+
+
+def test_poisson_divergence_names_the_eval_point():
+    # The centring run from the origin stays on the quartic well; the chains
+    # from x = 50 see a force of -50^3 and leave at once.
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.1, force=quartic_well_potential())
+    pts = np.array([[0.0, 0.0], [50.0, 0.0]])
+    with pytest.raises(DivergedError, match=r"at step \d+ from eval point \[50\.0, 0\.0\]"):
+        solve_poisson(SchemeKind.EULER_MARUYAMA, params, lambda x, v: x[:, 0], 10, pts, mc=100)
+
+
+def test_poisson_standard_errors_cover_the_exact_ou_solution():
+    """phi = v on the force-free chain: E v_k = tau^k v with tau = 1 - gamma,
+    so psi(v) = gamma v (1 - tau^(K+1)) / (1 - tau) and the first omitted
+    term is tau^(K+1) v. Over 40 seeds, each point's psi and residual lie
+    within 2 standard errors of the exact values in at least 34 runs: the
+    binomial count at 95% coverage falls below 34 with probability 0.3%.
+    On the shared stream the force-free chain's error in psi does not
+    depend on v, so the two points' psi errors agree up to rounding."""
+    free = quadratic_potential(0.0)
+    gam, tau, k = 0.1, 0.9, 40
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=gam, force=free)
+    pts = np.array([[0.0, 2.0], [0.0, -1.0]])
+    v = pts[:, 1]
+    exact_psi = gam * v * (1.0 - tau ** (k + 1)) / (1.0 - tau)
+    exact_residual = np.abs(tau ** (k + 1) * v)
+    psi_hits = np.zeros(len(pts), dtype=int)
+    residual_hits = np.zeros(len(pts), dtype=int)
+    for seed in range(40):
+        rep = solve_poisson(
+            SchemeKind.EULER_MARUYAMA, params, lambda x, v: v[:, 0], k, pts, mc=1000, seed=seed
+        )
+        psi_hits += np.abs(rep.psi - exact_psi) <= 2.0 * rep.psi_se
+        residual_hits += np.abs(rep.residual - exact_residual) <= 2.0 * rep.residual_se
+    assert np.all(psi_hits >= 34), psi_hits
+    assert np.all(residual_hits >= 34), residual_hits
 
 
 def test_poisson_tail_warning(quadratic):
