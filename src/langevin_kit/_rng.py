@@ -1,4 +1,9 @@
-"""Counter-based noise streams for reproducible, order-independent ensembles.
+"""Every seed derivation of the package, and counter-based noise streams for
+reproducible, order-independent ensembles.
+
+No other module turns a seed into a stream. Part ``key`` (a tuple of ints)
+of a run keyed by ``seed`` gets ``generator(seed, *key)``, a numpy Generator,
+or ``stream_seed(seed, *key)``, the int that keys its ``NoiseSource``.
 
 Streams are keyed by (seed, step) and addressed by chain row, so the draws a
 chain sees depend only on its index and the step, never on ensemble evaluation
@@ -18,12 +23,25 @@ import os
 
 import numpy as np
 
-__all__ = ["normal_block", "NoiseSource", "chain_normals", "worker_threads"]
+__all__ = ["generator", "stream_seed", "normal_block", "NoiseSource", "chain_normals",
+           "worker_threads"]
 
 STEPS_PER_KEY = 256
 _INV_2_53 = 2.0 ** -53
 _U_MAX = 1.0 - 2.0 ** -53  # the largest double below 1
 _CACHE_ELEMENT_LIMIT = 4096  # n_chains*width above this: draw per step, no cache
+
+
+def generator(seed: int, *key: int) -> np.random.Generator:
+    """The numpy Generator of ``SeedSequence(seed, spawn_key=key)``: with no
+    key ``default_rng(seed)``, with key (i,) the i-th child that
+    ``SeedSequence(seed).spawn`` makes, and with (i, j) that child's j-th."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def stream_seed(seed: int, *key: int) -> int:
+    """The int that keys a ``NoiseSource``: word 0 of ``SeedSequence(seed, spawn_key=key)``."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
 def _to_normals(raw: np.ndarray) -> np.ndarray:

@@ -224,10 +224,6 @@ def _tv_from_counts(counts_a, n_a, counts_b, n_b) -> float:
     return min(value, 2.0)
 
 
-def _seed_ints(seed: int, n: int) -> list[int]:
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 def _ensemble_path(scheme, x, v, n_steps, seed, lo=0, n_chains=None):
     """Advance the state (x, v) n_steps on one noise stream, yielding
     (k, x, v) with the state after each step k = 1..n_steps.
@@ -258,27 +254,9 @@ def _ensemble_path(scheme, x, v, n_steps, seed, lo=0, n_chains=None):
         block = src.block_at(step, lo, lo + m)
         try:
             x, v = step_ensemble(scheme, x, v, NoiseDraw(*spec.split(block, d)))
-        except DivergedError:
-            batch, component = _first_diverged(scheme, x, v, block)
-            raise DivergedError(component, step + 1, ensemble=batch) from None
+        except DivergedError as exc:
+            raise DivergedError(exc.component, step + 1, ensemble=exc.ensemble) from None
         yield step + 1, x, v
-
-
-def _first_diverged(scheme, x, v, block):
-    """(index, component) of the first batch of the (m, d) or (count, m, d)
-    state (x, v) that diverges when stepped alone with the noise ``block``.
-
-    Called after a step of the whole state diverged; the step acts on each
-    row alone, so one of the batches does.
-    """
-    noise = NoiseDraw(*scheme.noise_spec.split(block, x.shape[-1]))
-    batches = (-1, *x.shape[-2:])
-    for i, (xi, vi) in enumerate(zip(x.reshape(batches), v.reshape(batches))):
-        try:
-            step_ensemble(scheme, xi, vi, noise)
-        except DivergedError as alone:
-            return i, alone.component
-    raise RuntimeError("a step diverged, but none of its batches does alone")
 
 
 @dataclass(frozen=True)
@@ -433,10 +411,9 @@ def minorization_probe(
     if pairs < 1 or mc < 1:
         raise ContractViolation("pairs and mc must be >= 1")
     bins = minorization_partition(m_radius, d)
-    rng = np.random.default_rng(seed)
-    starts = _ball_points(rng, 2 * pairs, 2 * d, m_radius)
+    starts = _ball_points(_rng.generator(seed), 2 * pairs, 2 * d, m_radius)
     gamma_grid = [float(g) for g in gamma_grid]
-    gamma_seeds = _seed_ints(seed + 1, len(gamma_grid))
+    gamma_seeds = [_rng.stream_seed(seed + 1, i) for i in range(len(gamma_grid))]
     group = max(1, min(pairs, _GROUP_FLOATS // (2 * bins.bins_per_axis ** (2 * d))))
     rows = max(1, _BLOCK_FLOATS // (2 * group * d))
 
@@ -542,7 +519,7 @@ def fit_geometric_rate(
         raise ContractViolation("horizon must span at least 10 recorded epochs")
     gamma = params.gamma
     scheme = as_general_scheme(kind, params)
-    ref_seed, ens_seed = _seed_ints(seed, 2)
+    ref_seed, ens_seed = _rng.stream_seed(seed, 0), _rng.stream_seed(seed, 1)
 
     ref_counts, n_ref = _reference_histogram(kind, params, _RATE_BINS, ref_seed)
     p_ref = ref_counts / n_ref
@@ -635,8 +612,9 @@ def stationary_moment_bias(
     keep = max(1, math.ceil(mc / n_chains))
     second_moments = (lambda x, v: x[:, 0] ** 2, lambda x, v: v[:, 0] ** 2)
     moments = []
-    for gamma, chain_seed in zip(gamma_pair, _seed_ints(seed, 2)):
+    for i, gamma in enumerate(gamma_pair):
         scheme = as_general_scheme(kind, replace(params, gamma=gamma))
+        chain_seed = _rng.stream_seed(seed, i)
         averages = _time_averages(scheme, second_moments, 1, n_chains, 20.0, keep, chain_seed)
         moments.append(dict(zip(("x", "v"), averages)))
     coarse, fine = moments
@@ -695,7 +673,7 @@ def solve_poisson(
     d = pts.shape[1] // 2
     scheme = as_general_scheme(kind, params)
     gamma = params.gamma
-    ref_seed, stream = _seed_ints(seed, 2)
+    ref_seed, stream = _rng.stream_seed(seed, 0), _rng.stream_seed(seed, 1)
 
     # Stationary mean of phi for centering, from an independent ensemble.
     n_ref = 512

@@ -67,9 +67,9 @@ class ContractViolation(ValueError):
 class DivergedError(FloatingPointError):
     """A state component left the admissible range during stepping.
 
-    ``ensemble`` is the index of the diverged ensemble when several are
-    stepped together on one noise stream, and ``start`` describes the state
-    the diverged step left from.
+    ``ensemble`` is the index of the first diverged batch of a state that
+    stacks several on one noise stream, 0 for any other state, and ``start``
+    describes the state the diverged step left from.
     """
 
     def __init__(
@@ -336,14 +336,24 @@ class GeneralScheme:
             )
 
 
-def _guard(x: np.ndarray, v: np.ndarray, step: int | None) -> None:
+def _out_of_range(arr: np.ndarray) -> bool:
     # max/min instead of max(abs(.)): no temporary array. A NaN propagates
     # through both and fails the comparison, as does an infinity.
-    for name, arr in (("x", x), ("v", v)):
-        if arr.size and not (
-            -DIVERGENCE_LIMIT <= float(arr.min()) and float(arr.max()) <= DIVERGENCE_LIMIT
-        ):
-            raise DivergedError(name, step)
+    return bool(arr.size) and not (
+        -DIVERGENCE_LIMIT <= float(arr.min()) and float(arr.max()) <= DIVERGENCE_LIMIT
+    )
+
+
+def _guard(x: np.ndarray, v: np.ndarray, step: int | None) -> None:
+    """Raise DivergedError if x or v has an entry out of range. It names the
+    first batch of a stacked (count, m, d) state with one, 0 for any other
+    shape, and within the batch x before v."""
+    if _out_of_range(x) or _out_of_range(v):
+        batches = (-1, *x.shape[-2:])
+        for batch, (xb, vb) in enumerate(zip(x.reshape(batches), v.reshape(batches))):
+            for name, arr in (("x", xb), ("v", vb)):
+                if _out_of_range(arr):
+                    raise DivergedError(name, step, ensemble=batch)
 
 
 def _advance(scheme: GeneralScheme, x, v, noise, scale, v_scale, w1, w2, step):

@@ -363,7 +363,7 @@ def verify_d2(
     potential = params.force
     if potential.potential is None or potential.grad_potential is None:
         raise ContractViolation("verify_d2 needs a force model with U and grad U")
-    rng = np.random.default_rng(seed)
+    rng = _rng.generator(seed)
     validate_d1(potential, rng.standard_normal((128, d)) * 3.0)
 
     witnesses: list[str] = []
@@ -394,7 +394,7 @@ def verify_d2(
             scheme = as_general_scheme(kind, replace(params, gamma=gam))
             m1, m2 = scheme.noise_spec.dims(d)
             x, v, z, w1, w2 = _d2_samples(
-                np.random.default_rng(seed + 1), sample_count, d, m1, m2,
+                _rng.generator(seed + 1), sample_count, d, m1, m2,
                 scheme.noise_spec.w2_transform,
             )
             v_s = gam * v
@@ -579,22 +579,22 @@ def estimate_drift(
     The noise belongs to the run, not to a state: every state steps on the
     same rows. The pairs are cut into blocks of min(``_FOLD_ROWS``,
     ``_BLOCK_FLOATS`` // (2d)) pairs (65536 at d <= 2), and block k's base
-    rows of z, w1 and w2 come from the ``default_rng`` of
-    ``SeedSequence(seed, spawn_key=(k,))`` and of the two children it
-    spawns. The calling thread draws each block once; then one pool task
-    per state steps it tile by tile and folds its log-weights into the
-    state's summary (``_WeightFold``), block after block in order. Each
-    state's rows are still i.i.d. pairs, so its estimand and standard error
-    are those of a stream of its own; only the joint law across states
-    changes, as in common random numbers. A state's row depends on neither
-    the rest of the grid nor its place in it, nor on the tile size or the
-    thread count. A tile holds max(1, ``_TILE_FLOATS`` // (2d)) pairs: it
-    copies that many base rows of the block, negates them into the rows
-    after them, and steps both halves and evaluates their energy in one pass
-    from a contiguous copy of the state. The base normals are negated before
-    ``w2_transform``, so a transform that is not odd keeps its law. The run
-    holds one block of base rows, and each running task one tile and one
-    block of log-weights, in any d and at any sample count.
+    rows of z, w1 and w2 come from ``_rng.generator`` at the keys (k,),
+    (k, 0) and (k, 1) of the seed. The calling thread draws each block
+    once; then one pool task per state steps it tile by tile and folds its
+    log-weights into the state's summary (``_WeightFold``), block after
+    block in order. Each state's rows are still i.i.d. pairs, so its
+    estimand and standard error are those of a stream of its own; only the
+    joint law across states changes, as in common random numbers. A state's
+    row depends on neither the rest of the grid nor its place in it, nor on
+    the tile size or the thread count. A tile holds max(1, ``_TILE_FLOATS``
+    // (2d)) pairs: it copies that many base rows of the block, negates them
+    into the rows after them, and steps both halves and evaluates their
+    energy in one pass from a contiguous copy of the state. The base normals
+    are negated before ``w2_transform``, so a transform that is not odd
+    keeps its law. The run holds one block of base rows, and each running
+    task one tile and one block of log-weights, in any d and at any sample
+    count.
     A ratio too large for a float is reported as inf, and so is a state
     whose log-weight varpi * phi overflows, with an infinite standard error.
     A single pair (``mc`` of 2) has an infinite standard error. A step that
@@ -662,9 +662,8 @@ def estimate_drift(
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         for k, start in enumerate(range(0, pairs, block_pairs)):
             size = min(block_pairs, pairs - start)
-            stream = np.random.SeedSequence(seed, spawn_key=(k,))
-            for child, block in zip((stream, *stream.spawn(2)), base):
-                np.random.default_rng(child).standard_normal(out=block[:size])
+            for key, block in zip(((), (0,), (1,)), base):
+                _rng.generator(seed, k, *key).standard_normal(out=block[:size])
             more = pool.map(fold_block, live, [size] * len(live))
             live = [idx for idx, ok in zip(live, more) if ok]
 

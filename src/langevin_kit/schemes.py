@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _rng
 from .core import (
     ContractViolation,
     ForceModel,
@@ -495,7 +496,7 @@ def check_a1_a2(
     declared = probe.a2_constant
     scheme = probe
     m1, m2 = scheme.noise_spec.dims(d)
-    rng = np.random.default_rng(seed)
+    rng = _rng.generator(seed)
     worst = 0.0
     witness = ""
     scales = np.where(rng.random(trials) < 0.5, 1.0, 10.0)[:, None]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _rng
 from .core import ContractViolation, full_noise_step
 from .schemes import SchemeKind, SchemeParams, as_general_scheme
 
@@ -109,7 +110,7 @@ def verify_contraction(
     scheme = as_general_scheme(kind, params)
     el = scheme.a2_constant
     cons = stability_constants(k, params.gamma, lam, el, scheme.d_bound)
-    rng = np.random.default_rng(seed)
+    rng = _rng.generator(seed)
     m1, m2 = scheme.noise_spec.dims(d)
     g_ = params.gamma
     noise_scale = math.sqrt(g_) * scheme.sigma_gamma

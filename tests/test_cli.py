@@ -729,8 +729,8 @@ def test_validate_prints_the_resolved_config(tmp_path, capsys):
 # End-to-end runs
 
 
-# One small config per experiment, validated and run. covariance-check and
-# stability-check have their own end-to-end tests below.
+# One small config per experiment that draws noise, validated and run.
+# covariance-check draws none and has its own end-to-end test below.
 _WELL = {"kind": "quadratic", "curvature": 1.0}
 _SMALL_RUNS = {
     "simulate": {
@@ -777,11 +777,20 @@ _SMALL_RUNS = {
         "d": 2,
         "monte_carlo": {"t0": 0.5, "m_radius": 1.0, "pairs": 2, "samples": 20000},
     },
+    "stability-check": {
+        "scheme": {"kind": "SplitCABAC", "kappa": 1.0, "sigma": 1.0, "gamma": 0.1},
+        "potential": _WELL,
+        "seed": 3,
+        "d": 1,
+        "monte_carlo": {"k": 5, "lambda": 1.0, "trials": 200},
+    },
 }
 
 
 @pytest.mark.parametrize("experiment", list(_SMALL_RUNS))
 def test_each_experiment_validates_and_runs(tmp_path, experiment):
+    # Rerunning the written meta.json reproduces results.csv byte for byte,
+    # and the next seed changes it, so no stream of the run ignores the seed.
     cfg = dict(_SMALL_RUNS[experiment], experiment=experiment, output=str(tmp_path / "out"))
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main(["validate", path]) == 0
@@ -789,6 +798,14 @@ def test_each_experiment_validates_and_runs(tmp_path, experiment):
     header, rows = read_rows(tmp_path / "out")
     assert header == CSV_SCHEMA
     assert rows
+    first = (tmp_path / "out" / "results.csv").read_bytes()
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    again = write_config(tmp_path, "meta.json", meta)
+    assert main(["run", again, "--out", str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "results.csv").read_bytes() == first
+    next_seed = str(cfg["seed"] + 1)
+    assert main(["run", path, "--seed", next_seed, "--out", str(tmp_path / "next")]) == 0
+    assert (tmp_path / "next" / "results.csv").read_bytes() != first
 
 
 def test_run_simulate_outputs(tmp_path):

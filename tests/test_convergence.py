@@ -303,7 +303,7 @@ def test_each_kernel_of_a_pair_is_its_own_single_ensemble_run(quadratic, monkeyp
     res = minorization_probe(kind, params, 0.5, 1.0, grid, pairs=pairs, mc=mc, seed=seed, d=d)
 
     starts = convergence._ball_points(np.random.default_rng(seed), 2 * pairs, 2 * d, 1.0)
-    seeds = convergence._seed_ints(seed + 1, len(grid))
+    seeds = [_rng.stream_seed(seed + 1, i) for i in range(len(grid))]
     bins = minorization_partition(1.0, d)
     expected = []
     for gi, gamma in enumerate(grid):
@@ -735,6 +735,32 @@ def test_moment_bias_em_first_order(quadratic):
         assert bias.bias_coarse > 0.0 and bias.bias_fine > 0.0
         # halving gamma should land the bias ratio in first-order territory
         assert 1.5 < bias.ratio < 4.5
+
+
+def test_moment_bias_standard_errors_cover_the_exact_biases(quadratic):
+    # EulerMaruyama on the unit quadratic well is affine, so its exact
+    # stationary E[x^2] and E[v^2] at each gamma solve a discrete Lyapunov
+    # equation, as in test_reference_marginals_match_the_exact_stationary_law,
+    # and the targets are 1/2. Each of the four estimated biases lies within
+    # 2 standard errors of its exact value in at least 34 of 40 seeds: 38 is
+    # the expected count of an honest 95% interval, and fewer than 34 has
+    # probability below 1% for it.
+    exact = {}
+    for gamma in (0.2, 0.1):
+        m = np.array([[1.0, gamma], [-gamma, 1.0 - gamma]])
+        n = np.array([[0.0], [math.sqrt(gamma)]])
+        exact[gamma] = np.diag(solve_discrete_lyapunov(m, n @ n.T)) - 0.5
+    params = SchemeParams(kappa=1.0, sigma=1.0, gamma=0.2, force=quadratic)
+    covered = dict.fromkeys(["x coarse", "x fine", "v coarse", "v fine"], 0)
+    for seed in range(40):
+        out = stationary_moment_bias(
+            SchemeKind.EULER_MARUYAMA, params, (0.2, 0.1), mc=256 * 40, seed=seed
+        )
+        for axis, name in enumerate(("x", "v")):
+            b = out[name]
+            covered[f"{name} coarse"] += abs(b.bias_coarse - exact[0.2][axis]) <= 2 * b.se_coarse
+            covered[f"{name} fine"] += abs(b.bias_fine - exact[0.1][axis]) <= 2 * b.se_fine
+    assert min(covered.values()) >= 34, covered
 
 
 def test_moment_bias_validation(quadratic):

@@ -55,6 +55,50 @@ def test_library_modules_do_not_import_the_cli():
     assert out.stdout.strip() == "False"
 
 
+def _annotations(tree):
+    """Every node inside an argument, return or variable annotation."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            root = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            root = node.returns
+        else:
+            continue
+        if root is not None:
+            yield from ast.walk(root)
+
+
+def test_only_rng_derives_streams_from_seeds():
+    # _rng holds the seed-derivation policy: a module that reaches numpy.random
+    # other than to annotate a Generator makes streams of its own.
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "_rng":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(n.value)
+            for n in _annotations(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "Generator"
+        }
+        for node in ast.walk(tree):
+            imported = []
+            if isinstance(node, ast.Import):
+                imported = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [f"{node.module}.{a.name}" for a in node.names]
+            reaches = any(name.startswith("numpy.random") for name in imported) or (
+                isinstance(node, ast.Attribute)
+                and node.attr == "random"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+                and id(node) not in allowed
+            )
+            if reaches:
+                offences.append(f"{path.name}:{node.lineno}")
+    assert offences == []
+
+
 def _top_level(tree):
     """Top-level statements, including those inside try blocks."""
     for node in tree.body:
